@@ -76,27 +76,6 @@ fn bench_kernel_fused_vs_legacy(c: &mut Criterion) {
     group.finish();
 }
 
-/// End-to-end candidate sweep with the fused kernel against the legacy
-/// pipeline, both with a warm prefix cache: what a steady-state mapping
-/// event costs under each kernel.
-fn bench_evaluate_all_fused_vs_legacy(c: &mut Criterion) {
-    let (scenario, cores) = busy_view_fixture_with_depth(4);
-    let view = SystemView::new(scenario.cluster(), scenario.table(), &cores, 500.0, 10, 60);
-    let task = probe_task();
-    let mut group = c.benchmark_group("evaluate_all_kernel");
-    group.bench_function("legacy", |b| {
-        let evaluator = CandidateEvaluator::default().without_fused_kernel();
-        let _ = evaluator.evaluate_all(&view, &task);
-        b.iter(|| black_box(evaluator.evaluate_all(&view, &task)))
-    });
-    group.bench_function("fused", |b| {
-        let evaluator = CandidateEvaluator::default();
-        let _ = evaluator.evaluate_all(&view, &task);
-        b.iter(|| black_box(evaluator.evaluate_all(&view, &task)))
-    });
-    group.finish();
-}
-
 fn bench_truncate(c: &mut Criterion) {
     let p = gamma_pmf(750.0, 24).shift(100.0);
     c.bench_function("pmf_truncate_renormalize", |b| {
@@ -162,17 +141,21 @@ fn bench_candidate_evaluation(c: &mut Criterion) {
 
 /// The tentpole speedup: `evaluate_all` with every queue-prefix pmf served
 /// from the versioned cache ("warm") against recomputing the prefixes on
-/// every call ("cold"). Same burst-depth view in both arms: with 8 tasks
-/// queued per core the prefix convolution chain dominates the candidate
-/// sweep, which is precisely the load the cache exists for.
+/// every call ("cold", the cache dropped by `reset_cache` before each
+/// sweep). Same burst-depth view in both arms: with 8 tasks queued per core
+/// the prefix convolution chain dominates the candidate sweep, which is
+/// precisely the load the cache exists for.
 fn bench_prefix_cache_cold_vs_warm(c: &mut Criterion) {
     let (scenario, cores) = busy_view_fixture_with_depth(8);
     let view = SystemView::new(scenario.cluster(), scenario.table(), &cores, 500.0, 10, 60);
     let task = probe_task();
     let mut group = c.benchmark_group("evaluate_all_prefix_cache");
     group.bench_function("cold", |b| {
-        let evaluator = CandidateEvaluator::uncached(ecds_pmf::ReductionPolicy::default());
-        b.iter(|| black_box(evaluator.evaluate_all(&view, &task)))
+        let evaluator = CandidateEvaluator::default();
+        b.iter(|| {
+            evaluator.reset_cache();
+            black_box(evaluator.evaluate_all(&view, &task))
+        })
     });
     group.bench_function("warm", |b| {
         let evaluator = CandidateEvaluator::default();
@@ -296,39 +279,13 @@ mod kernel_json {
             ));
         }
 
-        let (scenario, cores) = busy_view_fixture_with_depth(4);
-        let view = SystemView::new(scenario.cluster(), scenario.table(), &cores, 500.0, 10, 60);
-        let task = probe_task();
-        let legacy_eval = CandidateEvaluator::default().without_fused_kernel();
-        let _ = legacy_eval.evaluate_all(&view, &task);
-        let eval_legacy = measure(
-            || drop(black_box(legacy_eval.evaluate_all(&view, &task))),
-            200,
-            bench_mode,
-        );
-        let fused_eval = CandidateEvaluator::default();
-        let _ = fused_eval.evaluate_all(&view, &task);
-        let eval_fused = measure(
-            || drop(black_box(fused_eval.evaluate_all(&view, &task))),
-            200,
-            bench_mode,
-        );
-
         if !bench_mode {
             println!("BENCH_kernel.json: ok (smoke, not written)");
             return;
         }
         let json = format!(
             "{{\n  \"units\": \"median ns per op, {SAMPLES} samples\",\n  \
-             \"kernel\": [\n{kernel_rows}\n  ],\n  \
-             \"evaluate_all\": {{\"queue_depth\": 4, \"warm_prefix_cache\": true, \
-             \"legacy_ns\": {eval_legacy:.1}, \"fused_ns\": {eval_fused:.1}, \
-             \"speedup\": {speedup:.2}}}\n}}\n",
-            speedup = if eval_fused > 0.0 {
-                eval_legacy / eval_fused
-            } else {
-                0.0
-            },
+             \"kernel\": [\n{kernel_rows}\n  ]\n}}\n"
         );
         let path = concat!(
             env!("CARGO_MANIFEST_DIR"),
@@ -343,7 +300,6 @@ criterion_group!(
     micro,
     bench_convolution,
     bench_kernel_fused_vs_legacy,
-    bench_evaluate_all_fused_vs_legacy,
     bench_truncate,
     bench_quantile,
     bench_candidate_evaluation,

@@ -161,7 +161,7 @@ pub fn render_kernel_summary(grid: &ExperimentGrid) -> String {
         .map(|m| m.fused_kernel_calls)
         .sum();
     if total == 0 {
-        return "Fused kernel: no invocations recorded (legacy pipeline)\n".to_string();
+        return "Fused kernel: no invocations recorded\n".to_string();
     }
     let per_trial = grid
         .cells

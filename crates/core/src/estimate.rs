@@ -44,28 +44,21 @@ impl AssignmentEstimate {
     }
 }
 
-/// Computes the completion-time pmf of the *last pending* task on `core` at
+/// Builds the completion-time pmf of the *last pending* task on `core` at
 /// the view's time — the "queue prefix" every candidate on that core is
-/// convolved with. Returns `None` for an idle, empty core (whose ready time
-/// is the current time).
+/// convolved with — plus the inclusive upper bound of the time window over
+/// which it stays *bit-identical* while the core's epoch is unchanged (the
+/// basis of the evaluator's cache; see DESIGN.md §7). `None` for an idle,
+/// empty core.
 ///
 /// Per Sec. IV-B: the executing task's execution-time pmf is shifted by its
 /// start time, impulses in the past are removed and the rest renormalized
 /// (a task that has outlived its entire distribution is treated as
 /// completing now); queued tasks' execution-time pmfs are convolved on in
-/// FIFO order.
-pub fn pending_completion_pmf(
-    view: &SystemView<'_>,
-    core: usize,
-    policy: ReductionPolicy,
-) -> Option<Pmf> {
-    prefix_with_validity(view, core, policy).0
-}
-
-/// [`pending_completion_pmf`] plus the inclusive upper bound of the time
-/// window over which the returned prefix stays *bit-identical* while the
-/// core's epoch is unchanged (the basis of the evaluator's cache; see
-/// DESIGN.md §7).
+/// FIFO order. The whole chain runs on the scratch's resident prefix buffer
+/// (zero intermediate `Pmf`s) and is materialized once at the end, for the
+/// cache entry every later lookup borrows. Bit-identical to
+/// [`crate::reference::pending_completion_pmf`].
 ///
 /// The prefix's only time dependence is the truncation of the executing
 /// task's shifted pmf at `now`: truncating at any `t` with
@@ -73,48 +66,11 @@ pub fn pending_completion_pmf(
 /// same renormalization and the same convolution chain. So the bound is
 /// the truncated pmf's minimum value — including the degenerate floor case
 /// (all mass elapsed → singleton at `now`, valid only at exactly `now`).
-/// Idle empty cores have no time dependence (`None` prefix, bound `+∞`);
-/// the idle-but-queued branch (unreachable with the bundled engine) shifts
-/// by `now` directly, so its bound is `now` itself.
-fn prefix_with_validity(
-    view: &SystemView<'_>,
-    core: usize,
-    policy: ReductionPolicy,
-) -> (Option<Pmf>, Time) {
-    let state = view.core_state(core);
-    let node = view.cluster().core(core).node;
-    let table = view.table();
-    let now = view.time();
-
-    let mut valid_until = f64::INFINITY;
-    let mut acc: Option<Pmf> = state.executing().map(|exec| {
-        let mut completion = table.pmf(exec.type_id, node, exec.pstate).shift(exec.start);
-        completion.truncate_below_or_floor_in_place(now);
-        valid_until = completion.min_value();
-        completion
-    });
-    for queued in state.queued() {
-        let exec_pmf = table.pmf(queued.type_id, node, queued.pstate);
-        acc = Some(match acc {
-            Some(prefix) => prefix.convolve(exec_pmf, policy),
-            // Unreachable with the bundled engine (it starts tasks on idle
-            // cores immediately), but kept correct for custom engines.
-            None => {
-                valid_until = now;
-                exec_pmf.shift(now)
-            }
-        });
-    }
-    (acc, valid_until)
-}
-
-/// [`prefix_with_validity`] built entirely inside a [`PmfScratch`]: the
-/// shift, truncation, and every convolution of the chain run on the
-/// scratch's resident prefix buffer (zero intermediate `Pmf`s), and the
-/// result is materialized once at the end — for the cache entry that every
-/// later lookup borrows. Bit-identical to the legacy builder (see
-/// `ecds_pmf::scratch`).
-fn prefix_with_validity_fused(
+/// Idle empty cores have no time dependence (bound `+∞`); the
+/// idle-but-queued branch (unreachable with the bundled engine, but kept
+/// correct for custom engines) shifts by `now` directly, so its bound is
+/// `now` itself.
+fn build_prefix(
     view: &SystemView<'_>,
     core: usize,
     policy: ReductionPolicy,
@@ -137,7 +93,6 @@ fn prefix_with_validity_fused(
         if scratch.has_prefix() {
             scratch.convolve_prefix_with(exec_pmf, policy);
         } else {
-            // Unreachable with the bundled engine; see the legacy builder.
             valid_until = now;
             scratch.load_prefix_shifted(exec_pmf, now);
         }
@@ -176,8 +131,7 @@ struct CachedPrefix {
     epoch: u64,
     /// View time the prefix was computed at.
     computed_at: Time,
-    /// Inclusive end of the exact-validity window (see
-    /// [`prefix_with_validity`]).
+    /// Inclusive end of the exact-validity window (see [`build_prefix`]).
     valid_until: Time,
     prefix: Option<Pmf>,
     /// Bit-fingerprint of `prefix` (epoch-guarded; re-stamped on every
@@ -201,70 +155,38 @@ fn prefix_bit_eq(a: Option<&Pmf>, b: Option<&Pmf>) -> bool {
     }
 }
 
-/// One candidate equivalence class discovered during a mapping event: all
-/// cores on `node` whose queue prefixes are bit-identical to the
-/// representative's share these five estimates (DESIGN.md §11).
-#[derive(Debug, Clone, Copy)]
-struct DedupClass {
-    /// Owning node of every member (estimates depend on the core only
-    /// through its node).
-    node: usize,
-    /// Prefix fingerprint of every member (`None` for the idle class).
-    fingerprint: Option<u64>,
-    /// Lowest-index member — the core the estimates were evaluated on.
-    rep: usize,
-    /// The replicated per-P-state estimates, indexed by P-state.
-    ests: [AssignmentEstimate; NUM_PSTATES],
-}
-
-/// Reusable class storage for one mapping event. Cleared (capacity
-/// retained) at the start of every deduplicated `evaluate_all`, preserving
-/// the evaluator's one-allocation-per-call steady state.
-#[derive(Debug, Default)]
-struct DedupScratch {
-    classes: Vec<DedupClass>,
-}
-
-/// Evaluates all candidate assignments for one arriving task, computing the
-/// per-core queue prefix once and reusing it across the five P-states.
+/// Evaluates all candidate assignments for one arriving task.
 ///
-/// By default the evaluator also keeps a *versioned prefix cache*: the
-/// prefix of each core is remembered together with the core's mutation
-/// epoch and its exact-validity time window, and reused across mapping
-/// events as long as both still match. The cache is invisible — reused
-/// prefixes are bit-identical to recomputed ones by construction — and
-/// interiorly mutable, so the evaluation API stays `&self`. The evaluator
-/// is `Send` but not `Sync` (one per scheduler, one scheduler per thread).
+/// The evaluator has exactly one configuration, and three mechanisms make
+/// it cheap without changing a single bit of its output:
 ///
-/// Orthogonally to the cache, the evaluator owns a [`PmfScratch`] and runs
-/// every candidate convolution through the allocation-free fused kernel,
-/// reusing the workspace across all (core, P-state) candidates of a mapping
-/// event (and across events). [`CandidateEvaluator::without_fused_kernel`]
-/// falls back to the legacy allocating pipeline — the differential
-/// reference, mirroring `uncached` for the cache.
+/// * A *versioned prefix cache*: the queue prefix of each core is
+///   remembered together with the core's mutation epoch and its
+///   exact-validity time window, and reused across mapping events as long
+///   as both still match (DESIGN.md §7).
+/// * The allocation-free *fused kernel*: every convolution runs in one
+///   [`PmfScratch`] workspace reused across all (core, P-state) candidates
+///   and across events (DESIGN.md §7.1).
+/// * The persistent *shard index* over candidate equivalence classes:
+///   cores whose queue prefixes are bit-identical (confirmed, never
+///   assumed, via fingerprint then [`Pmf::bit_eq`]) are evaluated once on
+///   the lowest-index representative and the estimates replicated, while
+///   candidates are still emitted in core-major / P-state-minor order
+///   (DESIGN.md §11, §13). With the engine's dirty-core mailbox on the view
+///   the index is maintained incrementally; without one, every call
+///   rebuilds it in full — same classes, estimates and counters.
 ///
-/// Thirdly, [`CandidateEvaluator::evaluate_all`] deduplicates by candidate
-/// *equivalence class*: cores on the same node whose queue prefixes are
-/// bit-identical (confirmed, never assumed, via fingerprint then
-/// [`Pmf::bit_eq`]) are evaluated once on the lowest-index representative
-/// and the estimates replicated, while candidates are still emitted in
-/// core-major / P-state-minor order — so heuristics' argmin tie-breaks see
-/// an identical candidate stream (DESIGN.md §11).
-/// [`CandidateEvaluator::without_candidate_dedup`] evaluates every core
-/// independently — the differential reference for the class partition.
+/// The reference these are tested against is [`crate::reference`]: a
+/// per-core, uncached restatement of Sec. IV-B over the allocating
+/// [`Pmf`] operations. State is interiorly mutable, so the evaluation API
+/// stays `&self`; the evaluator is `Send` but not `Sync` (one per
+/// scheduler, one scheduler per thread).
 #[derive(Debug)]
 pub struct CandidateEvaluator {
     policy: ReductionPolicy,
-    /// `None` disables caching (differential testing, baselines).
-    cache: Option<RefCell<Vec<Option<CachedPrefix>>>>,
-    /// `None` disables the fused kernel (differential testing, baselines).
-    scratch: Option<RefCell<PmfScratch>>,
-    /// `None` disables equivalence-class dedup (differential testing).
-    dedup: Option<RefCell<DedupScratch>>,
-    /// The persistent shard index of DESIGN.md §13 (`None` falls back to
-    /// the per-event partition — the differential reference). Requires
-    /// both the cache and dedup; disabled alongside either.
-    shard: Option<RefCell<ShardIndex>>,
+    cache: RefCell<Vec<Option<CachedPrefix>>>,
+    scratch: RefCell<PmfScratch>,
+    shard: RefCell<ShardIndex>,
     /// Cores whose entry was recomputed by a single-core lookup *outside*
     /// a sweep: their class membership must be revalidated next sweep.
     rekey_pending: RefCell<Vec<u32>>,
@@ -273,24 +195,22 @@ pub struct CandidateEvaluator {
     in_sweep: Cell<bool>,
     hits: Cell<u64>,
     misses: Cell<u64>,
-    /// Equivalence classes summed over all deduplicated mapping events.
+    /// Equivalence classes summed over all mapping events.
     dedup_classes: Cell<u64>,
-    /// Deduplicated mapping events (`evaluate_all` calls).
+    /// Mapping events (`evaluate_all` / `evaluate_indexed_into` calls).
     dedup_events: Cell<u64>,
     /// (core, P-state) evaluations skipped via class replication.
     dedup_skipped: Cell<u64>,
 }
 
 impl CandidateEvaluator {
-    /// Creates a caching evaluator with the given convolution reduction
-    /// policy.
+    /// Creates an evaluator with the given convolution reduction policy.
     pub fn new(policy: ReductionPolicy) -> Self {
         Self {
             policy,
-            cache: Some(RefCell::new(Vec::new())),
-            scratch: Some(RefCell::new(PmfScratch::new())),
-            dedup: Some(RefCell::new(DedupScratch::default())),
-            shard: Some(RefCell::new(ShardIndex::default())),
+            cache: RefCell::new(Vec::new()),
+            scratch: RefCell::new(PmfScratch::new()),
+            shard: RefCell::new(ShardIndex::default()),
             rekey_pending: RefCell::new(Vec::new()),
             in_sweep: Cell::new(false),
             hits: Cell::new(0),
@@ -299,60 +219,6 @@ impl CandidateEvaluator {
             dedup_events: Cell::new(0),
             dedup_skipped: Cell::new(0),
         }
-    }
-
-    /// Creates an evaluator that recomputes every prefix from scratch —
-    /// the reference the cached evaluator is differentially tested against.
-    pub fn uncached(policy: ReductionPolicy) -> Self {
-        Self {
-            policy,
-            cache: None,
-            scratch: Some(RefCell::new(PmfScratch::new())),
-            dedup: Some(RefCell::new(DedupScratch::default())),
-            shard: None,
-            rekey_pending: RefCell::new(Vec::new()),
-            in_sweep: Cell::new(false),
-            hits: Cell::new(0),
-            misses: Cell::new(0),
-            dedup_classes: Cell::new(0),
-            dedup_events: Cell::new(0),
-            dedup_skipped: Cell::new(0),
-        }
-    }
-
-    /// Disables the fused scratch kernel: every convolution goes through the
-    /// legacy allocating `convolve` + `reduce` pipeline instead. Used as the
-    /// differential reference proving the fused path bit-identical.
-    pub fn without_fused_kernel(mut self) -> Self {
-        self.scratch = None;
-        self
-    }
-
-    /// Disables candidate equivalence-class deduplication:
-    /// [`CandidateEvaluator::evaluate_all`] evaluates every (core, P-state)
-    /// pair independently. Used as the differential reference proving the
-    /// class partition bit-identical.
-    pub fn without_candidate_dedup(mut self) -> Self {
-        self.dedup = None;
-        self.shard = None;
-        self
-    }
-
-    /// Disables the persistent shard index: every deduplicated
-    /// `evaluate_all` rebuilds its class partition from scratch (the
-    /// per-event path of DESIGN.md §11) and
-    /// [`CandidateEvaluator::evaluate_indexed_into`] reports the indexed
-    /// path unavailable. The differential reference the shard-indexed
-    /// default is tested against.
-    pub fn without_shard_index(mut self) -> Self {
-        self.shard = None;
-        self
-    }
-
-    /// `true` when the persistent shard index is enabled (the default;
-    /// requires both the prefix cache and candidate dedup).
-    pub fn has_shard_index(&self) -> bool {
-        self.shard.is_some()
     }
 
     /// The reduction policy in use.
@@ -361,54 +227,39 @@ impl CandidateEvaluator {
     }
 
     /// Number of fused-kernel invocations since construction or the last
-    /// [`CandidateEvaluator::reset_cache`]; 0 when the fused kernel is
-    /// disabled.
+    /// [`CandidateEvaluator::reset_cache`].
     pub fn fused_kernel_calls(&self) -> u64 {
-        self.scratch
-            .as_ref()
-            .map_or(0, |s| s.borrow().kernel_calls())
+        self.scratch.borrow().kernel_calls()
     }
 
     /// `(hits, misses)` of the prefix cache since construction or the last
-    /// [`CandidateEvaluator::reset_cache`]; `None` if caching is disabled.
+    /// [`CandidateEvaluator::reset_cache`]. Always `Some`; the `Option`
+    /// matches [`ecds_sim::MapperStats::prefix_cache`].
     pub fn prefix_cache_stats(&self) -> Option<(u64, u64)> {
-        self.cache
-            .as_ref()
-            .map(|_| (self.hits.get(), self.misses.get()))
+        Some((self.hits.get(), self.misses.get()))
     }
 
     /// `(classes, events)` — candidate equivalence classes summed over all
-    /// deduplicated mapping events, and the number of such events — since
-    /// construction or the last [`CandidateEvaluator::reset_cache`];
-    /// `None` if dedup is disabled.
+    /// mapping events, and the number of such events — since construction
+    /// or the last [`CandidateEvaluator::reset_cache`]. Always `Some`; the
+    /// `Option` matches [`ecds_sim::MapperStats::candidate_classes`].
     pub fn dedup_stats(&self) -> Option<(u64, u64)> {
-        self.dedup
-            .as_ref()
-            .map(|_| (self.dedup_classes.get(), self.dedup_events.get()))
+        Some((self.dedup_classes.get(), self.dedup_events.get()))
     }
 
     /// (core, P-state) evaluations skipped because the core belonged to an
-    /// already-evaluated equivalence class; 0 when dedup is disabled.
+    /// already-evaluated equivalence class.
     pub fn dedup_skipped_evaluations(&self) -> u64 {
         self.dedup_skipped.get()
     }
 
     /// The current bit-fingerprint of `core`'s queue prefix, or `None` for
     /// an unloaded core (whose prefix pmf is itself absent — see
-    /// [`PrefixStamp`]). Served from the refreshed cache entry when caching
-    /// is enabled, computed on the spot otherwise.
+    /// [`PrefixStamp`]), served from the refreshed cache entry.
     pub fn prefix_fingerprint(&self, view: &SystemView<'_>, core: usize) -> Option<u64> {
-        match &self.cache {
-            Some(cache) => {
-                let mut entries = cache.borrow_mut();
-                self.refresh_entry(&mut entries, view, core);
-                entry_of(&entries, core).stamp.fingerprint()
-            }
-            None => {
-                let (prefix, _) = self.compute_prefix(view, core);
-                prefix.as_ref().map(Pmf::fingerprint)
-            }
-        }
+        let mut entries = self.cache.borrow_mut();
+        self.refresh_entry(&mut entries, view, core);
+        entry_of(&entries, core).stamp.fingerprint()
     }
 
     /// Drops every cached prefix and zeroes the hit/miss, dedup, and
@@ -416,15 +267,9 @@ impl CandidateEvaluator {
     /// every core to epoch 0, which would otherwise collide with stale
     /// entries.
     pub fn reset_cache(&self) {
-        if let Some(cache) = &self.cache {
-            cache.borrow_mut().clear();
-        }
-        if let Some(scratch) = &self.scratch {
-            scratch.borrow_mut().reset_kernel_calls();
-        }
-        if let Some(shard) = &self.shard {
-            shard.borrow_mut().reset();
-        }
+        self.cache.borrow_mut().clear();
+        self.scratch.borrow_mut().reset_kernel_calls();
+        self.shard.borrow_mut().reset();
         self.rekey_pending.borrow_mut().clear();
         self.hits.set(0);
         self.misses.set(0);
@@ -435,126 +280,73 @@ impl CandidateEvaluator {
 
     /// Serializes the evaluator's mutable state — the counters, the fused
     /// kernel's call count, and every prefix-cache entry (epoch, validity
-    /// window, pmf, stamp) — into a serving checkpoint. The evaluator's
-    /// *configuration* (which of cache / fused kernel / dedup are enabled)
-    /// is encoded as presence flags so a restore into a differently
-    /// configured evaluator fails loudly instead of silently diverging.
+    /// window, pmf, stamp) — into a serving checkpoint.
     pub fn save_state(&self, enc: &mut Encoder) {
         enc.put_u64(self.hits.get());
         enc.put_u64(self.misses.get());
         enc.put_u64(self.dedup_classes.get());
         enc.put_u64(self.dedup_events.get());
         enc.put_u64(self.dedup_skipped.get());
-        match &self.scratch {
-            Some(scratch) => {
-                enc.put_bool(true);
-                enc.put_u64(scratch.borrow().kernel_calls());
-            }
-            None => enc.put_bool(false),
-        }
-        match &self.cache {
-            Some(cache) => {
-                enc.put_bool(true);
-                let entries = cache.borrow();
-                enc.put_u64(entries.len() as u64);
-                for entry in entries.iter() {
-                    match entry {
-                        Some(e) => {
-                            enc.put_bool(true);
-                            enc.put_u64(e.epoch);
-                            enc.put_f64(e.computed_at);
-                            enc.put_f64(e.valid_until);
-                            e.prefix.encode(enc);
-                            e.stamp.encode(enc);
-                        }
-                        None => enc.put_bool(false),
-                    }
+        enc.put_u64(self.scratch.borrow().kernel_calls());
+        let entries = self.cache.borrow();
+        enc.put_u64(entries.len() as u64);
+        for entry in entries.iter() {
+            match entry {
+                Some(e) => {
+                    enc.put_bool(true);
+                    enc.put_u64(e.epoch);
+                    enc.put_f64(e.computed_at);
+                    enc.put_f64(e.valid_until);
+                    e.prefix.encode(enc);
+                    e.stamp.encode(enc);
                 }
+                None => enc.put_bool(false),
             }
-            None => enc.put_bool(false),
         }
-        // DedupScratch is per-mapping-event (cleared at every
-        // `evaluate_all`), so only the configuration flag persists.
-        enc.put_bool(self.dedup.is_some());
     }
 
     /// Restores state written by [`CandidateEvaluator::save_state`].
-    ///
-    /// Fails with [`DecodeError::Corrupt`] when the checkpoint was taken
-    /// from an evaluator with a different cache / fused-kernel / dedup
-    /// configuration.
     pub fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), DecodeError> {
         self.hits.set(dec.u64()?);
         self.misses.set(dec.u64()?);
         self.dedup_classes.set(dec.u64()?);
         self.dedup_events.set(dec.u64()?);
         self.dedup_skipped.set(dec.u64()?);
-        if dec.bool()? != self.scratch.is_some() {
-            return Err(DecodeError::Corrupt(
-                "checkpoint fused-kernel configuration mismatch",
-            ));
+        self.scratch.borrow_mut().set_kernel_calls(dec.u64()?);
+        let n = dec.u64()?;
+        if n > dec.remaining() {
+            return Err(DecodeError::Truncated);
         }
-        if let Some(scratch) = &self.scratch {
-            scratch.borrow_mut().set_kernel_calls(dec.u64()?);
-        }
-        if dec.bool()? != self.cache.is_some() {
-            return Err(DecodeError::Corrupt(
-                "checkpoint prefix-cache configuration mismatch",
-            ));
-        }
-        if let Some(cache) = &self.cache {
-            let n = dec.u64()?;
-            if n > dec.remaining() {
-                return Err(DecodeError::Truncated);
-            }
-            let mut entries = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                if dec.bool()? {
-                    let epoch = dec.u64()?;
-                    let computed_at = dec.f64()?;
-                    let valid_until = dec.f64()?;
-                    if computed_at.is_nan() || valid_until.is_nan() {
-                        return Err(DecodeError::Corrupt(
-                            "cache validity window must not be NaN",
-                        ));
-                    }
-                    let prefix = Option::<Pmf>::decode(dec)?;
-                    let stamp = PrefixStamp::decode(dec)?;
-                    entries.push(Some(CachedPrefix {
-                        epoch,
-                        computed_at,
-                        valid_until,
-                        prefix,
-                        stamp,
-                    }));
-                } else {
-                    entries.push(None);
+        let mut entries = Vec::with_capacity(n as usize);
+        for _ in 0..n {
+            if dec.bool()? {
+                let epoch = dec.u64()?;
+                let computed_at = dec.f64()?;
+                let valid_until = dec.f64()?;
+                if computed_at.is_nan() || valid_until.is_nan() {
+                    return Err(DecodeError::Corrupt(
+                        "cache validity window must not be NaN",
+                    ));
                 }
+                let prefix = Option::<Pmf>::decode(dec)?;
+                let stamp = PrefixStamp::decode(dec)?;
+                entries.push(Some(CachedPrefix {
+                    epoch,
+                    computed_at,
+                    valid_until,
+                    prefix,
+                    stamp,
+                }));
+            } else {
+                entries.push(None);
             }
-            *cache.borrow_mut() = entries;
         }
-        if dec.bool()? != self.dedup.is_some() {
-            return Err(DecodeError::Corrupt(
-                "checkpoint candidate-dedup configuration mismatch",
-            ));
-        }
+        *self.cache.borrow_mut() = entries;
         // The shard index is derived from the cache entries and never
         // checkpointed: a restore schedules a full rebuild instead.
-        if let Some(shard) = &self.shard {
-            shard.borrow_mut().reset();
-        }
+        self.shard.borrow_mut().reset();
         self.rekey_pending.borrow_mut().clear();
         Ok(())
-    }
-
-    /// Computes a core's prefix through whichever pipeline is enabled.
-    fn compute_prefix(&self, view: &SystemView<'_>, core: usize) -> (Option<Pmf>, Time) {
-        match &self.scratch {
-            Some(scratch) => {
-                prefix_with_validity_fused(view, core, self.policy, &mut scratch.borrow_mut())
-            }
-            None => prefix_with_validity(view, core, self.policy),
-        }
     }
 
     /// Brings `core`'s cache entry up to date: a lookup counts as a hit
@@ -588,18 +380,17 @@ impl CandidateEvaluator {
         // it outgrows the core count a rebuild is cheaper than a sweep, so
         // the backlog collapses into a rebuild flag instead of growing.
         if !self.in_sweep.get() {
-            if let Some(shard) = &self.shard {
-                let mut pending = self.rekey_pending.borrow_mut();
-                let mut shard = shard.borrow_mut();
-                if pending.len() >= shard.class_of.len().max(64) {
-                    shard.needs_rebuild = true;
-                    pending.clear();
-                } else {
-                    pending.push(core as u32);
-                }
+            let mut pending = self.rekey_pending.borrow_mut();
+            let mut shard = self.shard.borrow_mut();
+            if pending.len() >= shard.class_of.len().max(64) {
+                shard.needs_rebuild = true;
+                pending.clear();
+            } else {
+                pending.push(core as u32);
             }
         }
-        let (prefix, valid_until) = self.compute_prefix(view, core);
+        let (prefix, valid_until) =
+            build_prefix(view, core, self.policy, &mut self.scratch.borrow_mut());
         let fingerprint = prefix.as_ref().map(Pmf::fingerprint);
         match &mut entries[core] {
             Some(e) => {
@@ -632,11 +423,7 @@ impl CandidateEvaluator {
         core: usize,
         f: impl FnOnce(Option<&Pmf>) -> R,
     ) -> R {
-        let Some(cache) = &self.cache else {
-            let (prefix, _) = self.compute_prefix(view, core);
-            return f(prefix.as_ref());
-        };
-        let mut entries = cache.borrow_mut();
+        let mut entries = self.cache.borrow_mut();
         self.refresh_entry(&mut entries, view, core);
         f(entry_of(&entries, core).prefix.as_ref())
     }
@@ -651,32 +438,15 @@ impl CandidateEvaluator {
         core: usize,
         pstate: PState,
     ) -> Pmf {
-        self.with_prefix(view, core, |prefix| {
-            self.completion_pmf_with_prefix(view, task, core, pstate, prefix)
-        })
-    }
-
-    fn completion_pmf_with_prefix(
-        &self,
-        view: &SystemView<'_>,
-        task: &Task,
-        core: usize,
-        pstate: PState,
-        prefix: Option<&Pmf>,
-    ) -> Pmf {
         let node = view.cluster().core(core).node;
         let exec_pmf = view.table().pmf(task.type_id, node, pstate);
-        match prefix {
-            Some(p) => match &self.scratch {
-                Some(scratch) => {
-                    scratch
-                        .borrow_mut()
-                        .convolve_reduced_into(p, exec_pmf, self.policy)
-                }
-                None => p.convolve(exec_pmf, self.policy),
-            },
+        self.with_prefix(view, core, |prefix| match prefix {
+            Some(p) => self
+                .scratch
+                .borrow_mut()
+                .convolve_reduced_into(p, exec_pmf, self.policy),
             None => exec_pmf.shift(view.time()),
-        }
+        })
     }
 
     /// Evaluates one assignment.
@@ -692,6 +462,10 @@ impl CandidateEvaluator {
         })
     }
 
+    /// The completion-time pmf is never materialized: the convolution lands
+    /// in the scratch workspace and the two moments are read straight off
+    /// the buffer (busy core), or computed shift-free from the
+    /// execution-time pmf (idle core).
     fn evaluate_with_prefix(
         &self,
         view: &SystemView<'_>,
@@ -705,29 +479,19 @@ impl CandidateEvaluator {
         let node = cluster.node_of(core_id);
         let table = view.table();
         let eet = table.eet(task.type_id, core_id.node, pstate);
-        // The fused path never materializes the completion-time pmf: the
-        // convolution lands in the scratch workspace and the two moments are
-        // read straight off the buffer (busy core), or computed shift-free
-        // from the execution-time pmf (idle core). Both are bit-identical to
-        // the legacy allocating pipeline below.
-        let (ect, rho) = match (&self.scratch, prefix) {
-            (Some(scratch), Some(p)) => {
-                let mut scratch = scratch.borrow_mut();
-                let exec_pmf = table.pmf(task.type_id, core_id.node, pstate);
+        let exec_pmf = table.pmf(task.type_id, core_id.node, pstate);
+        let (ect, rho) = match prefix {
+            Some(p) => {
+                let mut scratch = self.scratch.borrow_mut();
                 let completion = scratch.convolve_reduced(p, exec_pmf, self.policy);
                 (completion.expectation(), completion.prob_le(task.deadline))
             }
-            (Some(_), None) => {
-                let exec_pmf = table.pmf(task.type_id, core_id.node, pstate);
+            None => {
                 let now = view.time();
                 (
                     shifted_expectation(exec_pmf, now),
                     shifted_prob_le(exec_pmf, now, task.deadline),
                 )
-            }
-            (None, _) => {
-                let completion = self.completion_pmf_with_prefix(view, task, core, pstate, prefix);
-                (completion.expectation(), completion.prob_le(task.deadline))
             }
         };
         AssignmentEstimate {
@@ -741,13 +505,12 @@ impl CandidateEvaluator {
     /// Evaluates every (core, P-state) assignment for `task`, in
     /// deterministic core-major / P-state-minor order.
     ///
-    /// With dedup enabled (the default), cores are partitioned into
-    /// equivalence classes keyed by `(node, prefix identity)`; each class
-    /// is evaluated once on its lowest-index representative and the
-    /// estimates replicated to the other members — bit-identical to
-    /// per-core evaluation, because the estimates depend on the core only
-    /// through its node and queue prefix (DESIGN.md §11). The emitted
-    /// candidate stream is unchanged in length, order, and content.
+    /// Each equivalence class of the shard index is evaluated once on its
+    /// lowest-index member and the estimates replicated to the others —
+    /// bit-identical to per-core evaluation, because the estimates depend
+    /// on the core only through its node and queue prefix (DESIGN.md §11).
+    /// The emitted candidate stream is unchanged in length, order, and
+    /// content.
     pub fn evaluate_all(&self, view: &SystemView<'_>, task: &Task) -> Vec<EvaluatedCandidate> {
         let mut out = Vec::with_capacity(view.cluster().total_cores() * NUM_PSTATES);
         self.evaluate_all_into(view, task, &mut out);
@@ -768,175 +531,45 @@ impl CandidateEvaluator {
         let num_cores = view.cluster().total_cores();
         out.clear();
         out.reserve(num_cores * NUM_PSTATES);
-        let Some(dedup) = &self.dedup else {
-            for core in 0..num_cores {
-                self.with_prefix(view, core, |prefix| {
-                    for pstate in PState::ALL {
-                        out.push(EvaluatedCandidate {
-                            core,
-                            pstate,
-                            est: self.evaluate_with_prefix(view, task, core, pstate, prefix),
-                        });
-                    }
+        let mut shard = self.shard.borrow_mut();
+        let mut entries = self.cache.borrow_mut();
+        self.shard_sweep(&mut shard, &mut entries, view);
+        let entries = &*entries;
+        let shard = &mut *shard;
+        shard.stamp += 1;
+        shard.ests_stamp.resize(shard.classes.len(), 0);
+        shard.ests.resize(shard.classes.len(), ZERO_ESTS);
+        let mut touched = 0u64;
+        for core in 0..num_cores {
+            let id = shard.class_of[core] as usize;
+            if shard.ests_stamp[id] != shard.stamp {
+                // First member seen in ascending order == the class
+                // minimum, the representative.
+                shard.ests_stamp[id] = shard.stamp;
+                let prefix = entry_of(entries, core).prefix.as_ref();
+                shard.ests[id] = PState::ALL
+                    .map(|pstate| self.evaluate_with_prefix(view, task, core, pstate, prefix));
+                touched += 1;
+            }
+            let ests = shard.ests[id];
+            for (idx, pstate) in PState::ALL.into_iter().enumerate() {
+                out.push(EvaluatedCandidate {
+                    core,
+                    pstate,
+                    est: ests[idx],
                 });
             }
-            return;
-        };
-        if let (Some(shard), Some(cache), Some(_)) = (&self.shard, &self.cache, view.dirty_cores())
-        {
-            // Shard-indexed path: sweep the persistent partition up to
-            // date, then emit per class in core-major order. Counters are
-            // arithmetically exact against the per-event path below. A
-            // view without a dirty-core mailbox takes the per-event path
-            // instead — incrementality (and the warm path's allocation
-            // pin) depends on the engine reporting its epoch bumps.
-            let mut shard = shard.borrow_mut();
-            let mut entries = cache.borrow_mut();
-            self.shard_sweep(&mut shard, &mut entries, view);
-            let entries = &*entries;
-            let shard = &mut *shard;
-            shard.stamp += 1;
-            shard.ests_stamp.resize(shard.classes.len(), 0);
-            shard.ests.resize(shard.classes.len(), ZERO_ESTS);
-            let mut touched = 0u64;
-            for core in 0..num_cores {
-                let id = shard.class_of[core] as usize;
-                if shard.ests_stamp[id] != shard.stamp {
-                    // First member seen in ascending order == the class
-                    // minimum — the same representative the per-event
-                    // partition evaluates.
-                    shard.ests_stamp[id] = shard.stamp;
-                    let prefix = entry_of(entries, core).prefix.as_ref();
-                    shard.ests[id] = PState::ALL
-                        .map(|pstate| self.evaluate_with_prefix(view, task, core, pstate, prefix));
-                    touched += 1;
-                }
-                let ests = shard.ests[id];
-                for (idx, pstate) in PState::ALL.into_iter().enumerate() {
-                    out.push(EvaluatedCandidate {
-                        core,
-                        pstate,
-                        est: ests[idx],
-                    });
-                }
-            }
-            self.note_dedup_event(num_cores, touched);
-            return;
         }
-        let mut scratch = dedup.borrow_mut();
-        scratch.classes.clear();
-        match &self.cache {
-            Some(cache) => {
-                // Refresh every entry first (same per-core lookups — and
-                // hit/miss counts — as the undeduplicated loop), then
-                // partition against the refreshed, now-immutable entries.
-                let mut entries = cache.borrow_mut();
-                for core in 0..num_cores {
-                    self.refresh_entry(&mut entries, view, core);
-                }
-                let entries = &*entries;
-                for core in 0..num_cores {
-                    let entry = entry_of(entries, core);
-                    self.emit_for_core(
-                        &mut scratch,
-                        out,
-                        view,
-                        task,
-                        core,
-                        entry.stamp.fingerprint(),
-                        entry.prefix.as_ref(),
-                        |rep| entry_of(entries, rep).prefix.as_ref(),
-                    );
-                }
-            }
-            None => {
-                // Uncached differential baseline: compute each prefix once
-                // into a local table, then partition identically.
-                // Allocating here is fine — only the cached evaluator
-                // promises the one-allocation steady state.
-                let prefixes: Vec<Option<Pmf>> = (0..num_cores)
-                    .map(|core| self.compute_prefix(view, core).0)
-                    .collect();
-                for core in 0..num_cores {
-                    let prefix = prefixes[core].as_ref();
-                    self.emit_for_core(
-                        &mut scratch,
-                        out,
-                        view,
-                        task,
-                        core,
-                        prefix.map(Pmf::fingerprint),
-                        prefix,
-                        |rep| prefixes[rep].as_ref(),
-                    );
-                }
-            }
-        }
-        self.dedup_classes
-            .set(self.dedup_classes.get() + scratch.classes.len() as u64);
-        self.dedup_events.set(self.dedup_events.get() + 1);
+        self.note_dedup_event(num_cores, touched);
     }
 
-    /// Books one deduplicated mapping event that touched `classes` of the
-    /// `num_cores` cores: same arithmetic as the per-event partition
-    /// (`dedup_skipped` counts `NUM_PSTATES` per replicated core).
+    /// Books one mapping event that touched `classes` of the `num_cores`
+    /// cores (`dedup_skipped` counts `NUM_PSTATES` per replicated core).
     fn note_dedup_event(&self, num_cores: usize, classes: u64) {
         self.dedup_classes.set(self.dedup_classes.get() + classes);
         self.dedup_events.set(self.dedup_events.get() + 1);
         self.dedup_skipped
             .set(self.dedup_skipped.get() + (num_cores as u64 - classes) * NUM_PSTATES as u64);
-    }
-
-    /// Resolves `core` against the equivalence classes discovered so far
-    /// this mapping event — replicating an existing class's estimates when
-    /// the `(node, fingerprint)` key matches *and* `rep_prefix(class.rep)`
-    /// is bit-identical to `prefix` (fingerprint equality alone is never
-    /// trusted), opening a new class with `core` as representative
-    /// otherwise — and appends the core's `NUM_PSTATES` candidates.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_for_core<'p>(
-        &self,
-        scratch: &mut DedupScratch,
-        out: &mut Vec<EvaluatedCandidate>,
-        view: &SystemView<'_>,
-        task: &Task,
-        core: usize,
-        fingerprint: Option<u64>,
-        prefix: Option<&'p Pmf>,
-        rep_prefix: impl Fn(usize) -> Option<&'p Pmf>,
-    ) {
-        let node = view.cluster().core(core).node;
-        let found = scratch.classes.iter().position(|c| {
-            c.node == node
-                && c.fingerprint == fingerprint
-                && prefix_bit_eq(prefix, rep_prefix(c.rep))
-        });
-        let class = match found {
-            Some(idx) => {
-                self.dedup_skipped
-                    .set(self.dedup_skipped.get() + NUM_PSTATES as u64);
-                idx
-            }
-            None => {
-                let ests = PState::ALL
-                    .map(|pstate| self.evaluate_with_prefix(view, task, core, pstate, prefix));
-                scratch.classes.push(DedupClass {
-                    node,
-                    fingerprint,
-                    rep: core,
-                    ests,
-                });
-                scratch.classes.len() - 1
-            }
-        };
-        let ests = scratch.classes[class].ests;
-        for (idx, pstate) in PState::ALL.into_iter().enumerate() {
-            out.push(EvaluatedCandidate {
-                core,
-                pstate,
-                est: ests[idx],
-            });
-        }
     }
 
     /// Brings the shard index exactly up to date with `view` (DESIGN.md
@@ -946,12 +579,14 @@ impl CandidateEvaluator {
     /// recomputes via the pending queue — detaches exactly those, then
     /// refreshes and re-joins them in ascending core order. Falls back to
     /// a full rebuild whenever incremental correctness can't be proven
-    /// (no mailbox, dropped marks, size change, backward time step).
+    /// (no mailbox, dropped marks, size change, backward time step); a
+    /// mailbox-less sweep also schedules a rebuild for the next one.
     ///
-    /// Cache-counter accounting matches the per-event path exactly: every
-    /// candidate core is refreshed through
+    /// Every candidate core is refreshed through
     /// [`CandidateEvaluator::refresh_entry`] (one hit or miss each), and
-    /// every untouched core is a guaranteed hit, booked in bulk.
+    /// every untouched core is a guaranteed hit, booked in bulk — so the
+    /// cache counters equal one lookup per core per event whichever way
+    /// the sweep went.
     fn shard_sweep(
         &self,
         shard: &mut ShardIndex,
@@ -1041,12 +676,14 @@ impl CandidateEvaluator {
         self.in_sweep.set(false);
         // Every non-candidate core's entry is provably fresh (epoch
         // unmarked, validity window still open, no out-of-sweep recompute):
-        // book the hits the per-event path would count one by one.
+        // book one hit for each.
         self.hits
             .set(self.hits.get() + (n - candidates.len()) as u64);
         shard.candidates = candidates;
         shard.last_now = now;
-        shard.needs_rebuild = false;
+        // Without a mailbox nothing reports the epoch bumps that happen
+        // before the next sweep.
+        shard.needs_rebuild = view.dirty_cores().is_none();
     }
 
     /// Evaluates every candidate assignment for `task` as one
@@ -1055,9 +692,9 @@ impl CandidateEvaluator {
     /// materializing the `cores × P-states` candidate stream. `out` is
     /// cleared and refilled (capacity retained) in deterministic key order.
     ///
-    /// Returns `false`, leaving `out` empty, when the shard index is
-    /// disabled or the view carries no dirty-core mailbox (incrementality
-    /// depends on the engine reporting epoch bumps); callers fall back to
+    /// Returns `false`, leaving `out` empty, when the view carries no
+    /// dirty-core mailbox (incrementality depends on the engine reporting
+    /// epoch bumps); callers fall back to
     /// [`CandidateEvaluator::evaluate_all_into`]. Cache and dedup counters
     /// advance exactly as a full-scan `evaluate_all` would.
     // lint: alloc-free
@@ -1068,13 +705,12 @@ impl CandidateEvaluator {
         out: &mut Vec<ClassCandidate>,
     ) -> bool {
         out.clear();
-        let (Some(shard), Some(cache), Some(_)) = (&self.shard, &self.cache, view.dirty_cores())
-        else {
+        if view.dirty_cores().is_none() {
             return false;
-        };
+        }
         let num_cores = view.cluster().total_cores();
-        let mut shard = shard.borrow_mut();
-        let mut entries = cache.borrow_mut();
+        let mut shard = self.shard.borrow_mut();
+        let mut entries = self.cache.borrow_mut();
         self.shard_sweep(&mut shard, &mut entries, view);
         let entries = &*entries;
         let ShardIndex {
@@ -1133,11 +769,27 @@ impl Default for CandidateEvaluator {
 mod tests {
     use super::*;
     use crate::candidate::candidates_bit_eq;
+    use crate::reference::{self, pending_completion_pmf};
     use ecds_sim::{CoreState, ExecutingTask, QueuedTask, Scenario};
     use ecds_workload::{TaskId, TaskTypeId};
 
     fn scenario() -> Scenario {
         Scenario::small_for_tests(17)
+    }
+
+    /// The oracle's full candidate stream for `view`.
+    fn oracle(view: &SystemView<'_>, task: &Task) -> Vec<EvaluatedCandidate> {
+        reference::evaluate_all(view, task, ReductionPolicy::default())
+    }
+
+    /// The oracle's completion-time pmf for `task` on busy `core`: the
+    /// allocating prefix convolved with the candidate's execution-time pmf.
+    fn oracle_completion(view: &SystemView<'_>, task: &Task, core: usize, pstate: PState) -> Pmf {
+        let policy = ReductionPolicy::default();
+        let node = view.cluster().core(core).node;
+        pending_completion_pmf(view, core, policy)
+            .expect("core is busy")
+            .convolve(view.table().pmf(task.type_id, node, pstate), policy)
     }
 
     fn mk_task(scenario: &Scenario, arrival: f64) -> Task {
@@ -1149,6 +801,16 @@ mod tests {
             deadline: arrival + scenario.table().type_average(type_id) + scenario.table().t_avg(),
             quantile: 0.5,
         }
+    }
+
+    /// A hand-built view with no dirty-core mailbox.
+    fn view_at<'a>(
+        s: &'a Scenario,
+        cores: &'a [CoreState],
+        now: f64,
+        arrived: usize,
+    ) -> SystemView<'a> {
+        SystemView::new(s.cluster(), s.table(), cores, now, arrived, 60)
     }
 
     fn idle_cores(scenario: &Scenario) -> Vec<CoreState> {
@@ -1312,14 +974,8 @@ mod tests {
         });
         let view = SystemView::new(s.cluster(), s.table(), &cores, 5.0, 1, 60);
         let cached = ev.evaluate(&view, &task, 0, PState::P0);
-        let reference = CandidateEvaluator::uncached(ReductionPolicy::default()).evaluate(
-            &view,
-            &task,
-            0,
-            PState::P0,
-        );
         assert_eq!(ev.prefix_cache_stats(), Some((0, 2)), "mutation must miss");
-        assert!(cached.bit_eq(&reference));
+        assert!(cached.bit_eq(&oracle(&view, &task)[0].est));
     }
 
     #[test]
@@ -1339,17 +995,12 @@ mod tests {
         let at_t1 = ev.completion_pmf(&view, &task, 0, PState::P0);
         // The executing pmf's support starts well above t=1, so a small
         // advance keeps the truncation unchanged: the lookup must hit and
-        // the pmf must be bit-identical to an uncached recompute.
+        // the pmf must be bit-identical to the oracle's recompute.
         let later = SystemView::new(s.cluster(), s.table(), &cores, 2.0, 2, 60);
         let at_t2 = ev.completion_pmf(&later, &task, 0, PState::P0);
         assert_eq!(ev.prefix_cache_stats(), Some((1, 1)));
         assert_eq!(at_t1, at_t2);
-        let reference = CandidateEvaluator::uncached(ReductionPolicy::default()).completion_pmf(
-            &later,
-            &task,
-            0,
-            PState::P0,
-        );
+        let reference = oracle_completion(&later, &task, 0, PState::P0);
         assert_eq!(at_t2, reference);
     }
 
@@ -1376,12 +1027,7 @@ mod tests {
         let late = SystemView::new(s.cluster(), s.table(), &cores, late_t, 2, 60);
         let recomputed = ev.completion_pmf(&late, &task, 0, PState::P0);
         assert_eq!(ev.prefix_cache_stats(), Some((0, 2)));
-        let reference = CandidateEvaluator::uncached(ReductionPolicy::default()).completion_pmf(
-            &late,
-            &task,
-            0,
-            PState::P0,
-        );
+        let reference = oracle_completion(&late, &task, 0, PState::P0);
         assert_eq!(recomputed, reference);
     }
 
@@ -1403,14 +1049,6 @@ mod tests {
             Some((0, n)),
             "entries were dropped"
         );
-    }
-
-    #[test]
-    fn uncached_evaluator_reports_no_stats() {
-        let ev = CandidateEvaluator::uncached(ReductionPolicy::default());
-        assert_eq!(ev.prefix_cache_stats(), None);
-        ev.reset_cache(); // must be a harmless no-op
-        assert_eq!(ev.prefix_cache_stats(), None);
     }
 
     #[test]
@@ -1445,21 +1083,12 @@ mod tests {
         let cores = busy_cores(&s);
         let view = SystemView::new(s.cluster(), s.table(), &cores, 50.0, 1, 60);
         let task = mk_task(&s, 50.0);
-        for (fused, legacy) in [
-            (
-                CandidateEvaluator::default(),
-                CandidateEvaluator::default().without_fused_kernel(),
-            ),
-            (
-                CandidateEvaluator::uncached(ReductionPolicy::default()),
-                CandidateEvaluator::uncached(ReductionPolicy::default()).without_fused_kernel(),
-            ),
-        ] {
-            assert!(candidates_bit_eq(
-                &fused.evaluate_all(&view, &task),
-                &legacy.evaluate_all(&view, &task)
-            ));
-        }
+        // The oracle runs the allocating `Pmf::convolve` pipeline.
+        let fused = CandidateEvaluator::default();
+        assert!(candidates_bit_eq(
+            &fused.evaluate_all(&view, &task),
+            &oracle(&view, &task)
+        ));
     }
 
     #[test]
@@ -1469,11 +1098,10 @@ mod tests {
         let view = SystemView::new(s.cluster(), s.table(), &cores, 50.0, 1, 60);
         let task = mk_task(&s, 50.0);
         let fused = CandidateEvaluator::default();
-        let legacy = CandidateEvaluator::default().without_fused_kernel();
         for pstate in PState::ALL {
             assert_eq!(
                 fused.completion_pmf(&view, &task, 0, pstate),
-                legacy.completion_pmf(&view, &task, 0, pstate)
+                oracle_completion(&view, &task, 0, pstate)
             );
         }
     }
@@ -1484,13 +1112,18 @@ mod tests {
         let cores = busy_cores(&s);
         let view = SystemView::new(s.cluster(), s.table(), &cores, 50.0, 1, 60);
         let task = mk_task(&s, 50.0);
-        let ev = CandidateEvaluator::default().without_candidate_dedup();
+        let ev = CandidateEvaluator::default();
         assert_eq!(ev.fused_kernel_calls(), 0);
         let _ = ev.evaluate_all(&view, &task);
-        // Per busy core: one prefix convolution (the queued task) plus one
-        // candidate convolution per P-state.
+        // Per busy core: one prefix convolution (the queued task); per
+        // class: one candidate convolution per P-state.
         let n = s.cluster().total_cores() as u64;
-        assert_eq!(ev.fused_kernel_calls(), n * (1 + PState::ALL.len() as u64));
+        let (classes, _) = ev.dedup_stats().unwrap();
+        let per_event = classes * PState::ALL.len() as u64;
+        assert_eq!(ev.fused_kernel_calls(), n + per_event);
+        // A repeat on the same view hits every prefix: candidates only.
+        let _ = ev.evaluate_all(&view, &task);
+        assert_eq!(ev.fused_kernel_calls(), n + 2 * per_event);
         ev.reset_cache();
         assert_eq!(ev.fused_kernel_calls(), 0);
     }
@@ -1545,35 +1178,11 @@ mod tests {
         for cores in [idle_cores(&s), busy_cores(&s)] {
             let view = SystemView::new(s.cluster(), s.table(), &cores, 50.0, 1, 60);
             let task = mk_task(&s, 50.0);
-            for (deduped, reference) in [
-                (
-                    CandidateEvaluator::default(),
-                    CandidateEvaluator::default().without_candidate_dedup(),
-                ),
-                (
-                    CandidateEvaluator::uncached(ReductionPolicy::default()),
-                    CandidateEvaluator::uncached(ReductionPolicy::default())
-                        .without_candidate_dedup(),
-                ),
-            ] {
-                assert!(candidates_bit_eq(
-                    &deduped.evaluate_all(&view, &task),
-                    &reference.evaluate_all(&view, &task)
-                ));
-            }
+            assert!(candidates_bit_eq(
+                &CandidateEvaluator::default().evaluate_all(&view, &task),
+                &oracle(&view, &task)
+            ));
         }
-    }
-
-    #[test]
-    fn without_dedup_reports_no_stats() {
-        let s = scenario();
-        let cores = idle_cores(&s);
-        let view = SystemView::new(s.cluster(), s.table(), &cores, 0.0, 1, 60);
-        let task = mk_task(&s, 0.0);
-        let ev = CandidateEvaluator::default().without_candidate_dedup();
-        let _ = ev.evaluate_all(&view, &task);
-        assert_eq!(ev.dedup_stats(), None);
-        assert_eq!(ev.dedup_skipped_evaluations(), 0);
     }
 
     #[test]
@@ -1609,36 +1218,22 @@ mod tests {
             });
         }
         let view = SystemView::new(cluster, s.table(), &cores, 10.0, 1, 60);
-        for ev in [
-            CandidateEvaluator::default(),
-            CandidateEvaluator::uncached(ReductionPolicy::default()),
-        ] {
-            let f0 = ev.prefix_fingerprint(&view, 0);
-            assert!(f0.is_some(), "busy core has a prefix to fingerprint");
-            assert_eq!(f0, ev.prefix_fingerprint(&view, twin));
-            // An unloaded core has no prefix, hence no fingerprint.
-            let idle = (0..cluster.total_cores())
-                .find(|&c| c != 0 && c != twin)
-                .expect("more than two cores");
-            assert_eq!(ev.prefix_fingerprint(&view, idle), None);
-        }
-    }
-
-    #[test]
-    fn legacy_evaluator_reports_zero_kernel_calls() {
-        let s = scenario();
-        let cores = busy_cores(&s);
-        let view = SystemView::new(s.cluster(), s.table(), &cores, 50.0, 1, 60);
-        let task = mk_task(&s, 50.0);
-        let ev = CandidateEvaluator::default().without_fused_kernel();
-        let _ = ev.evaluate_all(&view, &task);
-        assert_eq!(ev.fused_kernel_calls(), 0);
+        let ev = CandidateEvaluator::default();
+        let f0 = ev.prefix_fingerprint(&view, 0);
+        assert!(f0.is_some(), "busy core has a prefix to fingerprint");
+        assert_eq!(f0, ev.prefix_fingerprint(&view, twin));
+        // An unloaded core has no prefix, hence no fingerprint.
+        let idle = (0..cluster.total_cores())
+            .find(|&c| c != 0 && c != twin)
+            .expect("more than two cores");
+        assert_eq!(ev.prefix_fingerprint(&view, idle), None);
     }
 
     /// Asserts every observable counter of the two evaluators agrees —
-    /// the shard-indexed path must be *arithmetically* exact, not just
-    /// bit-identical in its candidate stream, because the committed
-    /// artifacts embed these counters.
+    /// the incremental (mailbox) sweep must be *arithmetically* exact
+    /// against the mailbox-less full rebuild, not just bit-identical in its
+    /// candidate stream, because the committed artifacts embed these
+    /// counters.
     fn assert_counters_eq(a: &CandidateEvaluator, b: &CandidateEvaluator) {
         assert_eq!(a.prefix_cache_stats(), b.prefix_cache_stats());
         assert_eq!(a.dedup_stats(), b.dedup_stats());
@@ -1652,20 +1247,21 @@ mod tests {
         let mut cores = idle_cores(&s);
         let mut dirty = ecds_sim::DirtyCores::default();
         let shard = CandidateEvaluator::default();
-        let reference = CandidateEvaluator::default().without_shard_index();
-        assert!(shard.has_shard_index());
-        assert!(!reference.has_shard_index());
+        // Mailbox-less views make the reference rebuild on every call.
+        let reference = CandidateEvaluator::default();
         let n = s.cluster().total_cores();
         let mut now = 0.0;
         for step in 0..8 {
             let task = mk_task(&s, now);
             {
-                let view = SystemView::new(s.cluster(), s.table(), &cores, now, 1 + step, 60)
-                    .with_dirty(&dirty);
+                let bare = view_at(&s, &cores, now, 1 + step);
+                let view = view_at(&s, &cores, now, 1 + step).with_dirty(&dirty);
+                let stream = shard.evaluate_all(&view, &task);
                 assert!(candidates_bit_eq(
-                    &shard.evaluate_all(&view, &task),
-                    &reference.evaluate_all(&view, &task)
+                    &stream,
+                    &reference.evaluate_all(&bare, &task)
                 ));
+                assert!(candidates_bit_eq(&stream, &oracle(&bare, &task)));
                 assert_counters_eq(&shard, &reference);
             }
             // Mutate a handful of cores — epoch bumps the engine would
@@ -1701,12 +1297,12 @@ mod tests {
         let cores = busy_cores(&s);
         let dirty = ecds_sim::DirtyCores::default();
         let shard = CandidateEvaluator::default();
-        let reference = CandidateEvaluator::default().without_shard_index();
+        let reference = CandidateEvaluator::default();
         let task = mk_task(&s, 1.0);
-        let view = SystemView::new(s.cluster(), s.table(), &cores, 1.0, 1, 60).with_dirty(&dirty);
+        let bare = view_at(&s, &cores, 1.0, 1);
         assert!(candidates_bit_eq(
-            &shard.evaluate_all(&view, &task),
-            &reference.evaluate_all(&view, &task)
+            &shard.evaluate_all(&view_at(&s, &cores, 1.0, 1).with_dirty(&dirty), &task),
+            &reference.evaluate_all(&bare, &task)
         ));
         // Jump far past every executing pmf's first impulse with NO dirty
         // marks: every prefix's truncation changes, so both evaluators
@@ -1716,12 +1312,14 @@ mod tests {
         let raw = s.table().pmf(TaskTypeId(0), node, PState::P1);
         let late_t = raw.min_value() + raw.expectation() * 3.0;
         let late_task = mk_task(&s, late_t);
-        let late =
-            SystemView::new(s.cluster(), s.table(), &cores, late_t, 2, 60).with_dirty(&dirty);
+        let late_bare = view_at(&s, &cores, late_t, 2);
+        let late = view_at(&s, &cores, late_t, 2).with_dirty(&dirty);
+        let stream = shard.evaluate_all(&late, &late_task);
         assert!(candidates_bit_eq(
-            &shard.evaluate_all(&late, &late_task),
-            &reference.evaluate_all(&late, &late_task)
+            &stream,
+            &reference.evaluate_all(&late_bare, &late_task)
         ));
+        assert!(candidates_bit_eq(&stream, &oracle(&late_bare, &late_task)));
         assert_counters_eq(&shard, &reference);
         let (_, misses) = shard.prefix_cache_stats().unwrap();
         let n = s.cluster().total_cores() as u64;
@@ -1734,11 +1332,11 @@ mod tests {
         let cores = busy_cores(&s);
         let dirty = ecds_sim::DirtyCores::default();
         let shard = CandidateEvaluator::default();
-        let reference = CandidateEvaluator::default().without_shard_index();
+        let reference = CandidateEvaluator::default();
         let task = mk_task(&s, 1.0);
-        let view = SystemView::new(s.cluster(), s.table(), &cores, 1.0, 1, 60).with_dirty(&dirty);
-        let _ = shard.evaluate_all(&view, &task);
-        let _ = reference.evaluate_all(&view, &task);
+        let bare = view_at(&s, &cores, 1.0, 1);
+        let _ = shard.evaluate_all(&view_at(&s, &cores, 1.0, 1).with_dirty(&dirty), &task);
+        let _ = reference.evaluate_all(&bare, &task);
         // A validator-style single-core lookup between events, late enough
         // to recompute core 0's entry outside any sweep: the shard must
         // revalidate its membership at the next event.
@@ -1746,14 +1344,14 @@ mod tests {
         let raw = s.table().pmf(TaskTypeId(0), node, PState::P1);
         let late_t = raw.min_value() + raw.expectation();
         let late_task = mk_task(&s, late_t);
-        let late =
-            SystemView::new(s.cluster(), s.table(), &cores, late_t, 2, 60).with_dirty(&dirty);
+        let late_bare = view_at(&s, &cores, late_t, 2);
+        let late = view_at(&s, &cores, late_t, 2).with_dirty(&dirty);
         let a = shard.evaluate(&late, &late_task, 0, PState::P0);
-        let b = reference.evaluate(&late, &late_task, 0, PState::P0);
+        let b = reference.evaluate(&late_bare, &late_task, 0, PState::P0);
         assert!(a.bit_eq(&b));
         assert!(candidates_bit_eq(
             &shard.evaluate_all(&late, &late_task),
-            &reference.evaluate_all(&late, &late_task)
+            &reference.evaluate_all(&late_bare, &late_task)
         ));
         assert_counters_eq(&shard, &reference);
     }
@@ -1765,13 +1363,14 @@ mod tests {
         let dirty = ecds_sim::DirtyCores::default();
         let shard = CandidateEvaluator::default();
         let task = mk_task(&s, 1.0);
-        let view = SystemView::new(s.cluster(), s.table(), &cores, 1.0, 1, 60).with_dirty(&dirty);
+        let bare = view_at(&s, &cores, 1.0, 1);
+        let view = view_at(&s, &cores, 1.0, 1).with_dirty(&dirty);
         let before = shard.evaluate_all(&view, &task);
         shard.reset_cache();
-        let fresh = CandidateEvaluator::default().without_shard_index();
+        let fresh = CandidateEvaluator::default();
         assert!(candidates_bit_eq(
             &shard.evaluate_all(&view, &task),
-            &fresh.evaluate_all(&view, &task)
+            &fresh.evaluate_all(&bare, &task)
         ));
         assert_counters_eq(&shard, &fresh);
         assert!(candidates_bit_eq(
@@ -1793,10 +1392,8 @@ mod tests {
         let n = s.cluster().total_cores();
         assert_eq!(classes.iter().map(|c| c.members).sum::<usize>(), n);
         // Each class's estimates are bit-identical to the representative's
-        // candidates in the materialized stream (same sweep: cache hits).
-        let all = CandidateEvaluator::default()
-            .without_shard_index()
-            .evaluate_all(&view, &task);
+        // candidates in the oracle's stream.
+        let all = oracle(&view, &task);
         for class in &classes {
             assert!(class.any_retained());
             for (pi, est) in class.ests.iter().enumerate() {
@@ -1813,16 +1410,15 @@ mod tests {
         let cores = idle_cores(&s);
         let task = mk_task(&s, 0.0);
         let mut classes = Vec::new();
-        // No shard index configured.
+        let ev = CandidateEvaluator::default();
         let dirty = ecds_sim::DirtyCores::default();
-        let view = SystemView::new(s.cluster(), s.table(), &cores, 0.0, 1, 60).with_dirty(&dirty);
-        let off = CandidateEvaluator::default().without_shard_index();
-        assert!(!off.evaluate_indexed_into(&view, &task, &mut classes));
-        assert!(classes.is_empty());
-        // Shard on, but the view has no dirty-core mailbox.
-        let bare = SystemView::new(s.cluster(), s.table(), &cores, 0.0, 1, 60);
-        let on = CandidateEvaluator::default();
-        assert!(!on.evaluate_indexed_into(&bare, &task, &mut classes));
+        let bare = view_at(&s, &cores, 0.0, 1);
+        let view = view_at(&s, &cores, 0.0, 1).with_dirty(&dirty);
+        assert!(ev.evaluate_indexed_into(&view, &task, &mut classes));
+        assert!(!classes.is_empty());
+        // Without a dirty-core mailbox the indexed path is unavailable and
+        // the buffer is left empty.
+        assert!(!ev.evaluate_indexed_into(&bare, &task, &mut classes));
         assert!(classes.is_empty());
     }
 

@@ -53,12 +53,13 @@ pub mod estimate;
 pub mod factory;
 pub mod filters;
 pub mod heuristics;
+pub mod reference;
 pub mod robustness;
 pub mod scheduler;
 pub mod shard;
 
 pub use candidate::{candidates_bit_eq, EvaluatedCandidate};
-pub use estimate::{pending_completion_pmf, AssignmentEstimate, CandidateEvaluator};
+pub use estimate::{AssignmentEstimate, CandidateEvaluator};
 pub use factory::{build_scheduler, FilterVariant, HeuristicKind};
 pub use filters::energy::{EnergyFilter, ZetaMulPolicy};
 pub use filters::robustness::RobustnessFilter;

@@ -94,44 +94,6 @@ impl Scheduler {
         }
     }
 
-    /// Disables the evaluator's queue-prefix pmf cache, recomputing every
-    /// prefix from scratch. The reference configuration the cached default
-    /// is differentially tested against; also useful for benchmarking the
-    /// cache itself.
-    pub fn without_prefix_cache(mut self) -> Self {
-        self.evaluator = CandidateEvaluator::uncached(self.evaluator.policy());
-        self
-    }
-
-    /// Disables the evaluator's fused scratch kernel, routing every
-    /// convolution through the legacy allocating pipeline. The reference
-    /// configuration the fused default is differentially tested against.
-    /// Composes with [`Scheduler::without_prefix_cache`] for the fully
-    /// legacy evaluator.
-    pub fn without_fused_kernel(mut self) -> Self {
-        self.evaluator = self.evaluator.without_fused_kernel();
-        self
-    }
-
-    /// Disables the evaluator's candidate equivalence-class deduplication,
-    /// evaluating every (core, P-state) pair independently. The reference
-    /// configuration the deduplicated default is differentially tested
-    /// against (apply after [`Scheduler::without_prefix_cache`], which
-    /// rebuilds the evaluator).
-    pub fn without_candidate_dedup(mut self) -> Self {
-        self.evaluator = self.evaluator.without_candidate_dedup();
-        self
-    }
-
-    /// Disables the evaluator's persistent shard index: every mapping
-    /// event rebuilds its class partition from scratch and selection runs
-    /// on the materialized candidate stream. The reference configuration
-    /// the shard-indexed default is differentially tested against.
-    pub fn without_shard_index(mut self) -> Self {
-        self.evaluator = self.evaluator.without_shard_index();
-        self
-    }
-
     /// Enables recording of `(task, ρ)` pairs — the robustness value of
     /// every chosen assignment — for the model-validation harness (the
     /// `validate` binary compares these predictions against realized
@@ -166,6 +128,34 @@ impl Scheduler {
     /// The configured budget.
     pub fn budget(&self) -> f64 {
         self.budget
+    }
+
+    /// The selection path on the materialized `cores × P-states` candidate
+    /// stream: [`Filter::retain`] per filter, then [`Heuristic::choose`].
+    fn assign_full_scan(
+        &mut self,
+        task: &Task,
+        view: &SystemView<'_>,
+        ctx: &FilterCtx,
+    ) -> Option<Assignment> {
+        self.evaluator
+            .evaluate_all_into(view, task, &mut self.candidates);
+        for filter in &self.filters {
+            filter.retain(task, view, ctx, &mut self.candidates);
+            if self.candidates.is_empty() {
+                return None; // the task is discarded
+            }
+        }
+        let idx = self.heuristic.choose(task, view, &self.candidates)?;
+        let chosen = self.candidates[idx];
+        self.remaining -= chosen.est.eec;
+        if self.record_predictions {
+            self.predictions.push((task.id, chosen.est.rho));
+        }
+        Some(Assignment {
+            core: chosen.core,
+            pstate: chosen.pstate,
+        })
     }
 }
 
@@ -221,24 +211,7 @@ impl Mapper for Scheduler {
                 pstate,
             });
         }
-        self.evaluator
-            .evaluate_all_into(view, task, &mut self.candidates);
-        for filter in &self.filters {
-            filter.retain(task, view, &ctx, &mut self.candidates);
-            if self.candidates.is_empty() {
-                return None; // the task is discarded
-            }
-        }
-        let idx = self.heuristic.choose(task, view, &self.candidates)?;
-        let chosen = self.candidates[idx];
-        self.remaining -= chosen.est.eec;
-        if self.record_predictions {
-            self.predictions.push((task.id, chosen.est.rho));
-        }
-        Some(Assignment {
-            core: chosen.core,
-            pstate: chosen.pstate,
-        })
+        self.assign_full_scan(task, view, &ctx)
     }
 
     fn save_state(&self, enc: &mut Encoder) {
@@ -409,6 +382,27 @@ mod tests {
         assert!(sched.predictions().is_empty());
     }
 
+    /// A scheduler pinned to the full-scan selection path.
+    struct FullScan(Scheduler);
+
+    impl Mapper for FullScan {
+        fn on_trial_start(&mut self) {
+            self.0.on_trial_start();
+        }
+
+        fn stats(&self) -> MapperStats {
+            self.0.stats()
+        }
+
+        fn assign(&mut self, task: &Task, view: &SystemView<'_>) -> Option<Assignment> {
+            let ctx = FilterCtx {
+                remaining_energy: self.0.remaining,
+                budget: self.0.budget,
+            };
+            self.0.assign_full_scan(task, view, &ctx)
+        }
+    }
+
     #[test]
     fn shard_indexed_selection_matches_full_scan_end_to_end() {
         use crate::heuristics::ll::LightestLoad;
@@ -434,8 +428,12 @@ mod tests {
                 };
                 let mut indexed =
                     Scheduler::new(mk(), filters(), budget, ReductionPolicy::default());
-                let mut full = Scheduler::new(mk(), filters(), budget, ReductionPolicy::default())
-                    .without_shard_index();
+                let mut full = FullScan(Scheduler::new(
+                    mk(),
+                    filters(),
+                    budget,
+                    ReductionPolicy::default(),
+                ));
                 let a = Simulation::new(&s, &trace).run(&mut indexed);
                 let b = Simulation::new(&s, &trace).run(&mut full);
                 assert_eq!(
@@ -444,7 +442,7 @@ mod tests {
                     "indexed selection diverged ({}, filtered={filtered})",
                     indexed.label()
                 );
-                assert_eq!(indexed.remaining_energy(), full.remaining_energy());
+                assert_eq!(indexed.remaining_energy(), full.0.remaining_energy());
                 assert_eq!(indexed.stats(), full.stats(), "{}", indexed.label());
             }
         }

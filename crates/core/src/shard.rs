@@ -1,24 +1,22 @@
 //! The persistent shard index over candidate equivalence classes
 //! (DESIGN.md §13).
 //!
-//! The per-event class partition of DESIGN.md §11 rebuilds its classes from
-//! scratch on every mapping event — O(cores) work per arrival even when
-//! nothing changed. The shard index makes the partition *persistent*: the
-//! classes live across events, and an epoch bump on a core invalidates only
-//! that core's membership (reported through the engine's
-//! [`DirtyCores`](ecds_sim::DirtyCores) mailbox), while cached prefixes that
-//! outlive their exact-validity window surface through an expiry heap. One
-//! arrival then costs O(active classes + marks since the last arrival +
-//! log cores) instead of O(cores × P-states).
+//! Rebuilding the class partition of DESIGN.md §11 on every mapping event
+//! is O(cores) work per arrival even when nothing changed. The shard index
+//! makes the partition *persistent*: the classes live across events, and an
+//! epoch bump on a core invalidates only that core's membership (reported
+//! through the engine's [`DirtyCores`](ecds_sim::DirtyCores) mailbox), while
+//! cached prefixes that outlive their exact-validity window surface through
+//! an expiry heap. One arrival then costs O(active classes + marks since the
+//! last arrival + log cores) instead of O(cores × P-states).
 //!
 //! Class *identity* is bit-exact, never hashed: a core joins an existing
 //! class only when its `(template, fingerprint, depth)` key matches **and**
 //! its queue prefix is impulse-for-impulse bit-identical
 //! ([`Pmf::bit_eq`](ecds_pmf::Pmf::bit_eq)) to the class representative's.
-//! Fingerprint collisions chain (`next` links) exactly like the per-event
-//! partition re-checks, so the shard-indexed partition is the *same*
-//! partition — at paper scale (identity templates) class-for-class — and
-//! every counter the committed artifacts embed stays arithmetically exact.
+//! Fingerprint collisions chain (`next` links), so the incremental index
+//! always holds the partition a full rebuild would produce, and every
+//! counter the committed artifacts embed stays arithmetically exact.
 //!
 //! The index is derived state: it is never checkpointed. Restores, cache
 //! resets, and cluster-size changes schedule a full rebuild, which is the

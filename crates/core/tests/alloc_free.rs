@@ -1,8 +1,9 @@
-//! Proof that the fused kernel's steady state is allocation-free: once the
+//! Proof that the evaluator's engine path is allocation-free in steady
+//! state: with the engine's dirty-core mailbox on the view, once the
 //! scratch buffers have grown to the workload's high-water mark and the
-//! prefix cache is warm, a full `evaluate_all` sweep performs exactly ONE
-//! heap allocation — the returned candidate vector — no matter how many
-//! (core, P-state) convolutions it runs.
+//! prefix cache and shard index are warm, `evaluate_all_into` (into a
+//! caller-owned buffer) and `evaluate_indexed_into` touch the allocator
+//! zero times, no matter how many (core, P-state) convolutions they run.
 //!
 //! The whole file is a single `#[test]` in its own integration binary so no
 //! concurrent test pollutes the global allocation counter.
@@ -11,7 +12,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ecds_cluster::PState;
-use ecds_core::{candidates_bit_eq, CandidateEvaluator, ClassCandidate, EvaluatedCandidate};
+use ecds_core::{
+    candidates_bit_eq, reference, CandidateEvaluator, ClassCandidate, EvaluatedCandidate,
+};
+use ecds_pmf::ReductionPolicy;
 use ecds_sim::{CoreState, DirtyCores, ExecutingTask, QueuedTask, Scenario, SystemView};
 use ecds_workload::{Task, TaskId, TaskTypeId};
 
@@ -44,7 +48,7 @@ fn allocations() -> u64 {
 }
 
 #[test]
-fn warm_evaluate_all_allocates_only_the_result_vector() {
+fn warm_engine_path_is_allocation_free() {
     let scenario = Scenario::small_for_tests(23);
     let mut cores = vec![CoreState::new(); scenario.cluster().total_cores()];
     // Every core busy with a queue behind it: the heaviest steady-state
@@ -66,7 +70,7 @@ fn warm_evaluate_all_allocates_only_the_result_vector() {
             });
         }
     }
-    let view = SystemView::new(scenario.cluster(), scenario.table(), &cores, 50.0, 1, 60);
+    let bare = SystemView::new(scenario.cluster(), scenario.table(), &cores, 50.0, 1, 60);
     let task = Task {
         id: TaskId(50),
         type_id: TaskTypeId(0),
@@ -74,82 +78,56 @@ fn warm_evaluate_all_allocates_only_the_result_vector() {
         deadline: 3000.0,
         quantile: 0.5,
     };
-    let evaluator = CandidateEvaluator::default();
 
-    // Warm-up: first call populates the prefix cache, grows every scratch
-    // buffer to this workload's high-water mark, and sizes the dedup class
-    // storage; second call verifies the warm path works before we start
-    // counting.
-    let reference = evaluator.evaluate_all(&view, &task);
-    let warm = evaluator.evaluate_all(&view, &task);
-    assert!(candidates_bit_eq(&reference, &warm));
-
+    // The oracle evaluates per core through the allocating `Pmf`
+    // operations, so it allocates at least once per candidate; the
+    // contrast proves the counter actually observes the evaluation.
+    let reference = reference::evaluate_all(&bare, &task, ReductionPolicy::default());
     let before = allocations();
-    let measured = evaluator.evaluate_all(&view, &task);
-    let during = allocations() - before;
-    assert!(candidates_bit_eq(&measured, &reference));
-    assert_eq!(
-        during, 1,
-        "steady-state evaluate_all must allocate exactly once (the result \
-         vector); every candidate convolution must run in the scratch and \
-         the class partition in its retained storage"
-    );
-
-    // The same sweep through the legacy pipeline — per-core, no fused
-    // kernel — allocates per candidate; the contrast proves the counter
-    // actually observes the kernel.
-    let legacy = CandidateEvaluator::default()
-        .without_fused_kernel()
-        .without_candidate_dedup();
-    let _ = legacy.evaluate_all(&view, &task);
-    let before = allocations();
-    let legacy_measured = legacy.evaluate_all(&view, &task);
-    let legacy_during = allocations() - before;
-    assert!(candidates_bit_eq(&legacy_measured, &reference));
+    let oracle_measured = reference::evaluate_all(&bare, &task, ReductionPolicy::default());
+    let oracle_during = allocations() - before;
+    assert!(candidates_bit_eq(&oracle_measured, &reference));
     let candidates = reference.len() as u64;
     assert!(
-        legacy_during > candidates,
-        "legacy pipeline should allocate at least once per candidate \
-         ({candidates}), counted {legacy_during}"
+        oracle_during > candidates,
+        "the oracle should allocate at least once per candidate \
+         ({candidates}), counted {oracle_during}"
     );
 
-    // --- Shard-index path: ZERO steady-state allocations. ---
-    //
     // With an epoch-bump mailbox on the view, the evaluator maintains its
-    // (node, prefix-identity) shard index incrementally, and a caller-owned
-    // output buffer removes even the one allowed allocation above: a warm
-    // `evaluate_all_into` and a warm `evaluate_indexed_into` must both
-    // touch the allocator zero times.
+    // shard index incrementally, and a caller-owned output buffer removes
+    // the result allocation: a warm `evaluate_all_into` and a warm
+    // `evaluate_indexed_into` must both touch the allocator zero times.
     let dirty = DirtyCores::default();
-    let sharded_view = SystemView::new(scenario.cluster(), scenario.table(), &cores, 50.0, 1, 60)
+    let view = SystemView::new(scenario.cluster(), scenario.table(), &cores, 50.0, 1, 60)
         .with_dirty(&dirty);
-    let sharded = CandidateEvaluator::default();
-    assert!(sharded.has_shard_index());
+    let evaluator = CandidateEvaluator::default();
 
     let mut out: Vec<EvaluatedCandidate> = Vec::new();
     // Warm-up: first call full-rebuilds the shard and grows every buffer;
     // second call runs the incremental sweep and verifies the warm path.
-    sharded.evaluate_all_into(&sharded_view, &task, &mut out);
-    sharded.evaluate_all_into(&sharded_view, &task, &mut out);
+    evaluator.evaluate_all_into(&view, &task, &mut out);
+    evaluator.evaluate_all_into(&view, &task, &mut out);
     assert!(candidates_bit_eq(&out, &reference));
 
     let before = allocations();
-    sharded.evaluate_all_into(&sharded_view, &task, &mut out);
+    evaluator.evaluate_all_into(&view, &task, &mut out);
     let during = allocations() - before;
     assert!(candidates_bit_eq(&out, &reference));
     assert_eq!(
         during, 0,
-        "warm sharded evaluate_all_into with a caller-owned buffer must \
-         not allocate: the sweep walks the mailbox/expiry heap in place \
-         and estimates land in the reused class storage"
+        "warm evaluate_all_into with a caller-owned buffer must not \
+         allocate: the sweep walks the mailbox/expiry heap in place, every \
+         candidate convolution runs in the scratch, and estimates land in \
+         the reused class storage"
     );
 
     // The class-level API (what SQ/MECT/LL select from without
     // materializing cores × P-states) is equally allocation-free warm.
     let mut classes: Vec<ClassCandidate> = Vec::new();
-    assert!(sharded.evaluate_indexed_into(&sharded_view, &task, &mut classes));
+    assert!(evaluator.evaluate_indexed_into(&view, &task, &mut classes));
     let before = allocations();
-    assert!(sharded.evaluate_indexed_into(&sharded_view, &task, &mut classes));
+    assert!(evaluator.evaluate_indexed_into(&view, &task, &mut classes));
     let during = allocations() - before;
     assert_eq!(
         during, 0,

@@ -1,10 +1,10 @@
 //! Property tests of candidate equivalence-class deduplication: the
 //! congruence the partition rests on (equal class keys imply bit-identical
-//! estimates for every P-state), and deduped-vs-per-core bit-identity of
-//! `evaluate_all` over arbitrary core loads.
+//! estimates for every P-state), and bit-identity of the deduplicated
+//! `evaluate_all` with the per-core oracle over arbitrary core loads.
 
 use ecds_cluster::{PState, NUM_PSTATES};
-use ecds_core::{candidates_bit_eq, CandidateEvaluator};
+use ecds_core::{candidates_bit_eq, reference, CandidateEvaluator};
 use ecds_pmf::ReductionPolicy;
 use ecds_sim::{CoreState, ExecutingTask, QueuedTask, Scenario, SystemView};
 use ecds_workload::{Task, TaskId, TaskTypeId};
@@ -82,7 +82,7 @@ proptest! {
     /// The congruence property the dedup rests on: two cores on the same
     /// node carrying the same load (equal class key by construction) get
     /// bit-identical estimates for all five P-states, and equal prefix
-    /// fingerprints — for the caching and the uncached evaluator alike.
+    /// fingerprints.
     #[test]
     fn equal_class_keys_imply_bit_identical_estimates(
         load in arb_load(),
@@ -96,30 +96,26 @@ proptest! {
         let now = load.as_ref().map_or(elapsed, |(_, start, _)| start + elapsed);
         let view = SystemView::new(s.cluster(), s.table(), &cores, now, 1, 60);
         let task = probe_task();
-        for ev in [
-            CandidateEvaluator::default(),
-            CandidateEvaluator::uncached(ReductionPolicy::default()),
-        ] {
-            prop_assert_eq!(
-                ev.prefix_fingerprint(&view, a),
-                ev.prefix_fingerprint(&view, b),
-                "fingerprints diverged for equal loads"
+        let ev = CandidateEvaluator::default();
+        prop_assert_eq!(
+            ev.prefix_fingerprint(&view, a),
+            ev.prefix_fingerprint(&view, b),
+            "fingerprints diverged for equal loads"
+        );
+        for pstate in PState::ALL {
+            let ea = ev.evaluate(&view, &task, a, pstate);
+            let eb = ev.evaluate(&view, &task, b, pstate);
+            prop_assert!(
+                ea.bit_eq(&eb),
+                "estimates diverged at {:?}: {:?} vs {:?}", pstate, ea, eb
             );
-            for pstate in PState::ALL {
-                let ea = ev.evaluate(&view, &task, a, pstate);
-                let eb = ev.evaluate(&view, &task, b, pstate);
-                prop_assert!(
-                    ea.bit_eq(&eb),
-                    "estimates diverged at {:?}: {:?} vs {:?}", pstate, ea, eb
-                );
-            }
         }
     }
 
-    /// Deduplicated `evaluate_all` is bit-identical to independent
-    /// per-core evaluation over arbitrary loads — drawn from a small pool
-    /// so duplicate prefixes (real class collapses) are common, alongside
-    /// idle cores and fully distinct ones.
+    /// Deduplicated `evaluate_all` is bit-identical to the oracle's
+    /// independent per-core evaluation over arbitrary loads — drawn from a
+    /// small pool so duplicate prefixes (real class collapses) are common,
+    /// alongside idle cores and fully distinct ones.
     #[test]
     fn deduped_evaluate_all_matches_per_core(
         pool in prop::collection::vec(arb_load(), 1..4),
@@ -135,30 +131,19 @@ proptest! {
         let now = 100.0 + elapsed; // past every start in the pool
         let view = SystemView::new(s.cluster(), s.table(), &cores, now, 1, 60);
         let task = probe_task();
-        for (deduped, per_core) in [
-            (
-                CandidateEvaluator::default(),
-                CandidateEvaluator::default().without_candidate_dedup(),
-            ),
-            (
-                CandidateEvaluator::uncached(ReductionPolicy::default()),
-                CandidateEvaluator::uncached(ReductionPolicy::default())
-                    .without_candidate_dedup(),
-            ),
-        ] {
-            let dd = deduped.evaluate_all(&view, &task);
-            let pc = per_core.evaluate_all(&view, &task);
-            prop_assert_eq!(dd.len(), n * NUM_PSTATES);
-            prop_assert!(candidates_bit_eq(&dd, &pc));
-            // The class partition never exceeds one class per core and
-            // accounts for every skipped evaluation.
-            let (classes, events) = deduped.dedup_stats().expect("dedup on");
-            prop_assert_eq!(events, 1);
-            prop_assert!(classes >= 1 && classes <= n as u64);
-            prop_assert_eq!(
-                deduped.dedup_skipped_evaluations(),
-                (n as u64 - classes) * NUM_PSTATES as u64
-            );
-        }
+        let deduped = CandidateEvaluator::default();
+        let dd = deduped.evaluate_all(&view, &task);
+        let pc = reference::evaluate_all(&view, &task, ReductionPolicy::default());
+        prop_assert_eq!(dd.len(), n * NUM_PSTATES);
+        prop_assert!(candidates_bit_eq(&dd, &pc));
+        // The class partition never exceeds one class per core and
+        // accounts for every skipped evaluation.
+        let (classes, events) = deduped.dedup_stats().expect("dedup on");
+        prop_assert_eq!(events, 1);
+        prop_assert!(classes >= 1 && classes <= n as u64);
+        prop_assert_eq!(
+            deduped.dedup_skipped_evaluations(),
+            (n as u64 - classes) * NUM_PSTATES as u64
+        );
     }
 }

@@ -1,9 +1,10 @@
 //! Property tests of the queue-prefix computation and its versioned cache:
 //! truncation semantics, monotonicity in queue depth, epoch bookkeeping,
-//! and cached-vs-uncached bit-identity over arbitrary core states.
+//! and cached-vs-oracle bit-identity over arbitrary core states.
 
 use ecds_cluster::PState;
-use ecds_core::{candidates_bit_eq, pending_completion_pmf, CandidateEvaluator};
+use ecds_core::reference::{self, pending_completion_pmf};
+use ecds_core::{candidates_bit_eq, CandidateEvaluator};
 use ecds_pmf::ReductionPolicy;
 use ecds_sim::{CoreState, ExecutingTask, QueuedTask, Scenario, SystemView};
 use ecds_workload::{Task, TaskId, TaskTypeId};
@@ -156,8 +157,8 @@ proptest! {
         }
     }
 
-    /// Cached and uncached evaluators agree bit-for-bit on arbitrary core
-    /// states, view times, and repeat/advance patterns.
+    /// The caching evaluator agrees bit-for-bit with the uncached oracle on
+    /// arbitrary core states, view times, and repeat/advance patterns.
     #[test]
     fn cached_prefix_is_bit_identical_to_recompute(
         exec_type in 0usize..10,
@@ -171,13 +172,12 @@ proptest! {
         cores[0] = busy_core(exec_type, start, &queued);
         let task = probe_task();
         let cached = CandidateEvaluator::default();
-        let uncached = CandidateEvaluator::uncached(ReductionPolicy::default());
         for now in [start + elapsed_a, start + elapsed_a, start + elapsed_a + advance] {
             let view = SystemView::new(s.cluster(), s.table(), &cores, now, 1, 60);
             prop_assert!(
                 candidates_bit_eq(
                     &cached.evaluate_all(&view, &task),
-                    &uncached.evaluate_all(&view, &task)
+                    &reference::evaluate_all(&view, &task, ReductionPolicy::default())
                 ),
                 "diverged at t={}", now
             );

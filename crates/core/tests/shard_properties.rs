@@ -1,17 +1,19 @@
 //! Property tests of the persistent shard index: over *arbitrary mutation
 //! sequences* (starts, completions, queue pushes/pops, uneven time
 //! advances) driven through an epoch-bump mailbox, the incrementally
-//! maintained index must stay bit-identical to the full-scan reference —
-//! both the materialized candidate stream (`candidates_bit_eq`) and the
-//! index-selected top choice for every indexed heuristic (SQ, MECT, LL)
-//! under every filter variant.
+//! maintained index must stay bit-identical to the oracle
+//! ([`ecds_core::reference`]) and exact in its counters against an
+//! evaluator that rebuilds the index on every call — both the materialized
+//! candidate stream (`candidates_bit_eq`) and the index-selected top choice
+//! for every indexed heuristic (SQ, MECT, LL) under every filter variant.
 
 use ecds_cluster::{PState, NUM_PSTATES};
 use ecds_core::{
-    candidates_bit_eq, CandidateEvaluator, ClassCandidate, EnergyFilter, EvaluatedCandidate,
-    Filter, FilterCtx, Heuristic, LightestLoad, MinimumExpectedCompletionTime, RobustnessFilter,
-    ShortestQueue,
+    candidates_bit_eq, reference, CandidateEvaluator, ClassCandidate, EnergyFilter,
+    EvaluatedCandidate, Filter, FilterCtx, Heuristic, LightestLoad, MinimumExpectedCompletionTime,
+    RobustnessFilter, ShortestQueue,
 };
+use ecds_pmf::ReductionPolicy;
 use ecds_sim::{CoreState, DirtyCores, ExecutingTask, QueuedTask, Scenario, SystemView};
 use ecds_workload::{Task, TaskId, TaskTypeId};
 use proptest::prelude::*;
@@ -150,9 +152,9 @@ fn indexed_choice(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Arbitrary mutation sequences ⇒ at every step the shard-indexed
-    /// evaluator reproduces the full-scan reference bit-for-bit: the
-    /// materialized stream, the exact hit/miss/dedup counters, and the
+    /// Arbitrary mutation sequences ⇒ at every step the incrementally
+    /// maintained shard index reproduces the oracle's stream bit-for-bit,
+    /// the exact dedup counters of a per-call rebuild, and the full-scan
     /// top-k selection of every indexed heuristic under every filter
     /// variant.
     #[test]
@@ -169,8 +171,8 @@ proptest! {
         let mut next_id = 0usize;
 
         let sharded = CandidateEvaluator::default();
-        prop_assert!(sharded.has_shard_index());
-        let full = CandidateEvaluator::default().without_shard_index();
+        // Evaluated on mailbox-less views, so it rebuilds on every call.
+        let full = CandidateEvaluator::default();
 
         let mut out: Vec<EvaluatedCandidate> = Vec::new();
         let mut classes: Vec<ClassCandidate> = Vec::new();
@@ -188,25 +190,31 @@ proptest! {
 
             let view = SystemView::new(s.cluster(), s.table(), &cores, now, 1, 60)
                 .with_dirty(&dirty);
+            let bare = SystemView::new(s.cluster(), s.table(), &cores, now, 1, 60);
             let task = probe_task(step, deadline_slack, now);
 
-            // Materialized stream: bit-identical, and the per-call dedup
-            // counter deltas arithmetically exact (cumulative totals
-            // differ only because the sharded evaluator answers two
-            // queries per step here — the class/skip arithmetic per
-            // `evaluate_all` must match the reference exactly).
+            // Materialized stream: bit-identical to the oracle and to the
+            // rebuild, and the per-call dedup counter deltas arithmetically
+            // exact (cumulative totals differ only because the sharded
+            // evaluator answers two queries per step here — the class/skip
+            // arithmetic per `evaluate_all` must match the rebuild exactly).
             let s0 = sharded.dedup_stats().expect("dedup on");
             let sk0 = sharded.dedup_skipped_evaluations();
             sharded.evaluate_all_into(&view, &task, &mut out);
             let s1 = sharded.dedup_stats().expect("dedup on");
             let f0 = full.dedup_stats().expect("dedup on");
             let fk0 = full.dedup_skipped_evaluations();
-            let reference = full.evaluate_all(&view, &task);
+            let rebuilt = full.evaluate_all(&bare, &task);
             let f1 = full.dedup_stats().expect("dedup on");
+            let reference = reference::evaluate_all(&bare, &task, ReductionPolicy::default());
             prop_assert_eq!(out.len(), n * NUM_PSTATES);
             prop_assert!(
                 candidates_bit_eq(&out, &reference),
-                "stream diverged at step {}", step
+                "stream diverged from the oracle at step {}", step
+            );
+            prop_assert!(
+                candidates_bit_eq(&rebuilt, &reference),
+                "rebuild diverged from the oracle at step {}", step
             );
             prop_assert_eq!(
                 (s1.0 - s0.0, s1.1 - s0.1),

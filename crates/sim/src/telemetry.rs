@@ -232,7 +232,7 @@ mod tests {
     }
 
     #[test]
-    fn uncached_stats_report_zero_counters() {
+    fn default_stats_report_zero_counters() {
         let stats = MapperStats::default();
         assert_eq!(stats.prefix_cache, None);
         assert_eq!(stats.prefix_cache_hits(), 0);

@@ -1,61 +1,26 @@
 //! Differential proof that candidate equivalence-class deduplication is
-//! invisible: full trials run with the deduplicating scheduler (the
-//! default) must be bit-identical — task outcomes, energy, makespan,
-//! exhaustion, telemetry series — to trials run with a scheduler that
+//! invisible: full trials run with the deduplicating scheduler must be
+//! bit-identical — task outcomes, energy, makespan, exhaustion, telemetry
+//! series — to trials run with `OracleMapper`, whose reference evaluator
 //! evaluates every (core, P-state) pair independently.
 //!
-//! Only the *semantic* fields are compared; the dedup counters themselves
-//! legitimately differ (that is the whole point of having both modes).
+//! The seed × heuristic sweep runs trial 3; `integration_evaluator_oracle`
+//! covers trial 0 of the same grid.
 
+mod common;
+
+use common::{assert_semantically_identical, run_against_oracle, OracleMapper};
 use ecds::prelude::*;
 
-fn run_pair(
-    master: u64,
-    trial: u64,
-    kind: HeuristicKind,
-    variant: FilterVariant,
-) -> (TrialResult, TrialResult) {
-    let scenario = Scenario::small_for_tests(master);
-    let trace = scenario.trace(trial);
-    let mut deduped = build_scheduler(kind, variant, &scenario, trial);
-    let mut per_core =
-        Box::new((*build_scheduler(kind, variant, &scenario, trial)).without_candidate_dedup());
-    let a = Simulation::new(&scenario, &trace).run(deduped.as_mut());
-    let b = Simulation::new(&scenario, &trace).run(per_core.as_mut());
-    (a, b)
-}
-
-fn assert_semantically_identical(a: &TrialResult, b: &TrialResult, label: &str) {
-    assert_eq!(a.outcomes(), b.outcomes(), "{label}: outcomes diverged");
-    assert_eq!(
-        a.total_energy(),
-        b.total_energy(),
-        "{label}: energy diverged"
-    );
-    assert_eq!(
-        a.exhausted_at(),
-        b.exhausted_at(),
-        "{label}: exhaustion diverged"
-    );
-    assert_eq!(a.makespan(), b.makespan(), "{label}: makespan diverged");
-    let (ta, tb) = (a.telemetry(), b.telemetry());
-    assert_eq!(
-        ta.queue_depth, tb.queue_depth,
-        "{label}: queue depth diverged"
-    );
-    assert_eq!(ta.busy_cores, tb.busy_cores, "{label}: busy cores diverged");
-    assert_eq!(ta.power, tb.power, "{label}: power timeline diverged");
-}
-
-/// The acceptance grid: ≥3 seeds × all heuristics, with the paper's best
-/// filter chain — the configuration where replicated estimates drive every
-/// decision through ECT, ρ, and the robustness filter (so any replication
-/// error would change assignments, not just diagnostics).
+/// Three seeds × all heuristics, with the paper's best filter chain — the
+/// configuration where replicated estimates drive every decision through
+/// ECT, ρ, and the robustness filter (so any replication error would change
+/// assignments, not just diagnostics).
 #[test]
 fn deduped_equals_per_core_across_seeds_and_heuristics() {
     for master in [3, 11, 29] {
         for kind in HeuristicKind::ALL {
-            let (a, b) = run_pair(master, 0, kind, FilterVariant::EnergyAndRobustness);
+            let (a, b) = run_against_oracle(master, 3, kind, FilterVariant::EnergyAndRobustness);
             assert_semantically_identical(&a, &b, &format!("seed {master} / {kind}"));
         }
     }
@@ -68,48 +33,66 @@ fn deduped_equals_per_core_across_seeds_and_heuristics() {
 #[test]
 fn deduped_equals_per_core_across_filter_variants() {
     for variant in FilterVariant::ALL {
-        let (a, b) = run_pair(7, 1, HeuristicKind::Mect, variant);
+        let (a, b) = run_against_oracle(23, 3, HeuristicKind::Mect, variant);
         assert_semantically_identical(&a, &b, &format!("variant {variant}"));
     }
 }
 
-/// Dedup composes with the cache escape hatch: the uncached deduplicating
-/// evaluator must also be invisible relative to the uncached per-core one.
+/// The deduplicating evaluator with its prefix cache emptied before every
+/// decision — every class is formed from freshly built prefixes and a full
+/// shard rebuild — selecting through the oracle's filters and heuristic.
+struct ColdCacheMapper {
+    evaluator: CandidateEvaluator,
+    oracle: OracleMapper,
+}
+
+impl Mapper for ColdCacheMapper {
+    fn on_trial_start(&mut self) {
+        self.oracle.on_trial_start();
+    }
+
+    fn assign(&mut self, task: &Task, view: &SystemView<'_>) -> Option<Assignment> {
+        self.evaluator.reset_cache();
+        let candidates = self.evaluator.evaluate_all(view, task);
+        self.oracle.select(task, view, candidates)
+    }
+}
+
+/// Dedup does not lean on the cache: with no prefix ever reused, the
+/// deduplicating evaluator must still be invisible relative to the
+/// uncached per-core oracle.
 #[test]
 fn deduped_equals_per_core_without_prefix_cache() {
     let scenario = Scenario::small_for_tests(11);
     let trace = scenario.trace(0);
     let kind = HeuristicKind::LightestLoad;
     let variant = FilterVariant::EnergyAndRobustness;
-    let mut deduped =
-        Box::new((*build_scheduler(kind, variant, &scenario, 0)).without_prefix_cache());
-    let mut per_core = Box::new(
-        (*build_scheduler(kind, variant, &scenario, 0))
-            .without_prefix_cache()
-            .without_candidate_dedup(),
-    );
-    let a = Simulation::new(&scenario, &trace).run(deduped.as_mut());
-    let b = Simulation::new(&scenario, &trace).run(per_core.as_mut());
+    let mut deduped = ColdCacheMapper {
+        evaluator: CandidateEvaluator::default(),
+        oracle: OracleMapper::build(kind, variant, &scenario, 0),
+    };
+    let mut per_core = OracleMapper::build(kind, variant, &scenario, 0);
+    let a = Simulation::new(&scenario, &trace).run(&mut deduped);
+    let b = Simulation::new(&scenario, &trace).run(&mut per_core);
     assert_semantically_identical(&a, &b, "uncached pair");
 }
 
 /// Dedup must actually be collapsing work: on the bundled scenario most
 /// arrivals see several interchangeable cores, so classes per event sit
 /// strictly below the core count and skipped evaluations accumulate. The
-/// per-core scheduler reports no dedup stats at all.
+/// per-core oracle reports no dedup stats at all.
 #[test]
 fn deduped_runs_report_classes_and_per_core_report_none() {
     let scenario = Scenario::small_for_tests(3);
     let trace = scenario.trace(0);
-    let mut deduped = build_scheduler(
-        HeuristicKind::Mect,
-        FilterVariant::EnergyAndRobustness,
-        &scenario,
-        0,
-    );
+    let kind = HeuristicKind::Mect;
+    let variant = FilterVariant::EnergyAndRobustness;
+    let mut deduped = build_scheduler(kind, variant, &scenario, 0);
     let a = Simulation::new(&scenario, &trace).run(deduped.as_mut());
     let mapper = a.telemetry().mapper;
-    let (classes, events) = mapper.candidate_classes.expect("dedup is on by default");
+    let (classes, events) = mapper
+        .candidate_classes
+        .expect("classes are always counted");
     assert!(events > 0, "every arrival is a mapping event");
     assert!(classes >= events, "at least one class per event");
     let cores = scenario.cluster().total_cores() as u64;
@@ -122,17 +105,10 @@ fn deduped_runs_report_classes_and_per_core_report_none() {
     assert!(per_event >= 1.0 && per_event < cores as f64);
     assert!(mapper.dedup_skipped_evaluations > 0);
 
-    let mut per_core = Box::new(
-        (*build_scheduler(
-            HeuristicKind::Mect,
-            FilterVariant::EnergyAndRobustness,
-            &scenario,
-            0,
-        ))
-        .without_candidate_dedup(),
-    );
-    let b = Simulation::new(&scenario, &trace).run(per_core.as_mut());
+    let mut per_core = OracleMapper::build(kind, variant, &scenario, 0);
+    let b = Simulation::new(&scenario, &trace).run(&mut per_core);
     assert_eq!(b.telemetry().mapper.candidate_classes, None);
     assert_eq!(b.telemetry().mapper.dedup_skipped_evaluations, 0);
     assert_eq!(b.telemetry().mapper.classes_per_event(), None);
+    assert_semantically_identical(&a, &b, "counter check pair");
 }

@@ -384,3 +384,58 @@ fn restore_rejects_config_mismatch() {
         "unexpected error: {err:?}"
     );
 }
+
+/// A checkpoint written under the previous wire-format version is rejected
+/// with the typed version error, never reinterpreted: version 1 carried
+/// evaluator-configuration flags that version 2 no longer encodes.
+#[test]
+fn restore_rejects_a_version_1_checkpoint() {
+    let scenario = Scenario::small_for_tests(3);
+    let trace = scenario.trace(0);
+    let build = || {
+        build_scheduler(
+            HeuristicKind::LightestLoad,
+            FilterVariant::EnergyAndRobustness,
+            &scenario,
+            0,
+        )
+    };
+    let bytes = {
+        let mut scheduler = build();
+        let mut discipline = ImmediateDiscipline::new(scheduler.as_mut());
+        let mut source = TraceArrivalSource::new(&trace);
+        let mut session = ServeSession::new(
+            scenario.cluster(),
+            scenario.table(),
+            scenario.sim_config(),
+            ServeConfig::finite(trace.len()),
+            &mut source,
+            &mut discipline,
+        );
+        session.run_events(40, &mut source, &mut discipline);
+        session.checkpoint(&source, &discipline)
+    };
+    let body = ecds::persist::open(&bytes, ecds::sim::CHECKPOINT_VERSION)
+        .expect("a live checkpoint opens under the current version");
+    let version_1 = ecds::persist::seal(1, body);
+
+    let mut scheduler = build();
+    let mut discipline = ImmediateDiscipline::new(scheduler.as_mut());
+    let mut source = TraceArrivalSource::new(&trace);
+    let err = ServeSession::restore(
+        scenario.cluster(),
+        scenario.table(),
+        scenario.sim_config(),
+        &version_1,
+        &mut source,
+        &mut discipline,
+    )
+    .expect_err("a version-1 checkpoint must not restore");
+    assert!(
+        matches!(
+            err,
+            ecds::persist::DecodeError::UnsupportedVersion { found: 1 }
+        ),
+        "unexpected error: {err:?}"
+    );
+}

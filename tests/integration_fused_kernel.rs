@@ -1,62 +1,26 @@
 //! Differential proof that the fused scratch kernel is invisible at trial
 //! scale: full simulations run with the fused evaluator must be
 //! bit-identical — task outcomes, energy, makespan, exhaustion, telemetry
-//! series — to simulations run with the legacy allocating pipeline, across
-//! seeds, heuristics, and filter variants, and composed with the prefix
-//! cache both on and off.
+//! series — to simulations run with `OracleMapper`, whose reference
+//! evaluator uses the allocating `Pmf` pipeline, across seeds, heuristics,
+//! and filter variants.
 //!
-//! Only the *semantic* fields are compared; the fused-kernel invocation
-//! counter itself legitimately differs (that is the whole point of having
-//! both modes).
+//! The seed × heuristic sweep runs trial 2; `integration_evaluator_oracle`
+//! covers trial 0 of the same grid.
 
+mod common;
+
+use common::{assert_semantically_identical, run_against_oracle, OracleMapper};
 use ecds::prelude::*;
 
-fn run_pair(
-    master: u64,
-    trial: u64,
-    kind: HeuristicKind,
-    variant: FilterVariant,
-) -> (TrialResult, TrialResult) {
-    let scenario = Scenario::small_for_tests(master);
-    let trace = scenario.trace(trial);
-    let mut fused = build_scheduler(kind, variant, &scenario, trial);
-    let mut legacy =
-        Box::new((*build_scheduler(kind, variant, &scenario, trial)).without_fused_kernel());
-    let a = Simulation::new(&scenario, &trace).run(fused.as_mut());
-    let b = Simulation::new(&scenario, &trace).run(legacy.as_mut());
-    (a, b)
-}
-
-fn assert_semantically_identical(a: &TrialResult, b: &TrialResult, label: &str) {
-    assert_eq!(a.outcomes(), b.outcomes(), "{label}: outcomes diverged");
-    assert_eq!(
-        a.total_energy(),
-        b.total_energy(),
-        "{label}: energy diverged"
-    );
-    assert_eq!(
-        a.exhausted_at(),
-        b.exhausted_at(),
-        "{label}: exhaustion diverged"
-    );
-    assert_eq!(a.makespan(), b.makespan(), "{label}: makespan diverged");
-    let (ta, tb) = (a.telemetry(), b.telemetry());
-    assert_eq!(
-        ta.queue_depth, tb.queue_depth,
-        "{label}: queue depth diverged"
-    );
-    assert_eq!(ta.busy_cores, tb.busy_cores, "{label}: busy cores diverged");
-    assert_eq!(ta.power, tb.power, "{label}: power timeline diverged");
-}
-
-/// The acceptance grid: ≥3 seeds × all four heuristics with the paper's
-/// best filter chain — the configuration where every decision flows through
-/// the kernel via ECT, ρ, and the robustness filter.
+/// Three seeds × all four heuristics with the paper's best filter chain —
+/// the configuration where every decision flows through the kernel via
+/// ECT, ρ, and the robustness filter.
 #[test]
 fn fused_equals_legacy_across_seeds_and_heuristics() {
     for master in [3, 11, 29] {
         for kind in HeuristicKind::ALL {
-            let (a, b) = run_pair(master, 0, kind, FilterVariant::EnergyAndRobustness);
+            let (a, b) = run_against_oracle(master, 2, kind, FilterVariant::EnergyAndRobustness);
             assert_semantically_identical(&a, &b, &format!("seed {master} / {kind}"));
         }
     }
@@ -67,68 +31,42 @@ fn fused_equals_legacy_across_seeds_and_heuristics() {
 #[test]
 fn fused_equals_legacy_across_filter_variants() {
     for variant in FilterVariant::ALL {
-        let (a, b) = run_pair(7, 1, HeuristicKind::Mect, variant);
+        let (a, b) = run_against_oracle(17, 2, HeuristicKind::Mect, variant);
         assert_semantically_identical(&a, &b, &format!("variant {variant}"));
     }
 }
 
-/// The kernel toggle composes with the cache toggle: the fully-fused
-/// default must match the fully-legacy evaluator (no cache, no scratch) —
-/// the deepest differential reference available.
+/// The fused, cached default must match the fully legacy evaluator (no
+/// cache, no scratch, no classes) — the oracle, the deepest differential
+/// reference available.
 #[test]
 fn fused_cached_equals_fully_legacy_evaluator() {
-    let scenario = Scenario::small_for_tests(19);
-    let trace = scenario.trace(0);
-    let mut fused = build_scheduler(
+    let (a, b) = run_against_oracle(
+        19,
+        0,
         HeuristicKind::LightestLoad,
         FilterVariant::EnergyAndRobustness,
-        &scenario,
-        0,
     );
-    let mut fully_legacy = Box::new(
-        (*build_scheduler(
-            HeuristicKind::LightestLoad,
-            FilterVariant::EnergyAndRobustness,
-            &scenario,
-            0,
-        ))
-        .without_prefix_cache()
-        .without_fused_kernel(),
-    );
-    let a = Simulation::new(&scenario, &trace).run(fused.as_mut());
-    let b = Simulation::new(&scenario, &trace).run(fully_legacy.as_mut());
     assert_semantically_identical(&a, &b, "fused+cache vs fully legacy");
 }
 
 /// The fused path must actually be exercised: a full trial on the default
-/// scheduler reports a busy kernel counter, and the legacy scheduler
-/// reports zero.
+/// scheduler reports a busy kernel counter, and the oracle reports zero.
 #[test]
 fn fused_runs_report_kernel_calls_and_legacy_report_zero() {
     let scenario = Scenario::small_for_tests(3);
     let trace = scenario.trace(0);
-    let mut fused = build_scheduler(
-        HeuristicKind::Mect,
-        FilterVariant::EnergyAndRobustness,
-        &scenario,
-        0,
-    );
+    let kind = HeuristicKind::Mect;
+    let variant = FilterVariant::EnergyAndRobustness;
+    let mut fused = build_scheduler(kind, variant, &scenario, 0);
     let a = Simulation::new(&scenario, &trace).run(fused.as_mut());
     assert!(
         a.telemetry().mapper.fused_kernel_calls > 0,
         "default scheduler must route convolutions through the fused kernel"
     );
 
-    let mut legacy = Box::new(
-        (*build_scheduler(
-            HeuristicKind::Mect,
-            FilterVariant::EnergyAndRobustness,
-            &scenario,
-            0,
-        ))
-        .without_fused_kernel(),
-    );
-    let b = Simulation::new(&scenario, &trace).run(legacy.as_mut());
+    let mut legacy = OracleMapper::build(kind, variant, &scenario, 0);
+    let b = Simulation::new(&scenario, &trace).run(&mut legacy);
     assert_eq!(b.telemetry().mapper.fused_kernel_calls, 0);
     assert_semantically_identical(&a, &b, "counter check pair");
 }

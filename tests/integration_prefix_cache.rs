@@ -1,59 +1,25 @@
 //! Differential proof that the evaluator's versioned queue-prefix cache is
 //! invisible: full trials run with the caching scheduler must be
 //! bit-identical — task outcomes, energy, makespan, exhaustion, telemetry
-//! series — to trials run with a scheduler that recomputes every prefix.
+//! series — to trials run with `OracleMapper`, whose reference evaluator
+//! recomputes every prefix.
 //!
-//! Only the *semantic* fields are compared; the cache counters themselves
-//! legitimately differ (that is the whole point of having both modes).
+//! The seed × heuristic sweep runs trial 1; `integration_evaluator_oracle`
+//! covers trial 0 of the same grid.
 
+mod common;
+
+use common::{assert_semantically_identical, run_against_oracle, OracleMapper};
 use ecds::prelude::*;
 
-fn run_pair(
-    master: u64,
-    trial: u64,
-    kind: HeuristicKind,
-    variant: FilterVariant,
-) -> (TrialResult, TrialResult) {
-    let scenario = Scenario::small_for_tests(master);
-    let trace = scenario.trace(trial);
-    let mut cached = build_scheduler(kind, variant, &scenario, trial);
-    let mut uncached =
-        Box::new((*build_scheduler(kind, variant, &scenario, trial)).without_prefix_cache());
-    let a = Simulation::new(&scenario, &trace).run(cached.as_mut());
-    let b = Simulation::new(&scenario, &trace).run(uncached.as_mut());
-    (a, b)
-}
-
-fn assert_semantically_identical(a: &TrialResult, b: &TrialResult, label: &str) {
-    assert_eq!(a.outcomes(), b.outcomes(), "{label}: outcomes diverged");
-    assert_eq!(
-        a.total_energy(),
-        b.total_energy(),
-        "{label}: energy diverged"
-    );
-    assert_eq!(
-        a.exhausted_at(),
-        b.exhausted_at(),
-        "{label}: exhaustion diverged"
-    );
-    assert_eq!(a.makespan(), b.makespan(), "{label}: makespan diverged");
-    let (ta, tb) = (a.telemetry(), b.telemetry());
-    assert_eq!(
-        ta.queue_depth, tb.queue_depth,
-        "{label}: queue depth diverged"
-    );
-    assert_eq!(ta.busy_cores, tb.busy_cores, "{label}: busy cores diverged");
-    assert_eq!(ta.power, tb.power, "{label}: power timeline diverged");
-}
-
-/// The acceptance grid: ≥3 seeds × ≥3 heuristics (all four, in fact), with
-/// the paper's best filter chain — the configuration where prefix pmfs
-/// drive every decision through ECT, ρ, and the robustness filter.
+/// Three seeds × all four heuristics with the paper's best filter chain —
+/// the configuration where prefix pmfs drive every decision through ECT,
+/// ρ, and the robustness filter.
 #[test]
 fn cached_equals_uncached_across_seeds_and_heuristics() {
     for master in [3, 11, 29] {
         for kind in HeuristicKind::ALL {
-            let (a, b) = run_pair(master, 0, kind, FilterVariant::EnergyAndRobustness);
+            let (a, b) = run_against_oracle(master, 1, kind, FilterVariant::EnergyAndRobustness);
             assert_semantically_identical(&a, &b, &format!("seed {master} / {kind}"));
         }
     }
@@ -64,54 +30,22 @@ fn cached_equals_uncached_across_seeds_and_heuristics() {
 #[test]
 fn cached_equals_uncached_across_filter_variants() {
     for variant in FilterVariant::ALL {
-        let (a, b) = run_pair(7, 1, HeuristicKind::Mect, variant);
+        let (a, b) = run_against_oracle(7, 1, HeuristicKind::Mect, variant);
         assert_semantically_identical(&a, &b, &format!("variant {variant}"));
-    }
-}
-
-/// Later trials reuse the scheduler (and therefore the cache) across
-/// on_trial_start boundaries — stale entries must never leak into the next
-/// trial.
-#[test]
-fn cache_does_not_leak_across_trials() {
-    let scenario = Scenario::small_for_tests(13);
-    let mut cached = build_scheduler(
-        HeuristicKind::LightestLoad,
-        FilterVariant::EnergyAndRobustness,
-        &scenario,
-        0,
-    );
-    for trial in 0..3u64 {
-        let trace = scenario.trace(trial);
-        let a = Simulation::new(&scenario, &trace).run(cached.as_mut());
-        let mut fresh = Box::new(
-            (*build_scheduler(
-                HeuristicKind::LightestLoad,
-                FilterVariant::EnergyAndRobustness,
-                &scenario,
-                0,
-            ))
-            .without_prefix_cache(),
-        );
-        let b = Simulation::new(&scenario, &trace).run(fresh.as_mut());
-        assert_semantically_identical(&a, &b, &format!("trial {trial}"));
     }
 }
 
 /// The cache must actually be doing something: on a bursty trace the
 /// scheduler looks at every core per arrival while most cores' queues
-/// change only between their own events, so a healthy majority of lookups
-/// hit.
+/// change only between their own events, so lookups hit. The oracle keeps
+/// no cache and reports no cache statistics.
 #[test]
 fn cached_runs_report_hits_and_uncached_report_none() {
     let scenario = Scenario::small_for_tests(3);
     let trace = scenario.trace(0);
-    let mut cached = build_scheduler(
-        HeuristicKind::Mect,
-        FilterVariant::EnergyAndRobustness,
-        &scenario,
-        0,
-    );
+    let kind = HeuristicKind::Mect;
+    let variant = FilterVariant::EnergyAndRobustness;
+    let mut cached = build_scheduler(kind, variant, &scenario, 0);
     let a = Simulation::new(&scenario, &trace).run(cached.as_mut());
     let hits = a.telemetry().mapper.prefix_cache_hits();
     let misses = a.telemetry().mapper.prefix_cache_misses();
@@ -122,87 +56,10 @@ fn cached_runs_report_hits_and_uncached_report_none() {
         Some(hits as f64 / (hits + misses) as f64)
     );
 
-    let mut uncached = Box::new(
-        (*build_scheduler(
-            HeuristicKind::Mect,
-            FilterVariant::EnergyAndRobustness,
-            &scenario,
-            0,
-        ))
-        .without_prefix_cache(),
-    );
-    let b = Simulation::new(&scenario, &trace).run(uncached.as_mut());
+    let mut uncached = OracleMapper::build(kind, variant, &scenario, 0);
+    let b = Simulation::new(&scenario, &trace).run(&mut uncached);
     assert_eq!(b.telemetry().mapper.prefix_cache_hits(), 0);
     assert_eq!(b.telemetry().mapper.prefix_cache_misses(), 0);
     assert_eq!(b.telemetry().prefix_cache_hit_rate(), None);
-}
-
-/// Direct evaluator-level sweep: every candidate estimate over a busy
-/// mid-trial view must be bit-identical between modes, including after
-/// time advances and after queue mutations.
-#[test]
-fn evaluator_level_estimates_match_through_mutation_and_time() {
-    use ecds::sim::{CoreState, ExecutingTask, QueuedTask};
-
-    let s = Scenario::small_for_tests(5);
-    let mut cores = vec![CoreState::new(); s.cluster().total_cores()];
-    cores[0].start(ExecutingTask {
-        task: TaskId(0),
-        type_id: TaskTypeId(1),
-        pstate: PState::P0,
-        start: 0.0,
-        deadline: 9000.0,
-    });
-    cores[0].enqueue(QueuedTask {
-        task: TaskId(1),
-        type_id: TaskTypeId(2),
-        pstate: PState::P3,
-        deadline: 9000.0,
-    });
-    let task = Task {
-        id: TaskId(2),
-        type_id: TaskTypeId(0),
-        arrival: 10.0,
-        deadline: 10.0 + 4.0 * s.table().t_avg(),
-        quantile: 0.5,
-    };
-    let cached = CandidateEvaluator::default();
-    let uncached = CandidateEvaluator::uncached(ReductionPolicy::default());
-
-    for step in 0..4 {
-        let now = 10.0 + step as f64 * 15.0;
-        let view = SystemView::new(s.cluster(), s.table(), &cores, now, 3, 60);
-        assert!(
-            candidates_bit_eq(
-                &cached.evaluate_all(&view, &task),
-                &uncached.evaluate_all(&view, &task)
-            ),
-            "diverged at t={now}"
-        );
-        // Second call on the same view: all-hit fast path, same answer.
-        assert!(
-            candidates_bit_eq(
-                &cached.evaluate_all(&view, &task),
-                &uncached.evaluate_all(&view, &task)
-            ),
-            "warm pass diverged at t={now}"
-        );
-    }
-
-    // Mutate a core between views and re-check.
-    cores[1].start(ExecutingTask {
-        task: TaskId(3),
-        type_id: TaskTypeId(0),
-        pstate: PState::P2,
-        start: 60.0,
-        deadline: 9000.0,
-    });
-    let view = SystemView::new(s.cluster(), s.table(), &cores, 70.0, 4, 60);
-    assert!(
-        candidates_bit_eq(
-            &cached.evaluate_all(&view, &task),
-            &uncached.evaluate_all(&view, &task)
-        ),
-        "diverged after mutation"
-    );
+    assert_semantically_identical(&a, &b, "counter check pair");
 }

@@ -5,9 +5,8 @@
 //! `Simulation::run_with` — the serving loop keeps exactly one pending
 //! arrival resident, so every event pops in the same order and every f64
 //! operation executes in the same sequence. This suite holds that claim to
-//! `to_bits` identity on the paper-scale 1,000-task workload, across the
-//! evaluator fast-path variants (prefix cache / fused kernel / candidate
-//! dedup on and off), and for the batch discipline.
+//! `to_bits` identity on the paper-scale 1,000-task workload, on every
+//! heuristic at test scale, and for the batch discipline.
 
 use ecds::ext::{run_batch, BatchDiscipline, BatchEdf, BatchMaxRho, BatchPolicy};
 use ecds::prelude::*;
@@ -97,41 +96,32 @@ fn serve_trace(
 }
 
 // ---------------------------------------------------------------------------
-// The tentpole acceptance test: 1,000 tasks, every evaluator variant.
+// The tentpole acceptance test: the paper's 1,000-task workload.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn thousand_task_serve_matches_classic_across_evaluator_variants() {
+fn thousand_task_serve_matches_classic() {
     let scenario = Scenario::paper(1353);
     let trace = scenario.trace(0);
     assert_eq!(trace.len(), 1000, "paper scenario must be full scale");
 
-    type Tweak = fn(Scheduler) -> Scheduler;
-    let variants: [(&str, Tweak); 4] = [
-        ("all fast paths", |s| s),
-        ("no prefix cache", Scheduler::without_prefix_cache),
-        ("no fused kernel", Scheduler::without_fused_kernel),
-        ("no candidate dedup", Scheduler::without_candidate_dedup),
-    ];
-    let build = |tweak: Tweak| {
-        tweak(*build_scheduler(
+    let build = || {
+        build_scheduler(
             HeuristicKind::LightestLoad,
             FilterVariant::EnergyAndRobustness,
             &scenario,
             0,
-        ))
+        )
     };
-    for (label, tweak) in variants {
-        let mut classic_scheduler = build(tweak);
-        let mut classic_discipline = ImmediateDiscipline::new(&mut classic_scheduler);
-        let classic = Simulation::new(&scenario, &trace).run_with(&mut classic_discipline);
+    let mut classic_scheduler = build();
+    let mut classic_discipline = ImmediateDiscipline::new(classic_scheduler.as_mut());
+    let classic = Simulation::new(&scenario, &trace).run_with(&mut classic_discipline);
 
-        let mut serve_scheduler = build(tweak);
-        let mut serve_discipline = ImmediateDiscipline::new(&mut serve_scheduler);
-        let served = serve_trace(&scenario, &trace, &mut serve_discipline);
+    let mut serve_scheduler = build();
+    let mut serve_discipline = ImmediateDiscipline::new(serve_scheduler.as_mut());
+    let served = serve_trace(&scenario, &trace, &mut serve_discipline);
 
-        assert_bit_identical(&classic, &served, label);
-    }
+    assert_bit_identical(&classic, &served, "LL/en+rob");
 }
 
 /// The smaller grid: every heuristic under both engines, with the energy

@@ -8,6 +8,7 @@
 //!
 //! Each study prints a markdown table of median missed deadlines.
 
+use ecds_bench::cli::Cli;
 use ecds_bench::parallel::{default_threads, run_parallel};
 use ecds_core::{
     DeterministicMct, EnergyFilter, Filter, FilterVariant, Heuristic, HeuristicKind, KPercentBest,
@@ -35,26 +36,20 @@ fn parse_args() -> Args {
         threads: default_threads(),
         small: false,
     };
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
+    let mut cli = Cli::from_env(
+        "usage: ablations [zeta-mul|rho-thresh|impulse-cap|idle-downshift|arrivals|zoo|all] \
+         [--trials N] [--seed S] [--threads T] [--small]",
+    );
+    while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
             "zeta-mul" | "rho-thresh" | "impulse-cap" | "idle-downshift" | "arrivals" | "zoo"
             | "all" => args.command = arg,
-            "--trials" => args.trials = iter.next().and_then(|v| v.parse().ok()).expect("number"),
-            "--seed" => args.seed = iter.next().and_then(|v| v.parse().ok()).expect("number"),
-            "--threads" => args.threads = iter.next().and_then(|v| v.parse().ok()).expect("number"),
+            "--trials" => args.trials = cli.value("--trials"),
+            "--seed" => args.seed = cli.value("--seed"),
+            "--threads" => args.threads = cli.value("--threads"),
             "--small" => args.small = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: ablations [zeta-mul|rho-thresh|impulse-cap|idle-downshift|arrivals|zoo|all] \
-                     [--trials N] [--seed S] [--threads T] [--small]"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            "--help" | "-h" => cli.help(),
+            other => cli.fail(&format!("unknown argument: {other}")),
         }
     }
     args

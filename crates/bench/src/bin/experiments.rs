@@ -11,6 +11,7 @@
 
 use std::path::PathBuf;
 
+use ecds_bench::cli::Cli;
 use ecds_bench::report::{
     grid_csv, render_best_figure, render_full_report, render_headline_analysis,
     render_heuristic_figure,
@@ -37,41 +38,20 @@ fn parse_args() -> Args {
         out: PathBuf::from("results"),
         small: false,
     };
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
+    let mut cli = Cli::from_env(
+        "usage: experiments [fig2|fig3|fig4|fig5|fig6|all] \
+         [--trials N] [--seed S] [--threads T] [--out DIR] [--small]",
+    );
+    while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
             "fig2" | "fig3" | "fig4" | "fig5" | "fig6" | "all" => args.command = arg,
-            "--trials" => {
-                args.trials = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--trials needs a number")
-            }
-            "--seed" => {
-                args.seed = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs a number")
-            }
-            "--threads" => {
-                args.threads = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads needs a number")
-            }
-            "--out" => args.out = PathBuf::from(iter.next().expect("--out needs a path")),
+            "--trials" => args.trials = cli.value("--trials"),
+            "--seed" => args.seed = cli.value("--seed"),
+            "--threads" => args.threads = cli.value("--threads"),
+            "--out" => args.out = cli.value("--out"),
             "--small" => args.small = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: experiments [fig2|fig3|fig4|fig5|fig6|all] \
-                     [--trials N] [--seed S] [--threads T] [--out DIR] [--small]"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            "--help" | "-h" => cli.help(),
+            other => cli.fail(&format!("unknown argument: {other}")),
         }
     }
     args

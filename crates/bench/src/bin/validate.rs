@@ -16,6 +16,7 @@
 //! validate [--trials N] [--seed S] [--small]
 //! ```
 
+use ecds_bench::cli::Cli;
 use ecds_core::{RandomChoice, RobustnessFilter, Scheduler};
 use ecds_pmf::ReductionPolicy;
 use ecds_pmf::Stream;
@@ -34,20 +35,14 @@ fn parse_args() -> Args {
         seed: 1353,
         small: false,
     };
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
+    let mut cli = Cli::from_env("usage: validate [--trials N] [--seed S] [--small]");
+    while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
-            "--trials" => args.trials = iter.next().and_then(|v| v.parse().ok()).expect("number"),
-            "--seed" => args.seed = iter.next().and_then(|v| v.parse().ok()).expect("number"),
+            "--trials" => args.trials = cli.value("--trials"),
+            "--seed" => args.seed = cli.value("--seed"),
             "--small" => args.small = true,
-            "--help" | "-h" => {
-                eprintln!("usage: validate [--trials N] [--seed S] [--small]");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            "--help" | "-h" => cli.help(),
+            other => cli.fail(&format!("unknown argument: {other}")),
         }
     }
     args

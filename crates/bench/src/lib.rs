@@ -13,11 +13,15 @@
 //! * `experiments` — regenerates Figures 2–6 (`cargo run --release -p
 //!   ecds-bench --bin experiments -- all`),
 //! * `ablations` — our extension studies (ζ_mul adaptivity, ρ_thresh sweep,
-//!   impulse-cap sensitivity, idle downshift, arrival patterns).
+//!   impulse-cap sensitivity, idle downshift, arrival patterns),
+//! * `validate` — the robustness model's calibration table.
+//!
+//! All three parse their arguments through [`cli::Cli`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod cli;
 pub mod experiment;
 pub mod parallel;
 pub mod report;

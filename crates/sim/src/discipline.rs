@@ -1,7 +1,9 @@
 //! The commitment-discipline seam of the unified engine.
 //!
-//! One event-driven core ([`Simulation::run_with`](crate::Simulation::run_with))
-//! owns everything both simulation modes share — the deterministic
+//! One event loop ([`ServeSession::step`](crate::ServeSession::step), which
+//! finite trials reach through
+//! [`Simulation::run_with`](crate::Simulation::run_with)) owns everything
+//! both simulation modes share — the deterministic
 //! [`EventQueue`], per-core run state, the
 //! Eq. 1–2 energy accountant, per-task outcomes, telemetry, and the
 //! exhaustion cutoff. What *differs* between modes is only **when mapped
@@ -127,33 +129,11 @@ pub struct EngineCtx<'a> {
 }
 
 impl<'a> EngineCtx<'a> {
-    /// Builds the initial engine state for one trial: idle cores in the
-    /// configured initial P-state, blank outcomes, and every arrival
-    /// pre-scheduled in task-id order.
-    pub(crate) fn new(
-        cluster: &'a Cluster,
-        table: &'a ExecTable,
-        cfg: &'a SimConfig,
-        tasks: &[Task],
-    ) -> Self {
-        let mut ctx = Self::new_streaming(cluster, table, cfg);
-        ctx.window = tasks.len();
-        ctx.store = TaskStore::from_tasks(tasks);
-        ctx.queue.reserve(tasks.len());
-        for task in tasks {
-            ctx.queue.push(task.arrival, EventKind::Arrival(task.id));
-        }
-        ctx
-    }
-
-    /// Builds empty engine state for the continuous-serving loop: no tasks
-    /// yet, an empty event queue, and a zero window (the serving loop sets
-    /// the window from its horizon before the first mapping event).
-    pub(crate) fn new_streaming(
-        cluster: &'a Cluster,
-        table: &'a ExecTable,
-        cfg: &'a SimConfig,
-    ) -> Self {
+    /// Builds empty engine state: idle cores in the configured initial
+    /// P-state, no tasks yet, an empty event queue, and a zero window (the
+    /// serving loop streams tasks in and sets the window from its horizon
+    /// before the first mapping event).
+    pub(crate) fn new(cluster: &'a Cluster, table: &'a ExecTable, cfg: &'a SimConfig) -> Self {
         Self {
             cluster,
             table,
@@ -215,7 +195,7 @@ impl<'a> EngineCtx<'a> {
         self.arrived
     }
 
-    /// The trial window size: total tasks for a classic trial, the
+    /// The trial window size: total tasks for a finite trial, the
     /// serving horizon (arrived plus lookahead) for a rolling stream.
     #[inline]
     pub fn window(&self) -> usize {
@@ -234,8 +214,9 @@ impl<'a> EngineCtx<'a> {
         &self.cores
     }
 
-    /// Resident per-task outcomes accumulated so far (all outcomes for a
-    /// classic trial; the unretired suffix in a serving session).
+    /// Resident per-task outcomes accumulated so far (every arrived or
+    /// pulled task under full retention; the unretired suffix under
+    /// bounded retention).
     #[inline]
     pub fn outcomes(&self) -> &[TaskOutcome] {
         self.store.resident_outcomes()

@@ -1,24 +1,23 @@
-//! The discrete-event simulation engine: one event core for every
-//! commitment discipline.
+//! One finite trial: a scenario plus a trace, run to completion.
 //!
-//! The engine owns everything the simulation modes share — the
-//! deterministic [`EventQueue`](crate::event::EventQueue) (completions
-//! before arrivals at equal times, then insertion order), per-core run
-//! state, the Eq. 1–2 energy accountant, per-task outcomes, telemetry
-//! sampling, and the exact exhaustion cutoff. A pluggable [`Discipline`]
-//! decides *when mapped work is committed to a core*: immediate mode
-//! ([`ImmediateDiscipline`] driving a
+//! A trial is a prefix of the arrival stream the serving loop consumes, so
+//! [`Simulation`] owns no event loop of its own: it streams the trace
+//! through a [`TraceArrivalSource`] into a [`ServeSession`] with a
+//! [`Horizon::Fixed`](crate::Horizon::Fixed) window of the trace length and
+//! [`Retention::Full`](crate::Retention::Full), runs the session until its
+//! event queue drains, and finalizes it into a [`TrialResult`]. The
+//! session's pluggable [`Discipline`] decides *when mapped work is
+//! committed to a core*: immediate mode ([`ImmediateDiscipline`] driving a
 //! [`Mapper`]) commits at arrival into a core FIFO; batch mode
 //! (`BatchDiscipline` in `ecds-ext`) holds a central pending bag and
 //! commits when cores free up.
 
-use ecds_pmf::Time;
-use ecds_workload::WorkloadTrace;
+use ecds_workload::{TraceArrivalSource, WorkloadTrace};
 
-use crate::discipline::{Discipline, EngineCtx, ImmediateDiscipline};
-use crate::event::EventKind;
+use crate::discipline::{Discipline, ImmediateDiscipline};
 use crate::result::TrialResult;
 use crate::scenario::Scenario;
+use crate::serve::{ServeConfig, ServeSession};
 use crate::view::Mapper;
 
 /// One trial's simulation: a scenario plus a trace, run with a mapper (or
@@ -54,53 +53,24 @@ impl<'a> Simulation<'a> {
     /// Runs the trial to completion under an arbitrary commitment
     /// [`Discipline`] and reports the result.
     ///
-    /// The engine pops events in deterministic order (time, then
-    /// completions before arrivals, then insertion order), records shared
-    /// bookkeeping (arrival counts, completion outcomes), and delegates
-    /// every commitment decision to the discipline's hooks. After the last
-    /// event it finalizes the energy accountant, computes the exact budget
-    /// exhaustion instant, and copies the discipline's
+    /// The trace is served as a finite [`ServeSession`]
+    /// ([`ServeConfig::finite`]): arrivals stream in one at a time, every
+    /// event is handled by [`ServeSession::step`], and
+    /// [`ServeSession::finish`] finalizes the energy accountant, computes
+    /// the exact budget exhaustion instant, and copies the discipline's
     /// [`stats`](Discipline::stats) into the trial telemetry.
     pub fn run_with(&self, discipline: &mut dyn Discipline) -> TrialResult {
-        let cluster = self.scenario.cluster();
-        let cfg = self.scenario.sim_config();
-        let mut ctx = EngineCtx::new(cluster, self.scenario.table(), cfg, self.trace.tasks());
-        discipline.on_trial_start(&mut ctx);
-
-        let mut end_time: Time = 0.0;
-        while let Some(event) = ctx.queue.pop() {
-            end_time = end_time.max(event.time);
-            ctx.now = event.time;
-            match event.kind {
-                EventKind::Arrival(task_id) => {
-                    ctx.arrived += 1;
-                    debug_assert_eq!(ctx.task(task_id).id, task_id, "trace must be id-ordered");
-                    discipline.on_arrival(&mut ctx, task_id);
-                }
-                EventKind::Completion { core, task } => {
-                    ctx.store.outcome_mut(task).completion = Some(event.time);
-                    discipline.on_completion(&mut ctx, core, task);
-                }
-            }
-            discipline.after_event(&mut ctx);
-        }
-
-        ctx.accountant.finalize(end_time);
-        let mut telemetry = ctx.telemetry;
-        telemetry.mapper = discipline.stats();
-        telemetry.power = ctx.accountant.power_timeline(cluster);
-        let total_energy = ctx.accountant.total_energy(cluster);
-        let exhausted_at = cfg
-            .energy_budget
-            .and_then(|budget| ctx.accountant.exhaustion_time(cluster, budget));
-
-        TrialResult::new(
-            ctx.store.into_outcomes(),
-            total_energy,
-            exhausted_at,
-            end_time,
-            telemetry,
-        )
+        let mut source = TraceArrivalSource::new(self.trace);
+        let mut session = ServeSession::new(
+            self.scenario.cluster(),
+            self.scenario.table(),
+            self.scenario.sim_config(),
+            ServeConfig::finite(self.trace.len()),
+            &mut source,
+            discipline,
+        );
+        session.run(&mut source, discipline);
+        session.finish(discipline)
     }
 }
 

@@ -79,9 +79,8 @@ impl EventQueue {
     }
 
     /// An empty queue with room for `capacity` events before the first
-    /// reallocation — reserve-ahead for deep queues (a classic trial pushes
-    /// the whole trace up front; a 10⁶-event run would otherwise pay ~20
-    /// doubling copies on the hot path).
+    /// reallocation — reserve-ahead for deep queues (a 10⁶-event queue
+    /// would otherwise pay ~20 doubling copies on the hot path).
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             heap: BinaryHeap::with_capacity(capacity),

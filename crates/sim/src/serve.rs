@@ -1,11 +1,12 @@
-//! Continuous-serving scheduler loop: streaming arrivals, bounded resident
+//! The scheduler's one event loop: streaming arrivals, bounded resident
 //! memory, and bit-identical checkpoint/restore.
 //!
-//! The classic engine ([`Simulation::run_with`](crate::Simulation::run_with))
-//! pre-schedules a whole trace and keeps every outcome until the end — fine
-//! for a 1,000-task trial, impossible for an unbounded stream.
-//! [`ServeSession`] runs the *same* event mechanics against an
-//! [`ArrivalSource`]:
+//! [`ServeSession`] runs the engine against an [`ArrivalSource`]. A finite
+//! trial is a prefix of such a stream:
+//! [`Simulation::run_with`](crate::Simulation::run_with) is a session with
+//! [`Horizon::Fixed`] and [`Retention::Full`] over a
+//! [`TraceArrivalSource`](ecds_workload::TraceArrivalSource), finalized by
+//! [`ServeSession::finish`]. The session:
 //!
 //! * exactly one pending arrival is kept in the event queue; when it pops,
 //!   the next task is pulled from the source *before* the discipline runs,
@@ -19,20 +20,17 @@
 //!   discipline's own state) through `ecds-persist`;
 //!   [`ServeSession::restore`] resumes bit-identically.
 //!
-//! # Equivalence with the classic engine
+//! # Checked against bulk-loaded reference engines
 //!
-//! With a finite [`TraceArrivalSource`](ecds_workload::TraceArrivalSource),
-//! [`Horizon::Fixed`] and [`Retention::Full`], a serving run is
-//! *bit-identical* to `run_with` on the same trace. The argument: event pop
-//! order is governed by `(time, rank, seq)` with `seq` only breaking ties
-//! within the same rank. Arrivals enter the queue in id order here just as
-//! in the classic engine (the stream is id-ordered with nondecreasing
-//! arrival times, and the next arrival is pushed before the current one is
-//! processed), so equal-time arrivals keep their FIFO order; completions
-//! are scheduled by the identical discipline-hook sequence, so their
-//! relative seq order matches too; cross-rank ties never consult `seq`.
-//! Identical pop order drives identical hook sequences, hence identical
-//! f64 operation sequences, outcomes, telemetry, and RNG consumption.
+//! The event pop order is governed by `(time, rank, seq)`, with `seq` only
+//! breaking ties within the same rank. Arrivals enter the queue in id
+//! order (the stream is id-ordered with nondecreasing arrival times, and
+//! the next arrival is pushed before the current one is processed), so
+//! equal-time arrivals keep their FIFO order; cross-rank ties never consult
+//! `seq`. Pop order is therefore the same as an engine that queues the
+//! whole trace up front, which is how the reference engines in
+//! `tests/integration_unified_engine.rs` run; that suite holds finite
+//! trials to bit identity with them.
 
 use ecds_cluster::{Cluster, PState};
 use ecds_persist::{open, seal, DecodeError, Decoder, Encoder};
@@ -56,9 +54,8 @@ pub const CHECKPOINT_VERSION: u32 = 2;
 /// How the mapper-visible window is derived for a stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Horizon {
-    /// The window is a known constant — the classic-trial semantics. A
-    /// finite source of exactly this many tasks reproduces
-    /// `Simulation::run_with` bit-for-bit.
+    /// The window is a known constant — the finite-trial semantics that
+    /// `Simulation::run_with` runs with (the trace length).
     Fixed(u64),
     /// The window rolls with the stream: `arrived + lookahead`, updated at
     /// every arrival. `T_left` stays pinned at `lookahead + 1`, modelling
@@ -99,8 +96,8 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Classic-equivalent configuration for a finite trace of `window`
-    /// tasks: fixed horizon, full retention, no cap.
+    /// The finite-trial configuration `Simulation::run_with` uses for a
+    /// trace of `window` tasks: fixed horizon, full retention, no cap.
     pub fn finite(window: usize) -> Self {
         Self {
             horizon: Horizon::Fixed(window as u64),
@@ -180,7 +177,7 @@ impl<'a> ServeSession<'a> {
                 "bounded retention compacts energy logs and cannot honour an energy budget"
             );
         }
-        let mut ctx = EngineCtx::new_streaming(cluster, table, cfg);
+        let mut ctx = EngineCtx::new(cluster, table, cfg);
         ctx.window = match serve_cfg.horizon {
             Horizon::Fixed(n) => n as usize,
             Horizon::Rolling { lookahead } => lookahead as usize,
@@ -250,7 +247,8 @@ impl<'a> ServeSession<'a> {
             EventKind::Arrival(task_id) => {
                 // Pull the successor before processing: equal-time arrivals
                 // must already be queued when completions scheduled by this
-                // hook land, preserving the classic engine's pop order.
+                // hook land, preserving the pop order of a queue that holds
+                // the whole trace.
                 self.pull_next(source);
                 self.ctx.arrived += 1;
                 if let Horizon::Rolling { lookahead } = self.serve_cfg.horizon {
@@ -335,8 +333,9 @@ impl<'a> ServeSession<'a> {
         &self.tally
     }
 
-    /// Finalizes a full-retention session into a classic [`TrialResult`]
-    /// — bit-identical to `Simulation::run_with` for a finite trace.
+    /// Finalizes a full-retention session into a per-task [`TrialResult`]
+    /// — the only finalizer of a finite trial (`Simulation::run_with` ends
+    /// here).
     ///
     /// # Panics
     ///

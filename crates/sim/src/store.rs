@@ -1,12 +1,12 @@
 //! Windowed storage for tasks and their outcomes.
 //!
-//! The classic engine holds every task and outcome of a trial for its whole
-//! duration; the continuous-serving loop cannot — its arrival stream is
-//! unbounded. [`TaskStore`] keeps the two parallel arrays *windowed*: ids
-//! below `base` have been retired (their outcome folded into the serving
-//! tally) and only the resident suffix stays in memory, so resident bytes
-//! are bounded by in-flight work rather than stream length. The classic
-//! path never retires, so `base` stays 0 and behaviour is unchanged.
+//! Tasks are pushed one at a time as the serving loop pulls them off the
+//! arrival stream. [`TaskStore`] keeps the two parallel arrays *windowed*:
+//! ids below `base` have been retired (their outcome folded into the
+//! serving tally) and only the resident suffix stays in memory, so resident
+//! bytes are bounded by in-flight work rather than stream length. Full
+//! retention (every finite trial) never retires, so `base` stays 0 and
+//! [`TaskStore::into_outcomes`] returns every outcome.
 
 use ecds_workload::{Task, TaskId};
 
@@ -64,15 +64,6 @@ impl TaskStore {
             tasks: Vec::new(),
             outcomes: Vec::new(),
         }
-    }
-
-    /// A store pre-filled with a whole trace (the classic engine path).
-    pub(crate) fn from_tasks(tasks: &[Task]) -> Self {
-        let mut store = Self::new();
-        for &task in tasks {
-            store.push(task);
-        }
-        store
     }
 
     /// Rebuilds a store from checkpointed parts; ids stay dense starting
@@ -194,7 +185,7 @@ impl TaskStore {
         n
     }
 
-    /// Consumes the store into the full outcome vector (classic-path
+    /// Consumes the store into the full outcome vector (full-retention
     /// finalization).
     ///
     /// # Panics
@@ -223,8 +214,11 @@ mod tests {
     }
 
     fn filled(n: usize) -> TaskStore {
-        let tasks: Vec<Task> = (0..n).map(task).collect();
-        TaskStore::from_tasks(&tasks)
+        let mut store = TaskStore::new();
+        for id in 0..n {
+            store.push(task(id));
+        }
+        store
     }
 
     #[test]

@@ -73,7 +73,7 @@ impl MapperStats {
 ///
 /// The bounded-retention serve path records every sample straight into
 /// this accumulator ([`TelemetryFold::record`]) instead of growing the
-/// per-trial [`Telemetry`] vectors; the classic path still buffers and
+/// per-trial [`Telemetry`] vectors; full retention still buffers and
 /// [`TelemetryFold::absorb`]s at the end. Both routes perform the same
 /// f64 operations in the same per-sample order, so the folded values are
 /// bit-identical whichever way the samples travel.

@@ -1,8 +1,8 @@
 //! Streaming arrival sources for the continuous-serving engine.
 //!
-//! The classic trial shape materializes a whole [`WorkloadTrace`] up front;
-//! a long-running serve loop instead pulls tasks one at a time through
-//! [`ArrivalSource`]. Sources are deterministic — the task stream is a pure
+//! The serve loop pulls tasks one at a time through [`ArrivalSource`],
+//! whether the stream is a pre-generated finite [`WorkloadTrace`] (a
+//! trial) or endless. Sources are deterministic — the task stream is a pure
 //! function of the construction parameters and the number of pulls — and
 //! checkpointable: [`ArrivalSource::save_state`] captures exactly the
 //! mutable cursor/RNG state, so a restored source resumes the stream at
@@ -41,8 +41,8 @@ pub trait ArrivalSource {
 }
 
 /// The finite source: streams a pre-generated [`WorkloadTrace`] task by
-/// task. This is the paper-scale path — a serve run over this source is
-/// bit-identical to the classic fixed-trial engine over the same trace.
+/// task. This is the paper-scale path: every finite trial is a serve run
+/// over this source.
 #[derive(Debug, Clone)]
 pub struct TraceArrivalSource<'a> {
     tasks: &'a [Task],

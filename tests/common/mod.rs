@@ -1,9 +1,11 @@
-//! Shared by the evaluator differential suites: `OracleMapper`, the
-//! reference twin of `build_scheduler`, and the semantic comparison of two
-//! trial results.
+//! Shared by the differential suites: `OracleMapper`, the reference twin of
+//! `build_scheduler`, and the bit-identity comparisons of two trial results.
 //!
-//! Only the *semantic* fields are compared: the oracle keeps no cache, runs
-//! no fused kernel and forms no classes, so it reports no work counters.
+//! Suites declare `pub mod common;` so the helpers a suite does not call
+//! are not reported as dead code.
+//!
+//! Every `f64` is compared through `to_bits`, never float `==`, so a
+//! `-0.0`/`0.0` or NaN difference cannot hide a divergence.
 
 use ecds::core::factory::build_heuristic;
 use ecds::core::reference;
@@ -94,18 +96,70 @@ pub fn run_against_oracle(
     (a, b)
 }
 
+fn opt_bits(v: Option<f64>) -> Option<u64> {
+    v.map(f64::to_bits)
+}
+
+fn series_bits<T: Copy>(v: &[(f64, T)], f: impl Fn(T) -> u64) -> Vec<(u64, u64)> {
+    v.iter().map(|&(t, x)| (t.to_bits(), f(x))).collect()
+}
+
 /// Task outcomes, energy, exhaustion, makespan and the telemetry series
-/// must agree bit for bit.
+/// must agree bit for bit. Work counters are not compared: the oracle
+/// keeps no cache, runs no fused kernel and forms no classes, so it
+/// reports none.
 pub fn assert_semantically_identical(a: &TrialResult, b: &TrialResult, label: &str) {
-    assert_eq!(a.outcomes(), b.outcomes(), "{label}: outcomes diverged");
+    assert_eq!(
+        a.outcomes().len(),
+        b.outcomes().len(),
+        "{label}: outcome count diverged"
+    );
+    for (x, y) in a.outcomes().iter().zip(b.outcomes()) {
+        // Destructured so a new outcome field cannot go uncompared.
+        let TaskOutcome {
+            task,
+            type_id,
+            arrival,
+            deadline,
+            assignment,
+            start,
+            completion,
+            cancelled,
+        } = *x;
+        assert_eq!(task, y.task, "{label}: task id order diverged");
+        assert_eq!(type_id, y.type_id, "{label}: type of {task:?} diverged");
+        assert_eq!(
+            (arrival.to_bits(), deadline.to_bits()),
+            (y.arrival.to_bits(), y.deadline.to_bits()),
+            "{label}: arrival/deadline of {task:?} diverged"
+        );
+        assert_eq!(
+            assignment, y.assignment,
+            "{label}: assignment of {task:?} diverged"
+        );
+        assert_eq!(
+            opt_bits(start),
+            opt_bits(y.start),
+            "{label}: start of {task:?} diverged"
+        );
+        assert_eq!(
+            opt_bits(completion),
+            opt_bits(y.completion),
+            "{label}: completion of {task:?} diverged"
+        );
+        assert_eq!(
+            cancelled, y.cancelled,
+            "{label}: cancellation of {task:?} diverged"
+        );
+    }
     assert_eq!(
         a.total_energy().to_bits(),
         b.total_energy().to_bits(),
         "{label}: energy diverged"
     );
     assert_eq!(
-        a.exhausted_at().map(f64::to_bits),
-        b.exhausted_at().map(f64::to_bits),
+        opt_bits(a.exhausted_at()),
+        opt_bits(b.exhausted_at()),
         "{label}: exhaustion diverged"
     );
     assert_eq!(
@@ -115,9 +169,30 @@ pub fn assert_semantically_identical(a: &TrialResult, b: &TrialResult, label: &s
     );
     let (ta, tb) = (a.telemetry(), b.telemetry());
     assert_eq!(
-        ta.queue_depth, tb.queue_depth,
+        series_bits(&ta.queue_depth, f64::to_bits),
+        series_bits(&tb.queue_depth, f64::to_bits),
         "{label}: queue depth diverged"
     );
-    assert_eq!(ta.busy_cores, tb.busy_cores, "{label}: busy cores diverged");
-    assert_eq!(ta.power, tb.power, "{label}: power timeline diverged");
+    assert_eq!(
+        series_bits(&ta.busy_cores, |n| n as u64),
+        series_bits(&tb.busy_cores, |n| n as u64),
+        "{label}: busy cores diverged"
+    );
+    assert_eq!(
+        series_bits(&ta.power, f64::to_bits),
+        series_bits(&tb.power, f64::to_bits),
+        "{label}: power timeline diverged"
+    );
+}
+
+/// Everything [`assert_semantically_identical`] compares, plus the work
+/// counters in `Telemetry::mapper`: the two runs made the same decisions
+/// the same way.
+pub fn assert_bit_identical(a: &TrialResult, b: &TrialResult, label: &str) {
+    assert_semantically_identical(a, b, label);
+    assert_eq!(
+        a.telemetry().mapper,
+        b.telemetry().mapper,
+        "{label}: mapper stats diverged"
+    );
 }

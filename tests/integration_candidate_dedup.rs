@@ -7,7 +7,7 @@
 //! The seed × heuristic sweep runs trial 3; `integration_evaluator_oracle`
 //! covers trial 0 of the same grid.
 
-mod common;
+pub mod common;
 
 use common::{assert_semantically_identical, run_against_oracle, OracleMapper};
 use ecds::prelude::*;

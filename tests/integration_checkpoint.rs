@@ -7,93 +7,13 @@
 //! is asserted through `f64::to_bits`, never float `==`, so `-0.0`/`0.0`
 //! masking and NaN-hostility cannot hide a divergence.
 
+pub mod common;
+
+use common::assert_bit_identical;
 use ecds::ext::{BatchDiscipline, BatchEdf, BatchMaxRho, BatchPolicy};
 use ecds::prelude::*;
 use ecds::sim::{ServeConfig, ServeSession};
 use ecds::workload::TraceArrivalSource;
-
-// ---------------------------------------------------------------------------
-// Bit-identity helpers.
-// ---------------------------------------------------------------------------
-
-fn opt_bits(v: Option<f64>) -> Option<u64> {
-    v.map(f64::to_bits)
-}
-
-fn series_bits(v: &[(f64, f64)]) -> Vec<(u64, u64)> {
-    v.iter().map(|&(a, b)| (a.to_bits(), b.to_bits())).collect()
-}
-
-fn assert_bit_identical(a: &TrialResult, b: &TrialResult, label: &str) {
-    assert_eq!(
-        a.outcomes().len(),
-        b.outcomes().len(),
-        "{label}: outcome count diverged"
-    );
-    for (x, y) in a.outcomes().iter().zip(b.outcomes()) {
-        assert_eq!(x.task, y.task, "{label}: task id order diverged");
-        assert_eq!(
-            x.assignment, y.assignment,
-            "{label}: assignment of {:?} diverged",
-            x.task
-        );
-        assert_eq!(
-            opt_bits(x.start),
-            opt_bits(y.start),
-            "{label}: start of {:?} diverged",
-            x.task
-        );
-        assert_eq!(
-            opt_bits(x.completion),
-            opt_bits(y.completion),
-            "{label}: completion of {:?} diverged",
-            x.task
-        );
-        assert_eq!(
-            x.cancelled, y.cancelled,
-            "{label}: cancellation of {:?} diverged",
-            x.task
-        );
-    }
-    assert_eq!(
-        a.total_energy().to_bits(),
-        b.total_energy().to_bits(),
-        "{label}: energy diverged"
-    );
-    assert_eq!(
-        opt_bits(a.exhausted_at()),
-        opt_bits(b.exhausted_at()),
-        "{label}: exhaustion diverged"
-    );
-    assert_eq!(
-        a.makespan().to_bits(),
-        b.makespan().to_bits(),
-        "{label}: makespan diverged"
-    );
-    let (ta, tb) = (a.telemetry(), b.telemetry());
-    assert_eq!(
-        series_bits(&ta.queue_depth),
-        series_bits(&tb.queue_depth),
-        "{label}: queue-depth series diverged"
-    );
-    assert_eq!(
-        ta.busy_cores
-            .iter()
-            .map(|&(t, n)| (t.to_bits(), n))
-            .collect::<Vec<_>>(),
-        tb.busy_cores
-            .iter()
-            .map(|&(t, n)| (t.to_bits(), n))
-            .collect::<Vec<_>>(),
-        "{label}: busy-core series diverged"
-    );
-    assert_eq!(
-        series_bits(&ta.power),
-        series_bits(&tb.power),
-        "{label}: power timeline diverged"
-    );
-    assert_eq!(ta.mapper, tb.mapper, "{label}: mapper stats diverged");
-}
 
 // ---------------------------------------------------------------------------
 // Immediate mode.

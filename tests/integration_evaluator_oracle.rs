@@ -13,7 +13,7 @@
 //! comparison on further trials and check each layer's counters show it
 //! actually ran.
 
-mod common;
+pub mod common;
 
 use common::{assert_semantically_identical, run_against_oracle, OracleMapper};
 use ecds::core::reference;

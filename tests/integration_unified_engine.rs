@@ -1,17 +1,21 @@
-//! Differential proof that the unified-engine refactor is
-//! behavior-identical to the two engines it replaced.
+//! The engine's independent reference: differential proof that the one
+//! event loop — `ServeSession::step`, which every finite trial reaches
+//! through `Simulation::run`/`run_with` as a fixed-horizon,
+//! full-retention session over a `TraceArrivalSource` — behaves exactly
+//! like two engines that share none of its code.
 //!
-//! The pre-refactor immediate-mode loop and the pre-refactor batch-mode
-//! loop are embedded here verbatim as *reference engines* (built from the
-//! same public building blocks — [`EventQueue`], [`CoreState`],
-//! [`EnergyAccountant`] — or, for batch, the old private `(time, seq)`
-//! heap). Every test runs the same scenario through a reference engine and
-//! through the unified `Simulation::run`/`run_with` path and asserts the
-//! results agree:
+//! The reference engines are the immediate-mode loop and the batch-mode
+//! loop that predate the unified engine, embedded here verbatim. Both
+//! bulk-load the whole trace into their event queue up front, where the
+//! serve loop pulls one arrival at a time. They are built only from public
+//! building blocks — [`EventQueue`], [`CoreState`], [`EnergyAccountant`] —
+//! or, for batch, their own private `(time, seq)` heap. Every test runs the
+//! same scenario through a reference engine and through `Simulation` and
+//! asserts the results agree:
 //!
 //! * Immediate mode must be **bit-identical** — outcomes, energy,
-//!   exhaustion, makespan, and every telemetry series. The engine consumes
-//!   no RNG, so `results/` artifacts are untouched by the refactor.
+//!   exhaustion, makespan, every telemetry series, and the mapper's work
+//!   counters.
 //! * Batch mode must be **outcome-identical** up to the one documented
 //!   tie-break unification: the old batch heap ordered events by
 //!   `(time, insertion)` only, so an arrival scheduled before a completion
@@ -21,9 +25,12 @@
 //!   continuous quantile draws), so full identity is asserted — and the
 //!   ordering delta itself is characterized by a dedicated test below.
 
+pub mod common;
+
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use common::assert_bit_identical;
 use ecds::ext::{run_batch, BatchEdf, BatchMaxRho, BatchPolicy, BatchView};
 use ecds::pmf::Time;
 use ecds::prelude::*;
@@ -331,33 +338,6 @@ fn legacy_batch(
 }
 
 // ---------------------------------------------------------------------------
-// Comparison helpers.
-// ---------------------------------------------------------------------------
-
-fn assert_bit_identical(a: &TrialResult, b: &TrialResult, label: &str) {
-    assert_eq!(a.outcomes(), b.outcomes(), "{label}: outcomes diverged");
-    assert_eq!(
-        a.total_energy(),
-        b.total_energy(),
-        "{label}: energy diverged"
-    );
-    assert_eq!(
-        a.exhausted_at(),
-        b.exhausted_at(),
-        "{label}: exhaustion diverged"
-    );
-    assert_eq!(a.makespan(), b.makespan(), "{label}: makespan diverged");
-    let (ta, tb) = (a.telemetry(), b.telemetry());
-    assert_eq!(
-        ta.queue_depth, tb.queue_depth,
-        "{label}: queue depth diverged"
-    );
-    assert_eq!(ta.busy_cores, tb.busy_cores, "{label}: busy cores diverged");
-    assert_eq!(ta.power, tb.power, "{label}: power timeline diverged");
-    assert_eq!(ta.mapper, tb.mapper, "{label}: mapper stats diverged");
-}
-
-// ---------------------------------------------------------------------------
 // Immediate mode: bit-identity.
 // ---------------------------------------------------------------------------
 
@@ -376,6 +356,27 @@ fn immediate_matches_legacy_across_seeds_and_heuristics() {
             assert_bit_identical(&a, &b, &format!("seed {master} / {kind}"));
         }
     }
+}
+
+/// The paper's own scale: 1,000 tasks on the paper cluster under LL with
+/// the energy and robustness filters and the budget on.
+#[test]
+fn thousand_task_trial_matches_legacy() {
+    let scenario = Scenario::paper(1353);
+    let trace = scenario.trace(0);
+    assert_eq!(trace.len(), 1000, "paper scenario must be full scale");
+    let build = || {
+        build_scheduler(
+            HeuristicKind::LightestLoad,
+            FilterVariant::EnergyAndRobustness,
+            &scenario,
+            0,
+        )
+    };
+    let (mut old, mut new) = (build(), build());
+    let a = legacy_immediate(&scenario, &trace, old.as_mut());
+    let b = Simulation::new(&scenario, &trace).run(new.as_mut());
+    assert_bit_identical(&a, &b, "paper scale LL/en+rob");
 }
 
 /// Filter variants change discard patterns, exercising the discarded-task

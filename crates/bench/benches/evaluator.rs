@@ -10,6 +10,8 @@
 //! * `divergent` — every core busy with a distinct load, so every core is
 //!   its own class and the partition degenerates to pure bookkeeping.
 
+mod common;
+
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 
@@ -103,7 +105,7 @@ fn bench_fixture(c: &mut Criterion, name: &str, scenario: &Scenario, cores: &[Co
         })
     });
     group.bench_function("deduped", |b| {
-        let evaluator = CandidateEvaluator::default();
+        let mut evaluator = CandidateEvaluator::default();
         let _ = evaluator.evaluate_all(&view, &task);
         b.iter(|| black_box(evaluator.evaluate_all(&view, &task)))
     });
@@ -123,42 +125,7 @@ fn bench_evaluator_vs_oracle(c: &mut Criterion) {
 /// still runs once so the JSON path can't bit-rot, but no file is written.
 mod evaluator_json {
     use super::*;
-    use std::time::Instant;
-
-    const SAMPLES: usize = 30;
-
-    fn median(mut xs: Vec<f64>) -> f64 {
-        xs.sort_by(|a, b| a.total_cmp(b));
-        let n = xs.len();
-        if n % 2 == 1 {
-            xs[n / 2]
-        } else {
-            0.5 * (xs[n / 2 - 1] + xs[n / 2])
-        }
-    }
-
-    /// Median ns/op over [`SAMPLES`] batches of `iters` calls (one warm-up
-    /// batch first). In smoke mode runs `f` once and returns 0.
-    // Bench harness: timing is the point (clippy.toml / ecds-lint R2).
-    #[allow(clippy::disallowed_methods)]
-    fn measure(mut f: impl FnMut(), iters: u32, bench_mode: bool) -> f64 {
-        if !bench_mode {
-            f();
-            return 0.0;
-        }
-        for _ in 0..iters {
-            f();
-        }
-        let mut samples = Vec::with_capacity(SAMPLES);
-        for _ in 0..SAMPLES {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            samples.push(start.elapsed().as_nanos() as f64 / iters as f64);
-        }
-        median(samples)
-    }
+    use crate::common::{measure, SAMPLES};
 
     /// One fixture row: classes come from a fresh deduplicating evaluator's
     /// first sweep (one event, so the class count is exact, not averaged).
@@ -167,7 +134,7 @@ mod evaluator_json {
         let task = probe_task();
         let n = scenario.cluster().total_cores();
 
-        let probe = CandidateEvaluator::default();
+        let mut probe = CandidateEvaluator::default();
         let _ = probe.evaluate_all(&view, &task);
         let (classes, _) = probe.dedup_stats().expect("dedup is on by default");
 
@@ -182,7 +149,7 @@ mod evaluator_json {
             500,
             bench_mode,
         );
-        let deduped_eval = CandidateEvaluator::default();
+        let mut deduped_eval = CandidateEvaluator::default();
         let _ = deduped_eval.evaluate_all(&view, &task);
         let deduped = measure(
             || drop(black_box(deduped_eval.evaluate_all(&view, &task))),

@@ -3,6 +3,8 @@
 //! sufficiently long"), candidate evaluation, and the robustness
 //! calculation.
 
+mod common;
+
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -133,7 +135,7 @@ fn bench_candidate_evaluation(c: &mut Criterion) {
     let (scenario, cores) = busy_view_fixture();
     let view = SystemView::new(scenario.cluster(), scenario.table(), &cores, 500.0, 10, 60);
     let task = probe_task();
-    let evaluator = CandidateEvaluator::default();
+    let mut evaluator = CandidateEvaluator::default();
     c.bench_function("evaluate_all_candidates", |b| {
         b.iter(|| black_box(evaluator.evaluate_all(&view, &task)))
     });
@@ -151,14 +153,14 @@ fn bench_prefix_cache_cold_vs_warm(c: &mut Criterion) {
     let task = probe_task();
     let mut group = c.benchmark_group("evaluate_all_prefix_cache");
     group.bench_function("cold", |b| {
-        let evaluator = CandidateEvaluator::default();
+        let mut evaluator = CandidateEvaluator::default();
         b.iter(|| {
             evaluator.reset_cache();
             black_box(evaluator.evaluate_all(&view, &task))
         })
     });
     group.bench_function("warm", |b| {
-        let evaluator = CandidateEvaluator::default();
+        let mut evaluator = CandidateEvaluator::default();
         // Prime every core's entry so the timed region is all hits.
         let _ = evaluator.evaluate_all(&view, &task);
         b.iter(|| black_box(evaluator.evaluate_all(&view, &task)))
@@ -200,42 +202,7 @@ fn bench_seed_derivation(c: &mut Criterion) {
 /// JSON path can't bit-rot, but no file is written.
 mod kernel_json {
     use super::*;
-    use std::time::Instant;
-
-    const SAMPLES: usize = 30;
-
-    fn median(mut xs: Vec<f64>) -> f64 {
-        xs.sort_by(|a, b| a.total_cmp(b));
-        let n = xs.len();
-        if n % 2 == 1 {
-            xs[n / 2]
-        } else {
-            0.5 * (xs[n / 2 - 1] + xs[n / 2])
-        }
-    }
-
-    /// Median ns/op over [`SAMPLES`] batches of `iters` calls (one warm-up
-    /// batch first). In smoke mode runs `f` once and returns 0.
-    // Bench harness: timing is the point (clippy.toml / ecds-lint R2).
-    #[allow(clippy::disallowed_methods)]
-    fn measure(mut f: impl FnMut(), iters: u32, bench_mode: bool) -> f64 {
-        if !bench_mode {
-            f();
-            return 0.0;
-        }
-        for _ in 0..iters {
-            f();
-        }
-        let mut samples = Vec::with_capacity(SAMPLES);
-        for _ in 0..SAMPLES {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            samples.push(start.elapsed().as_nanos() as f64 / iters as f64);
-        }
-        median(samples)
-    }
+    use crate::common::{measure, SAMPLES};
 
     pub fn emit() {
         let bench_mode = std::env::args().any(|a| a == "--bench");

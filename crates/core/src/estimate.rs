@@ -1,13 +1,12 @@
 //! Per-assignment estimation: the stochastic completion-time computation of
 //! Sec. IV-B and the expectation operators of Sec. V-A.
 
-use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 
 use ecds_cluster::{PState, NUM_PSTATES};
 use ecds_persist::{DecodeError, Decoder, Encoder, Persist};
 use ecds_pmf::{Pmf, PmfScratch, Prob, ReductionPolicy, Time};
-use ecds_sim::{DirtyCores, PrefixStamp, SystemView};
+use ecds_sim::{DirtyCores, SystemView};
 use ecds_workload::Task;
 
 use crate::candidate::EvaluatedCandidate;
@@ -134,9 +133,10 @@ struct CachedPrefix {
     /// Inclusive end of the exact-validity window (see [`build_prefix`]).
     valid_until: Time,
     prefix: Option<Pmf>,
-    /// Bit-fingerprint of `prefix` (epoch-guarded; re-stamped on every
-    /// fill) — the fast equivalence-class key of DESIGN.md §11.
-    stamp: PrefixStamp,
+    /// [`Pmf::fingerprint`] of `prefix` (`None` when there is no prefix),
+    /// recomputed on every fill — the fast equivalence-class key of
+    /// DESIGN.md §11.
+    fingerprint: Option<u64>,
 }
 
 /// The cache entry of `core`, which the caller has just refreshed via
@@ -153,6 +153,48 @@ fn prefix_bit_eq(a: Option<&Pmf>, b: Option<&Pmf>) -> bool {
         (Some(a), Some(b)) => a.bit_eq(b),
         _ => false,
     }
+}
+
+/// The five per-P-state estimates of assigning `task` to `core`, whose
+/// queue prefix is `prefix`. The completion-time pmf is never
+/// materialized: the convolution lands in the scratch workspace and the two
+/// moments are read straight off the buffer (busy core), or computed
+/// shift-free from the execution-time pmf (idle core).
+fn evaluate_core(
+    scratch: &mut PmfScratch,
+    policy: ReductionPolicy,
+    view: &SystemView<'_>,
+    task: &Task,
+    core: usize,
+    prefix: Option<&Pmf>,
+) -> [AssignmentEstimate; NUM_PSTATES] {
+    let cluster = view.cluster();
+    let core_id = cluster.core(core);
+    let node = cluster.node_of(core_id);
+    let table = view.table();
+    PState::ALL.map(|pstate| {
+        let eet = table.eet(task.type_id, core_id.node, pstate);
+        let exec_pmf = table.pmf(task.type_id, core_id.node, pstate);
+        let (ect, rho) = match prefix {
+            Some(p) => {
+                let completion = scratch.convolve_reduced(p, exec_pmf, policy);
+                (completion.expectation(), completion.prob_le(task.deadline))
+            }
+            None => {
+                let now = view.time();
+                (
+                    shifted_expectation(exec_pmf, now),
+                    shifted_prob_le(exec_pmf, now, task.deadline),
+                )
+            }
+        };
+        AssignmentEstimate {
+            eet,
+            ect,
+            eec: eet * node.power.watts(pstate) / node.efficiency,
+            rho,
+        }
+    })
 }
 
 /// Evaluates all candidate assignments for one arriving task.
@@ -178,29 +220,23 @@ fn prefix_bit_eq(a: Option<&Pmf>, b: Option<&Pmf>) -> bool {
 ///
 /// The reference these are tested against is [`crate::reference`]: a
 /// per-core, uncached restatement of Sec. IV-B over the allocating
-/// [`Pmf`] operations. State is interiorly mutable, so the evaluation API
-/// stays `&self`; the evaluator is `Send` but not `Sync` (one per
-/// scheduler, one scheduler per thread).
+/// [`Pmf`] operations. The evaluator owns its state outright: the only
+/// entries are the per-decision sweeps, which take `&mut self` (one
+/// evaluator per scheduler, one scheduler per thread).
 #[derive(Debug)]
 pub struct CandidateEvaluator {
     policy: ReductionPolicy,
-    cache: RefCell<Vec<Option<CachedPrefix>>>,
-    scratch: RefCell<PmfScratch>,
-    shard: RefCell<ShardIndex>,
-    /// Cores whose entry was recomputed by a single-core lookup *outside*
-    /// a sweep: their class membership must be revalidated next sweep.
-    rekey_pending: RefCell<Vec<u32>>,
-    /// Guards [`CandidateEvaluator::refresh_entry`]'s pending push: sweeps
-    /// refresh through the same code path but rekey inline.
-    in_sweep: Cell<bool>,
-    hits: Cell<u64>,
-    misses: Cell<u64>,
+    cache: Vec<Option<CachedPrefix>>,
+    scratch: PmfScratch,
+    shard: ShardIndex,
+    hits: u64,
+    misses: u64,
     /// Equivalence classes summed over all mapping events.
-    dedup_classes: Cell<u64>,
+    dedup_classes: u64,
     /// Mapping events (`evaluate_all` / `evaluate_indexed_into` calls).
-    dedup_events: Cell<u64>,
+    dedup_events: u64,
     /// (core, P-state) evaluations skipped via class replication.
-    dedup_skipped: Cell<u64>,
+    dedup_skipped: u64,
 }
 
 impl CandidateEvaluator {
@@ -208,16 +244,14 @@ impl CandidateEvaluator {
     pub fn new(policy: ReductionPolicy) -> Self {
         Self {
             policy,
-            cache: RefCell::new(Vec::new()),
-            scratch: RefCell::new(PmfScratch::new()),
-            shard: RefCell::new(ShardIndex::default()),
-            rekey_pending: RefCell::new(Vec::new()),
-            in_sweep: Cell::new(false),
-            hits: Cell::new(0),
-            misses: Cell::new(0),
-            dedup_classes: Cell::new(0),
-            dedup_events: Cell::new(0),
-            dedup_skipped: Cell::new(0),
+            cache: Vec::new(),
+            scratch: PmfScratch::new(),
+            shard: ShardIndex::default(),
+            hits: 0,
+            misses: 0,
+            dedup_classes: 0,
+            dedup_events: 0,
+            dedup_skipped: 0,
         }
     }
 
@@ -229,14 +263,14 @@ impl CandidateEvaluator {
     /// Number of fused-kernel invocations since construction or the last
     /// [`CandidateEvaluator::reset_cache`].
     pub fn fused_kernel_calls(&self) -> u64 {
-        self.scratch.borrow().kernel_calls()
+        self.scratch.kernel_calls()
     }
 
     /// `(hits, misses)` of the prefix cache since construction or the last
     /// [`CandidateEvaluator::reset_cache`]. Always `Some`; the `Option`
     /// matches [`ecds_sim::MapperStats::prefix_cache`].
     pub fn prefix_cache_stats(&self) -> Option<(u64, u64)> {
-        Some((self.hits.get(), self.misses.get()))
+        Some((self.hits, self.misses))
     }
 
     /// `(classes, events)` — candidate equivalence classes summed over all
@@ -244,53 +278,42 @@ impl CandidateEvaluator {
     /// or the last [`CandidateEvaluator::reset_cache`]. Always `Some`; the
     /// `Option` matches [`ecds_sim::MapperStats::candidate_classes`].
     pub fn dedup_stats(&self) -> Option<(u64, u64)> {
-        Some((self.dedup_classes.get(), self.dedup_events.get()))
+        Some((self.dedup_classes, self.dedup_events))
     }
 
     /// (core, P-state) evaluations skipped because the core belonged to an
     /// already-evaluated equivalence class.
     pub fn dedup_skipped_evaluations(&self) -> u64 {
-        self.dedup_skipped.get()
-    }
-
-    /// The current bit-fingerprint of `core`'s queue prefix, or `None` for
-    /// an unloaded core (whose prefix pmf is itself absent — see
-    /// [`PrefixStamp`]), served from the refreshed cache entry.
-    pub fn prefix_fingerprint(&self, view: &SystemView<'_>, core: usize) -> Option<u64> {
-        let mut entries = self.cache.borrow_mut();
-        self.refresh_entry(&mut entries, view, core);
-        entry_of(&entries, core).stamp.fingerprint()
+        self.dedup_skipped
     }
 
     /// Drops every cached prefix and zeroes the hit/miss, dedup, and
     /// kernel counters. Must be called between trials: a fresh trial resets
     /// every core to epoch 0, which would otherwise collide with stale
     /// entries.
-    pub fn reset_cache(&self) {
-        self.cache.borrow_mut().clear();
-        self.scratch.borrow_mut().reset_kernel_calls();
-        self.shard.borrow_mut().reset();
-        self.rekey_pending.borrow_mut().clear();
-        self.hits.set(0);
-        self.misses.set(0);
-        self.dedup_classes.set(0);
-        self.dedup_events.set(0);
-        self.dedup_skipped.set(0);
+    pub fn reset_cache(&mut self) {
+        self.cache.clear();
+        self.scratch.reset_kernel_calls();
+        self.shard.reset();
+        self.hits = 0;
+        self.misses = 0;
+        self.dedup_classes = 0;
+        self.dedup_events = 0;
+        self.dedup_skipped = 0;
     }
 
     /// Serializes the evaluator's mutable state — the counters, the fused
     /// kernel's call count, and every prefix-cache entry (epoch, validity
-    /// window, pmf, stamp) — into a serving checkpoint.
+    /// window, pmf, fingerprint) — into a serving checkpoint.
     pub fn save_state(&self, enc: &mut Encoder) {
-        enc.put_u64(self.hits.get());
-        enc.put_u64(self.misses.get());
-        enc.put_u64(self.dedup_classes.get());
-        enc.put_u64(self.dedup_events.get());
-        enc.put_u64(self.dedup_skipped.get());
-        enc.put_u64(self.scratch.borrow().kernel_calls());
-        let entries = self.cache.borrow();
-        enc.put_u64(entries.len() as u64);
-        for entry in entries.iter() {
+        enc.put_u64(self.hits);
+        enc.put_u64(self.misses);
+        enc.put_u64(self.dedup_classes);
+        enc.put_u64(self.dedup_events);
+        enc.put_u64(self.dedup_skipped);
+        enc.put_u64(self.scratch.kernel_calls());
+        enc.put_u64(self.cache.len() as u64);
+        for entry in &self.cache {
             match entry {
                 Some(e) => {
                     enc.put_bool(true);
@@ -298,7 +321,7 @@ impl CandidateEvaluator {
                     enc.put_f64(e.computed_at);
                     enc.put_f64(e.valid_until);
                     e.prefix.encode(enc);
-                    e.stamp.encode(enc);
+                    e.fingerprint.encode(enc);
                 }
                 None => enc.put_bool(false),
             }
@@ -307,12 +330,12 @@ impl CandidateEvaluator {
 
     /// Restores state written by [`CandidateEvaluator::save_state`].
     pub fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), DecodeError> {
-        self.hits.set(dec.u64()?);
-        self.misses.set(dec.u64()?);
-        self.dedup_classes.set(dec.u64()?);
-        self.dedup_events.set(dec.u64()?);
-        self.dedup_skipped.set(dec.u64()?);
-        self.scratch.borrow_mut().set_kernel_calls(dec.u64()?);
+        self.hits = dec.u64()?;
+        self.misses = dec.u64()?;
+        self.dedup_classes = dec.u64()?;
+        self.dedup_events = dec.u64()?;
+        self.dedup_skipped = dec.u64()?;
+        self.scratch.set_kernel_calls(dec.u64()?);
         let n = dec.u64()?;
         if n > dec.remaining() {
             return Err(DecodeError::Truncated);
@@ -328,40 +351,33 @@ impl CandidateEvaluator {
                         "cache validity window must not be NaN",
                     ));
                 }
-                let prefix = Option::<Pmf>::decode(dec)?;
-                let stamp = PrefixStamp::decode(dec)?;
                 entries.push(Some(CachedPrefix {
                     epoch,
                     computed_at,
                     valid_until,
-                    prefix,
-                    stamp,
+                    prefix: Option::<Pmf>::decode(dec)?,
+                    fingerprint: Option::<u64>::decode(dec)?,
                 }));
             } else {
                 entries.push(None);
             }
         }
-        *self.cache.borrow_mut() = entries;
+        self.cache = entries;
         // The shard index is derived from the cache entries and never
         // checkpointed: a restore schedules a full rebuild instead.
-        self.shard.borrow_mut().reset();
-        self.rekey_pending.borrow_mut().clear();
+        self.shard.reset();
         Ok(())
     }
 
     /// Brings `core`'s cache entry up to date: a lookup counts as a hit
     /// when the core's epoch and the view time both sit inside the cached
-    /// entry's exact-validity window, and recomputes (re-stamping the
-    /// prefix fingerprint) otherwise. Postcondition: `entries[core]` is
-    /// `Some` and exact for the view.
-    fn refresh_entry(
-        &self,
-        entries: &mut Vec<Option<CachedPrefix>>,
-        view: &SystemView<'_>,
-        core: usize,
-    ) {
+    /// entry's exact-validity window, and recomputes the prefix and its
+    /// fingerprint otherwise. Postcondition: `self.cache[core]` is `Some`
+    /// and exact for the view.
+    fn refresh_entry(&mut self, view: &SystemView<'_>, core: usize) {
         let epoch = view.core_epoch(core);
         let now = view.time();
+        let entries = &mut self.cache;
         if entries.len() <= core {
             entries.resize(view.cluster().total_cores().max(core + 1), None);
         }
@@ -370,136 +386,18 @@ impl CandidateEvaluator {
             Some(e) if e.epoch == epoch && e.computed_at <= now && now <= e.valid_until
         );
         if fresh {
-            self.hits.set(self.hits.get() + 1);
+            self.hits += 1;
             return;
         }
-        self.misses.set(self.misses.get() + 1);
-        // A single-core recompute outside a sweep silently changes the
-        // prefix bits the core's shard-class membership rests on: queue it
-        // for revalidation at the next sweep. The queue is bounded — once
-        // it outgrows the core count a rebuild is cheaper than a sweep, so
-        // the backlog collapses into a rebuild flag instead of growing.
-        if !self.in_sweep.get() {
-            let mut pending = self.rekey_pending.borrow_mut();
-            let mut shard = self.shard.borrow_mut();
-            if pending.len() >= shard.class_of.len().max(64) {
-                shard.needs_rebuild = true;
-                pending.clear();
-            } else {
-                pending.push(core as u32);
-            }
-        }
-        let (prefix, valid_until) =
-            build_prefix(view, core, self.policy, &mut self.scratch.borrow_mut());
-        let fingerprint = prefix.as_ref().map(Pmf::fingerprint);
-        match &mut entries[core] {
-            Some(e) => {
-                e.epoch = epoch;
-                e.computed_at = now;
-                e.valid_until = valid_until;
-                e.prefix = prefix;
-                e.stamp.restamp(fingerprint);
-            }
-            slot => {
-                let mut stamp = PrefixStamp::new();
-                stamp.restamp(fingerprint);
-                *slot = Some(CachedPrefix {
-                    epoch,
-                    computed_at: now,
-                    valid_until,
-                    prefix,
-                    stamp,
-                });
-            }
-        }
-    }
-
-    /// Hands `f` the current queue prefix of `core`, served from the cache
-    /// when the entry is still exact for the view (see
-    /// [`CandidateEvaluator::refresh_entry`]), recomputed otherwise.
-    fn with_prefix<R>(
-        &self,
-        view: &SystemView<'_>,
-        core: usize,
-        f: impl FnOnce(Option<&Pmf>) -> R,
-    ) -> R {
-        let mut entries = self.cache.borrow_mut();
-        self.refresh_entry(&mut entries, view, core);
-        f(entry_of(&entries, core).prefix.as_ref())
-    }
-
-    /// Computes the completion-time pmf of assigning `task` to `core` in
-    /// `pstate` at the view's time (exposed for the robustness validator
-    /// and for custom heuristics that need the full distribution).
-    pub fn completion_pmf(
-        &self,
-        view: &SystemView<'_>,
-        task: &Task,
-        core: usize,
-        pstate: PState,
-    ) -> Pmf {
-        let node = view.cluster().core(core).node;
-        let exec_pmf = view.table().pmf(task.type_id, node, pstate);
-        self.with_prefix(view, core, |prefix| match prefix {
-            Some(p) => self
-                .scratch
-                .borrow_mut()
-                .convolve_reduced_into(p, exec_pmf, self.policy),
-            None => exec_pmf.shift(view.time()),
-        })
-    }
-
-    /// Evaluates one assignment.
-    pub fn evaluate(
-        &self,
-        view: &SystemView<'_>,
-        task: &Task,
-        core: usize,
-        pstate: PState,
-    ) -> AssignmentEstimate {
-        self.with_prefix(view, core, |prefix| {
-            self.evaluate_with_prefix(view, task, core, pstate, prefix)
-        })
-    }
-
-    /// The completion-time pmf is never materialized: the convolution lands
-    /// in the scratch workspace and the two moments are read straight off
-    /// the buffer (busy core), or computed shift-free from the
-    /// execution-time pmf (idle core).
-    fn evaluate_with_prefix(
-        &self,
-        view: &SystemView<'_>,
-        task: &Task,
-        core: usize,
-        pstate: PState,
-        prefix: Option<&Pmf>,
-    ) -> AssignmentEstimate {
-        let cluster = view.cluster();
-        let core_id = cluster.core(core);
-        let node = cluster.node_of(core_id);
-        let table = view.table();
-        let eet = table.eet(task.type_id, core_id.node, pstate);
-        let exec_pmf = table.pmf(task.type_id, core_id.node, pstate);
-        let (ect, rho) = match prefix {
-            Some(p) => {
-                let mut scratch = self.scratch.borrow_mut();
-                let completion = scratch.convolve_reduced(p, exec_pmf, self.policy);
-                (completion.expectation(), completion.prob_le(task.deadline))
-            }
-            None => {
-                let now = view.time();
-                (
-                    shifted_expectation(exec_pmf, now),
-                    shifted_prob_le(exec_pmf, now, task.deadline),
-                )
-            }
-        };
-        AssignmentEstimate {
-            eet,
-            ect,
-            eec: eet * node.power.watts(pstate) / node.efficiency,
-            rho,
-        }
+        self.misses += 1;
+        let (prefix, valid_until) = build_prefix(view, core, self.policy, &mut self.scratch);
+        entries[core] = Some(CachedPrefix {
+            epoch,
+            computed_at: now,
+            valid_until,
+            fingerprint: prefix.as_ref().map(Pmf::fingerprint),
+            prefix,
+        });
     }
 
     /// Evaluates every (core, P-state) assignment for `task`, in
@@ -511,7 +409,7 @@ impl CandidateEvaluator {
     /// on the core only through its node and queue prefix (DESIGN.md §11).
     /// The emitted candidate stream is unchanged in length, order, and
     /// content.
-    pub fn evaluate_all(&self, view: &SystemView<'_>, task: &Task) -> Vec<EvaluatedCandidate> {
+    pub fn evaluate_all(&mut self, view: &SystemView<'_>, task: &Task) -> Vec<EvaluatedCandidate> {
         let mut out = Vec::with_capacity(view.cluster().total_cores() * NUM_PSTATES);
         self.evaluate_all_into(view, task, &mut out);
         out
@@ -523,7 +421,7 @@ impl CandidateEvaluator {
     /// event instead of allocating a fresh candidate vector per arrival.
     // lint: alloc-free
     pub fn evaluate_all_into(
-        &self,
+        &mut self,
         view: &SystemView<'_>,
         task: &Task,
         out: &mut Vec<EvaluatedCandidate>,
@@ -531,11 +429,14 @@ impl CandidateEvaluator {
         let num_cores = view.cluster().total_cores();
         out.clear();
         out.reserve(num_cores * NUM_PSTATES);
-        let mut shard = self.shard.borrow_mut();
-        let mut entries = self.cache.borrow_mut();
-        self.shard_sweep(&mut shard, &mut entries, view);
-        let entries = &*entries;
-        let shard = &mut *shard;
+        self.shard_sweep(view);
+        let Self {
+            policy,
+            cache,
+            scratch,
+            shard,
+            ..
+        } = self;
         shard.stamp += 1;
         shard.ests_stamp.resize(shard.classes.len(), 0);
         shard.ests.resize(shard.classes.len(), ZERO_ESTS);
@@ -546,9 +447,8 @@ impl CandidateEvaluator {
                 // First member seen in ascending order == the class
                 // minimum, the representative.
                 shard.ests_stamp[id] = shard.stamp;
-                let prefix = entry_of(entries, core).prefix.as_ref();
-                shard.ests[id] = PState::ALL
-                    .map(|pstate| self.evaluate_with_prefix(view, task, core, pstate, prefix));
+                let prefix = entry_of(cache, core).prefix.as_ref();
+                shard.ests[id] = evaluate_core(scratch, *policy, view, task, core, prefix);
                 touched += 1;
             }
             let ests = shard.ests[id];
@@ -565,45 +465,37 @@ impl CandidateEvaluator {
 
     /// Books one mapping event that touched `classes` of the `num_cores`
     /// cores (`dedup_skipped` counts `NUM_PSTATES` per replicated core).
-    fn note_dedup_event(&self, num_cores: usize, classes: u64) {
-        self.dedup_classes.set(self.dedup_classes.get() + classes);
-        self.dedup_events.set(self.dedup_events.get() + 1);
-        self.dedup_skipped
-            .set(self.dedup_skipped.get() + (num_cores as u64 - classes) * NUM_PSTATES as u64);
+    fn note_dedup_event(&mut self, num_cores: usize, classes: u64) {
+        self.dedup_classes += classes;
+        self.dedup_events += 1;
+        self.dedup_skipped += (num_cores as u64 - classes) * NUM_PSTATES as u64;
     }
 
     /// Brings the shard index exactly up to date with `view` (DESIGN.md
     /// §13): determines which cores' memberships could have drifted since
     /// the last sweep — epoch bumps via the engine's dirty-core mailbox,
-    /// validity-window expiries via the expiry heap, out-of-sweep
-    /// recomputes via the pending queue — detaches exactly those, then
-    /// refreshes and re-joins them in ascending core order. Falls back to
-    /// a full rebuild whenever incremental correctness can't be proven
-    /// (no mailbox, dropped marks, size change, backward time step); a
-    /// mailbox-less sweep also schedules a rebuild for the next one.
+    /// validity-window expiries via the expiry heap — detaches exactly
+    /// those, then refreshes and re-joins them in ascending core order.
+    /// Falls back to a full rebuild whenever incremental correctness can't
+    /// be proven (no mailbox, dropped marks, size change, backward time
+    /// step); a mailbox-less sweep also schedules a rebuild for the next
+    /// one.
     ///
     /// Every candidate core is refreshed through
     /// [`CandidateEvaluator::refresh_entry`] (one hit or miss each), and
     /// every untouched core is a guaranteed hit, booked in bulk — so the
     /// cache counters equal one lookup per core per event whichever way
     /// the sweep went.
-    fn shard_sweep(
-        &self,
-        shard: &mut ShardIndex,
-        entries: &mut Vec<Option<CachedPrefix>>,
-        view: &SystemView<'_>,
-    ) {
+    fn shard_sweep(&mut self, view: &SystemView<'_>) {
         let n = view.cluster().total_cores();
         let now = view.time();
+        let shard = &mut self.shard;
         if shard.class_of.len() != n || now < shard.last_now {
             shard.needs_rebuild = true;
         }
         let mut candidates = std::mem::take(&mut shard.candidates);
         candidates.clear();
-        let mut pending = self.rekey_pending.borrow_mut();
-        // An unbounded pending backlog (e.g. validator loops recomputing
-        // entries between events) makes a rebuild cheaper than a sweep.
-        let mut full = shard.needs_rebuild || pending.len() > n;
+        let mut full = shard.needs_rebuild;
         if !full {
             match view.dirty_cores() {
                 // `cursor > head` means this is a different mailbox than
@@ -623,9 +515,7 @@ impl CandidateEvaluator {
         }
         if full {
             shard.begin_rebuild(n);
-            candidates.clear();
             candidates.extend(0..n as u32);
-            pending.clear();
             shard.cursor = view.dirty_cores().map_or(0, DirtyCores::head);
         } else {
             // Entries whose exact-validity window has closed may now be
@@ -639,25 +529,22 @@ impl CandidateEvaluator {
                 shard.expiry.pop();
                 candidates.push(top.core);
             }
-            candidates.append(&mut pending);
             candidates.sort_unstable();
             candidates.dedup();
         }
-        drop(pending);
         // Two-phase: detach every candidate first, so phase 2's bit-identity
         // checks only ever compare against representatives that are either
         // untouched (still fresh) or already refreshed this sweep.
         for &core in &candidates {
             shard.leave(core);
         }
-        self.in_sweep.set(true);
         for &core in &candidates {
             let core = core as usize;
-            self.refresh_entry(entries, view, core);
-            let entries_ref: &[Option<CachedPrefix>] = entries;
-            let e = entry_of(entries_ref, core);
+            self.refresh_entry(view, core);
+            let cache = &self.cache;
+            let e = entry_of(cache, core);
             if e.valid_until.is_finite() {
-                shard.expiry.push(Reverse(Expiry {
+                self.shard.expiry.push(Reverse(Expiry {
                     valid_until: e.valid_until,
                     core: core as u32,
                 }));
@@ -665,20 +552,18 @@ impl CandidateEvaluator {
             let node = view.cluster().core(core).node;
             let key = ClassKey {
                 template: view.cluster().template_of(node) as u32,
-                fingerprint: e.stamp.fingerprint(),
+                fingerprint: e.fingerprint,
                 depth: view.core_state(core).depth() as u32,
             };
             let prefix = e.prefix.as_ref();
-            shard.join(core as u32, key, |rep| {
-                prefix_bit_eq(prefix, entry_of(entries_ref, rep as usize).prefix.as_ref())
+            self.shard.join(core as u32, key, |rep| {
+                prefix_bit_eq(prefix, entry_of(cache, rep as usize).prefix.as_ref())
             });
         }
-        self.in_sweep.set(false);
         // Every non-candidate core's entry is provably fresh (epoch
-        // unmarked, validity window still open, no out-of-sweep recompute):
-        // book one hit for each.
-        self.hits
-            .set(self.hits.get() + (n - candidates.len()) as u64);
+        // unmarked, validity window still open): book one hit for each.
+        self.hits += (n - candidates.len()) as u64;
+        let shard = &mut self.shard;
         shard.candidates = candidates;
         shard.last_now = now;
         // Without a mailbox nothing reports the epoch bumps that happen
@@ -699,7 +584,7 @@ impl CandidateEvaluator {
     /// advance exactly as a full-scan `evaluate_all` would.
     // lint: alloc-free
     pub fn evaluate_indexed_into(
-        &self,
+        &mut self,
         view: &SystemView<'_>,
         task: &Task,
         out: &mut Vec<ClassCandidate>,
@@ -709,17 +594,21 @@ impl CandidateEvaluator {
             return false;
         }
         let num_cores = view.cluster().total_cores();
-        let mut shard = self.shard.borrow_mut();
-        let mut entries = self.cache.borrow_mut();
-        self.shard_sweep(&mut shard, &mut entries, view);
-        let entries = &*entries;
+        self.shard_sweep(view);
+        let Self {
+            policy,
+            cache,
+            scratch,
+            shard,
+            ..
+        } = self;
         let ShardIndex {
             by_key,
             classes,
             class_of,
             active,
             ..
-        } = &mut *shard;
+        } = shard;
         out.reserve(*active);
         // BTreeMap key order, then chain order, is deterministic — though
         // selection never depends on it: indexed tie-breaks anchor on
@@ -728,26 +617,13 @@ impl CandidateEvaluator {
             let mut id = head;
             while id != CLASS_NONE {
                 let class = &mut classes[id as usize];
-                // Lazy min-member scan, as in `ShardIndex::min_member`
-                // (inlined: the map iteration holds `by_key` borrowed).
-                let rep = loop {
-                    let &Reverse(top) = class
-                        .members
-                        .peek()
-                        .expect("a live class has at least one member");
-                    if class_of[top as usize] == id {
-                        break top as usize;
-                    }
-                    class.members.pop();
-                };
-                let prefix = entry_of(entries, rep).prefix.as_ref();
-                let ests = PState::ALL
-                    .map(|pstate| self.evaluate_with_prefix(view, task, rep, pstate, prefix));
+                let rep = class.min_member(id, class_of) as usize;
+                let prefix = entry_of(cache, rep).prefix.as_ref();
                 out.push(ClassCandidate {
                     min_core: rep,
                     depth: key.depth as usize,
                     members: class.count as usize,
-                    ests,
+                    ests: evaluate_core(scratch, *policy, view, task, rep, prefix),
                     retained: [true; NUM_PSTATES],
                 });
                 id = class.next;
@@ -782,14 +658,15 @@ mod tests {
         reference::evaluate_all(view, task, ReductionPolicy::default())
     }
 
-    /// The oracle's completion-time pmf for `task` on busy `core`: the
-    /// allocating prefix convolved with the candidate's execution-time pmf.
-    fn oracle_completion(view: &SystemView<'_>, task: &Task, core: usize, pstate: PState) -> Pmf {
-        let policy = ReductionPolicy::default();
-        let node = view.cluster().core(core).node;
-        pending_completion_pmf(view, core, policy)
-            .expect("core is busy")
-            .convolve(view.table().pmf(task.type_id, node, pstate), policy)
+    /// The estimate for (`core`, `pstate`) out of a fresh evaluator's sweep.
+    fn estimate(
+        view: &SystemView<'_>,
+        task: &Task,
+        core: usize,
+        pstate: PState,
+    ) -> AssignmentEstimate {
+        CandidateEvaluator::default().evaluate_all(view, task)[core * NUM_PSTATES + pstate.index()]
+            .est
     }
 
     fn mk_task(scenario: &Scenario, arrival: f64) -> Task {
@@ -823,12 +700,12 @@ mod tests {
         let cores = idle_cores(&s);
         let view = SystemView::new(s.cluster(), s.table(), &cores, 100.0, 1, 60);
         let task = mk_task(&s, 100.0);
-        let ev = CandidateEvaluator::default();
-        let ct = ev.completion_pmf(&view, &task, 0, PState::P0);
+        let est = estimate(&view, &task, 0, PState::P0);
         let exec = s
             .table()
             .pmf(task.type_id, s.cluster().core(0).node, PState::P0);
-        assert!((ct.expectation() - (exec.expectation() + 100.0)).abs() < 1e-9);
+        assert!((est.ect - (exec.expectation() + 100.0)).abs() < 1e-9);
+        assert!(est.bit_eq(&oracle(&view, &task)[0].est));
     }
 
     #[test]
@@ -852,9 +729,8 @@ mod tests {
         });
         let view = SystemView::new(s.cluster(), s.table(), &cores, 10.0, 1, 60);
         let task = mk_task(&s, 10.0);
-        let ev = CandidateEvaluator::default();
-        let busy = ev.evaluate(&view, &task, 0, PState::P0);
-        let idle = ev.evaluate(&view, &task, 1, PState::P0);
+        let all = CandidateEvaluator::default().evaluate_all(&view, &task);
+        let (busy, idle) = (all[0].est, all[NUM_PSTATES].est);
         // Core 1 may be on a different node, so compare like-for-like: the
         // candidate on the busy core must complete later than its own
         // execution time would allow from t_l.
@@ -929,7 +805,7 @@ mod tests {
         let cores = idle_cores(&s);
         let view = SystemView::new(s.cluster(), s.table(), &cores, 0.0, 1, 60);
         let task = mk_task(&s, 0.0);
-        let ev = CandidateEvaluator::default();
+        let mut ev = CandidateEvaluator::default();
         let all = ev.evaluate_all(&view, &task);
         assert_eq!(all.len(), s.cluster().total_cores() * 5);
         for (idx, c) in all.iter().enumerate() {
@@ -946,7 +822,7 @@ mod tests {
         let cores = idle_cores(&s);
         let view = SystemView::new(s.cluster(), s.table(), &cores, 0.0, 1, 60);
         let task = mk_task(&s, 0.0);
-        let ev = CandidateEvaluator::default();
+        let mut ev = CandidateEvaluator::default();
         let n = s.cluster().total_cores() as u64;
         let first = ev.evaluate_all(&view, &task);
         assert_eq!(ev.prefix_cache_stats(), Some((0, n)));
@@ -960,10 +836,11 @@ mod tests {
         let s = scenario();
         let mut cores = idle_cores(&s);
         let task = mk_task(&s, 5.0);
-        let ev = CandidateEvaluator::default();
+        let mut ev = CandidateEvaluator::default();
+        let n = s.cluster().total_cores() as u64;
         {
             let view = SystemView::new(s.cluster(), s.table(), &cores, 5.0, 1, 60);
-            let _ = ev.evaluate(&view, &task, 0, PState::P0);
+            let _ = ev.evaluate_all(&view, &task);
         }
         cores[0].start(ExecutingTask {
             task: TaskId(3),
@@ -973,9 +850,13 @@ mod tests {
             deadline: 5000.0,
         });
         let view = SystemView::new(s.cluster(), s.table(), &cores, 5.0, 1, 60);
-        let cached = ev.evaluate(&view, &task, 0, PState::P0);
-        assert_eq!(ev.prefix_cache_stats(), Some((0, 2)), "mutation must miss");
-        assert!(cached.bit_eq(&oracle(&view, &task)[0].est));
+        let cached = ev.evaluate_all(&view, &task);
+        assert_eq!(
+            ev.prefix_cache_stats(),
+            Some((n - 1, n + 1)),
+            "mutation must miss"
+        );
+        assert!(candidates_bit_eq(&cached, &oracle(&view, &task)));
     }
 
     #[test]
@@ -990,18 +871,21 @@ mod tests {
             deadline: 5000.0,
         });
         let task = mk_task(&s, 0.0);
-        let ev = CandidateEvaluator::default();
+        let mut ev = CandidateEvaluator::default();
+        let n = s.cluster().total_cores() as u64;
         let view = SystemView::new(s.cluster(), s.table(), &cores, 1.0, 1, 60);
-        let at_t1 = ev.completion_pmf(&view, &task, 0, PState::P0);
+        let at_t1 = ev.evaluate_all(&view, &task);
         // The executing pmf's support starts well above t=1, so a small
-        // advance keeps the truncation unchanged: the lookup must hit and
-        // the pmf must be bit-identical to the oracle's recompute.
+        // advance keeps the truncation unchanged: every lookup must hit and
+        // the estimates must be bit-identical to the oracle's recompute.
         let later = SystemView::new(s.cluster(), s.table(), &cores, 2.0, 2, 60);
-        let at_t2 = ev.completion_pmf(&later, &task, 0, PState::P0);
-        assert_eq!(ev.prefix_cache_stats(), Some((1, 1)));
-        assert_eq!(at_t1, at_t2);
-        let reference = oracle_completion(&later, &task, 0, PState::P0);
-        assert_eq!(at_t2, reference);
+        let at_t2 = ev.evaluate_all(&later, &task);
+        assert_eq!(ev.prefix_cache_stats(), Some((n, n)));
+        assert!(candidates_bit_eq(
+            &at_t1[..NUM_PSTATES],
+            &at_t2[..NUM_PSTATES]
+        ));
+        assert!(candidates_bit_eq(&at_t2, &oracle(&later, &task)));
     }
 
     #[test]
@@ -1016,19 +900,19 @@ mod tests {
             deadline: 50_000.0,
         });
         let task = mk_task(&s, 0.0);
-        let ev = CandidateEvaluator::default();
+        let mut ev = CandidateEvaluator::default();
+        let n = s.cluster().total_cores() as u64;
         let node = s.cluster().core(0).node;
         let raw = s.table().pmf(TaskTypeId(1), node, PState::P4);
         let view = SystemView::new(s.cluster(), s.table(), &cores, 1.0, 1, 60);
-        let _ = ev.completion_pmf(&view, &task, 0, PState::P0);
+        let _ = ev.evaluate_all(&view, &task);
         // Jump past the support's start: some impulses fall into the past,
         // the truncation changes, and the cache must recompute.
         let late_t = raw.min_value() + raw.expectation() * 0.5;
         let late = SystemView::new(s.cluster(), s.table(), &cores, late_t, 2, 60);
-        let recomputed = ev.completion_pmf(&late, &task, 0, PState::P0);
-        assert_eq!(ev.prefix_cache_stats(), Some((0, 2)));
-        let reference = oracle_completion(&late, &task, 0, PState::P0);
-        assert_eq!(recomputed, reference);
+        let recomputed = ev.evaluate_all(&late, &task);
+        assert_eq!(ev.prefix_cache_stats(), Some((n - 1, n + 1)));
+        assert!(candidates_bit_eq(&recomputed, &oracle(&late, &task)));
     }
 
     #[test]
@@ -1037,7 +921,7 @@ mod tests {
         let cores = idle_cores(&s);
         let view = SystemView::new(s.cluster(), s.table(), &cores, 0.0, 1, 60);
         let task = mk_task(&s, 0.0);
-        let ev = CandidateEvaluator::default();
+        let mut ev = CandidateEvaluator::default();
         let _ = ev.evaluate_all(&view, &task);
         let _ = ev.evaluate_all(&view, &task);
         ev.reset_cache();
@@ -1084,26 +968,11 @@ mod tests {
         let view = SystemView::new(s.cluster(), s.table(), &cores, 50.0, 1, 60);
         let task = mk_task(&s, 50.0);
         // The oracle runs the allocating `Pmf::convolve` pipeline.
-        let fused = CandidateEvaluator::default();
+        let mut fused = CandidateEvaluator::default();
         assert!(candidates_bit_eq(
             &fused.evaluate_all(&view, &task),
             &oracle(&view, &task)
         ));
-    }
-
-    #[test]
-    fn fused_completion_pmf_is_bit_identical_to_legacy() {
-        let s = scenario();
-        let cores = busy_cores(&s);
-        let view = SystemView::new(s.cluster(), s.table(), &cores, 50.0, 1, 60);
-        let task = mk_task(&s, 50.0);
-        let fused = CandidateEvaluator::default();
-        for pstate in PState::ALL {
-            assert_eq!(
-                fused.completion_pmf(&view, &task, 0, pstate),
-                oracle_completion(&view, &task, 0, pstate)
-            );
-        }
     }
 
     #[test]
@@ -1112,7 +981,7 @@ mod tests {
         let cores = busy_cores(&s);
         let view = SystemView::new(s.cluster(), s.table(), &cores, 50.0, 1, 60);
         let task = mk_task(&s, 50.0);
-        let ev = CandidateEvaluator::default();
+        let mut ev = CandidateEvaluator::default();
         assert_eq!(ev.fused_kernel_calls(), 0);
         let _ = ev.evaluate_all(&view, &task);
         // Per busy core: one prefix convolution (the queued task); per
@@ -1134,7 +1003,7 @@ mod tests {
         let cores = busy_cores(&s);
         let view = SystemView::new(s.cluster(), s.table(), &cores, 50.0, 1, 60);
         let task = mk_task(&s, 50.0);
-        let ev = CandidateEvaluator::default();
+        let mut ev = CandidateEvaluator::default();
         let _ = ev.evaluate_all(&view, &task);
         let n = s.cluster().total_cores() as u64;
         let (classes, events) = ev.dedup_stats().expect("dedup is on by default");
@@ -1158,7 +1027,7 @@ mod tests {
         let cores = idle_cores(&s);
         let view = SystemView::new(s.cluster(), s.table(), &cores, 0.0, 1, 60);
         let task = mk_task(&s, 0.0);
-        let ev = CandidateEvaluator::default();
+        let mut ev = CandidateEvaluator::default();
         let all = ev.evaluate_all(&view, &task);
         assert_eq!(all.len(), s.cluster().total_cores() * NUM_PSTATES);
         // Every idle core of a node is interchangeable: exactly one class
@@ -1191,42 +1060,11 @@ mod tests {
         let cores = idle_cores(&s);
         let view = SystemView::new(s.cluster(), s.table(), &cores, 0.0, 1, 60);
         let task = mk_task(&s, 0.0);
-        let ev = CandidateEvaluator::default();
+        let mut ev = CandidateEvaluator::default();
         let _ = ev.evaluate_all(&view, &task);
         ev.reset_cache();
         assert_eq!(ev.dedup_stats(), Some((0, 0)));
         assert_eq!(ev.dedup_skipped_evaluations(), 0);
-    }
-
-    #[test]
-    fn prefix_fingerprint_matches_loads_not_cores() {
-        let s = scenario();
-        let cluster = s.cluster();
-        // Two cores on the same node, loaded identically, plus a third
-        // loaded differently.
-        let twin = (1..cluster.total_cores())
-            .find(|&c| cluster.core(c).node == cluster.core(0).node)
-            .expect("test cluster has multi-core nodes");
-        let mut cores = idle_cores(&s);
-        for &c in &[0, twin] {
-            cores[c].start(ExecutingTask {
-                task: TaskId(c),
-                type_id: TaskTypeId(1),
-                pstate: PState::P1,
-                start: 0.0,
-                deadline: 5000.0,
-            });
-        }
-        let view = SystemView::new(cluster, s.table(), &cores, 10.0, 1, 60);
-        let ev = CandidateEvaluator::default();
-        let f0 = ev.prefix_fingerprint(&view, 0);
-        assert!(f0.is_some(), "busy core has a prefix to fingerprint");
-        assert_eq!(f0, ev.prefix_fingerprint(&view, twin));
-        // An unloaded core has no prefix, hence no fingerprint.
-        let idle = (0..cluster.total_cores())
-            .find(|&c| c != 0 && c != twin)
-            .expect("more than two cores");
-        assert_eq!(ev.prefix_fingerprint(&view, idle), None);
     }
 
     /// Asserts every observable counter of the two evaluators agrees —
@@ -1246,9 +1084,9 @@ mod tests {
         let s = scenario();
         let mut cores = idle_cores(&s);
         let mut dirty = ecds_sim::DirtyCores::default();
-        let shard = CandidateEvaluator::default();
+        let mut shard = CandidateEvaluator::default();
         // Mailbox-less views make the reference rebuild on every call.
-        let reference = CandidateEvaluator::default();
+        let mut reference = CandidateEvaluator::default();
         let n = s.cluster().total_cores();
         let mut now = 0.0;
         for step in 0..8 {
@@ -1296,8 +1134,8 @@ mod tests {
         let s = scenario();
         let cores = busy_cores(&s);
         let dirty = ecds_sim::DirtyCores::default();
-        let shard = CandidateEvaluator::default();
-        let reference = CandidateEvaluator::default();
+        let mut shard = CandidateEvaluator::default();
+        let mut reference = CandidateEvaluator::default();
         let task = mk_task(&s, 1.0);
         let bare = view_at(&s, &cores, 1.0, 1);
         assert!(candidates_bit_eq(
@@ -1327,47 +1165,17 @@ mod tests {
     }
 
     #[test]
-    fn shard_revalidates_out_of_sweep_recomputes() {
-        let s = scenario();
-        let cores = busy_cores(&s);
-        let dirty = ecds_sim::DirtyCores::default();
-        let shard = CandidateEvaluator::default();
-        let reference = CandidateEvaluator::default();
-        let task = mk_task(&s, 1.0);
-        let bare = view_at(&s, &cores, 1.0, 1);
-        let _ = shard.evaluate_all(&view_at(&s, &cores, 1.0, 1).with_dirty(&dirty), &task);
-        let _ = reference.evaluate_all(&bare, &task);
-        // A validator-style single-core lookup between events, late enough
-        // to recompute core 0's entry outside any sweep: the shard must
-        // revalidate its membership at the next event.
-        let node = s.cluster().core(0).node;
-        let raw = s.table().pmf(TaskTypeId(0), node, PState::P1);
-        let late_t = raw.min_value() + raw.expectation();
-        let late_task = mk_task(&s, late_t);
-        let late_bare = view_at(&s, &cores, late_t, 2);
-        let late = view_at(&s, &cores, late_t, 2).with_dirty(&dirty);
-        let a = shard.evaluate(&late, &late_task, 0, PState::P0);
-        let b = reference.evaluate(&late_bare, &late_task, 0, PState::P0);
-        assert!(a.bit_eq(&b));
-        assert!(candidates_bit_eq(
-            &shard.evaluate_all(&late, &late_task),
-            &reference.evaluate_all(&late_bare, &late_task)
-        ));
-        assert_counters_eq(&shard, &reference);
-    }
-
-    #[test]
     fn shard_rebuilds_after_reset() {
         let s = scenario();
         let cores = busy_cores(&s);
         let dirty = ecds_sim::DirtyCores::default();
-        let shard = CandidateEvaluator::default();
+        let mut shard = CandidateEvaluator::default();
         let task = mk_task(&s, 1.0);
         let bare = view_at(&s, &cores, 1.0, 1);
         let view = view_at(&s, &cores, 1.0, 1).with_dirty(&dirty);
         let before = shard.evaluate_all(&view, &task);
         shard.reset_cache();
-        let fresh = CandidateEvaluator::default();
+        let mut fresh = CandidateEvaluator::default();
         assert!(candidates_bit_eq(
             &shard.evaluate_all(&view, &task),
             &fresh.evaluate_all(&bare, &task)
@@ -1384,7 +1192,7 @@ mod tests {
         let s = scenario();
         let cores = busy_cores(&s);
         let dirty = ecds_sim::DirtyCores::default();
-        let ev = CandidateEvaluator::default();
+        let mut ev = CandidateEvaluator::default();
         let task = mk_task(&s, 1.0);
         let view = SystemView::new(s.cluster(), s.table(), &cores, 1.0, 1, 60).with_dirty(&dirty);
         let mut classes = Vec::new();
@@ -1410,7 +1218,7 @@ mod tests {
         let cores = idle_cores(&s);
         let task = mk_task(&s, 0.0);
         let mut classes = Vec::new();
-        let ev = CandidateEvaluator::default();
+        let mut ev = CandidateEvaluator::default();
         let dirty = ecds_sim::DirtyCores::default();
         let bare = view_at(&s, &cores, 0.0, 1);
         let view = view_at(&s, &cores, 0.0, 1).with_dirty(&dirty);
@@ -1428,9 +1236,8 @@ mod tests {
         let cores = idle_cores(&s);
         let view = SystemView::new(s.cluster(), s.table(), &cores, 0.0, 1, 60);
         let task = mk_task(&s, 0.0);
-        let ev = CandidateEvaluator::default();
-        let p0 = ev.evaluate(&view, &task, 0, PState::P0);
-        let p4 = ev.evaluate(&view, &task, 0, PState::P4);
+        let all = CandidateEvaluator::default().evaluate_all(&view, &task);
+        let (p0, p4) = (all[PState::P0.index()].est, all[PState::P4.index()].est);
         assert!(p4.eet > p0.eet);
         assert!(p4.ect > p0.ect);
         assert!(p4.rho <= p0.rho + 1e-9);
@@ -1442,8 +1249,7 @@ mod tests {
         let cores = idle_cores(&s);
         let view = SystemView::new(s.cluster(), s.table(), &cores, 0.0, 1, 60);
         let task = mk_task(&s, 0.0);
-        let ev = CandidateEvaluator::default();
-        let est = ev.evaluate(&view, &task, 0, PState::P1);
+        let est = estimate(&view, &task, 0, PState::P1);
         let node = s.cluster().node(s.cluster().core(0).node);
         let expected = est.eet * node.power.watts(PState::P1) / node.efficiency;
         assert!((est.eec - expected).abs() < 1e-9);
@@ -1455,8 +1261,7 @@ mod tests {
         let cores = idle_cores(&s);
         let view = SystemView::new(s.cluster(), s.table(), &cores, 0.0, 1, 60);
         let task = mk_task(&s, 0.0); // deadline = type avg + t_avg: generous
-        let ev = CandidateEvaluator::default();
-        let est = ev.evaluate(&view, &task, 0, PState::P0);
+        let est = estimate(&view, &task, 0, PState::P0);
         assert!(est.rho > 0.9, "rho {}", est.rho);
     }
 
@@ -1467,8 +1272,7 @@ mod tests {
         let view = SystemView::new(s.cluster(), s.table(), &cores, 1000.0, 1, 60);
         let mut task = mk_task(&s, 1000.0);
         task.deadline = 1000.5; // far below any execution time
-        let ev = CandidateEvaluator::default();
-        let est = ev.evaluate(&view, &task, 0, PState::P0);
+        let est = estimate(&view, &task, 0, PState::P0);
         assert_eq!(est.rho, 0.0);
     }
 }

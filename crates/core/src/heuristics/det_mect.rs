@@ -143,7 +143,7 @@ mod tests {
             deadline: 1e9,
         });
         let v = ecds_sim::SystemView::new(s.cluster(), s.table(), &cores, 1.0, 1, 10);
-        let evaluator = crate::estimate::CandidateEvaluator::default();
+        let mut evaluator = crate::estimate::CandidateEvaluator::default();
         let t = task();
         let candidates = evaluator.evaluate_all(&v, &t);
         let mut h = DeterministicMct;

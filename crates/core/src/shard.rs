@@ -67,6 +67,24 @@ pub(crate) struct ShardClass {
     pub next: u32,
 }
 
+impl ShardClass {
+    /// The minimum live member of this class, whose id is `id` — the
+    /// deterministic representative. Pops stale heap entries (members
+    /// whose `class_of` entry no longer names `id`) lazily.
+    pub fn min_member(&mut self, id: u32, class_of: &[u32]) -> u32 {
+        loop {
+            let &Reverse(top) = self
+                .members
+                .peek()
+                .expect("a live class has at least one member");
+            if class_of[top as usize] == id {
+                return top;
+            }
+            self.members.pop();
+        }
+    }
+}
+
 /// Expiry-heap entry: the inclusive end of a cached prefix's
 /// exact-validity window, ordered by `total_cmp` (floats carry no `Ord`;
 /// the total order is explicit rather than `==`-based — lint R3).
@@ -270,25 +288,6 @@ impl ShardIndex {
         self.active -= 1;
     }
 
-    /// The minimum live member of class `id` — the deterministic
-    /// representative. Pops stale heap entries (members that left) lazily.
-    pub fn min_member(&mut self, id: u32) -> u32 {
-        let Self {
-            classes, class_of, ..
-        } = self;
-        let class = &mut classes[id as usize];
-        loop {
-            let &Reverse(top) = class
-                .members
-                .peek()
-                .expect("a live class has at least one member");
-            if class_of[top as usize] == id {
-                return top;
-            }
-            class.members.pop();
-        }
-    }
-
     /// Attaches `core` (currently detached) to the class matching `key`
     /// whose representative's prefix satisfies `bits_eq`, creating a new
     /// class at the chain head when none matches. `bits_eq` receives the
@@ -299,7 +298,7 @@ impl ShardIndex {
         debug_assert_eq!(self.class_of[core as usize], CLASS_NONE);
         let mut id = self.by_key.get(&key).copied().unwrap_or(CLASS_NONE);
         while id != CLASS_NONE {
-            let rep = self.min_member(id);
+            let rep = self.classes[id as usize].min_member(id, &self.class_of);
             if bits_eq(rep) {
                 break;
             }
@@ -348,6 +347,10 @@ mod tests {
         }
     }
 
+    fn min_member(idx: &mut ShardIndex, id: u32) -> u32 {
+        idx.classes[id as usize].min_member(id, &idx.class_of)
+    }
+
     fn index_with(n: usize) -> ShardIndex {
         let mut idx = ShardIndex::default();
         idx.begin_rebuild(n);
@@ -364,7 +367,7 @@ mod tests {
         let id = idx.class_of[0];
         assert!((1..4).all(|c| idx.class_of[c] == id));
         assert_eq!(idx.classes[id as usize].count, 4);
-        assert_eq!(idx.min_member(id), 0);
+        assert_eq!(min_member(&mut idx, id), 0);
     }
 
     #[test]
@@ -412,12 +415,12 @@ mod tests {
             idx.join(core, key(1, None, 0), |_| true);
         }
         let id = idx.class_of[3];
-        assert_eq!(idx.min_member(id), 0);
+        assert_eq!(min_member(&mut idx, id), 0);
         idx.leave(0);
-        assert_eq!(idx.min_member(id), 1);
+        assert_eq!(min_member(&mut idx, id), 1);
         // Re-joining pushes a fresh heap entry; the minimum recovers.
         idx.join(0, key(1, None, 0), |_| true);
-        assert_eq!(idx.min_member(id), 0);
+        assert_eq!(min_member(&mut idx, id), 0);
     }
 
     #[test]

@@ -101,7 +101,7 @@ fn warm_engine_path_is_allocation_free() {
     let dirty = DirtyCores::default();
     let view = SystemView::new(scenario.cluster(), scenario.table(), &cores, 50.0, 1, 60)
         .with_dirty(&dirty);
-    let evaluator = CandidateEvaluator::default();
+    let mut evaluator = CandidateEvaluator::default();
 
     let mut out: Vec<EvaluatedCandidate> = Vec::new();
     // Warm-up: first call full-rebuilds the shard and grows every buffer;

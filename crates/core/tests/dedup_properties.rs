@@ -5,7 +5,7 @@
 
 use ecds_cluster::{PState, NUM_PSTATES};
 use ecds_core::{candidates_bit_eq, reference, CandidateEvaluator};
-use ecds_pmf::ReductionPolicy;
+use ecds_pmf::{Pmf, ReductionPolicy};
 use ecds_sim::{CoreState, ExecutingTask, QueuedTask, Scenario, SystemView};
 use ecds_workload::{Task, TaskId, TaskTypeId};
 use proptest::prelude::*;
@@ -81,8 +81,8 @@ proptest! {
 
     /// The congruence property the dedup rests on: two cores on the same
     /// node carrying the same load (equal class key by construction) get
-    /// bit-identical estimates for all five P-states, and equal prefix
-    /// fingerprints.
+    /// bit-identical oracle estimates for all five P-states, and equal
+    /// prefix fingerprints.
     #[test]
     fn equal_class_keys_imply_bit_identical_estimates(
         load in arb_load(),
@@ -96,15 +96,19 @@ proptest! {
         let now = load.as_ref().map_or(elapsed, |(_, start, _)| start + elapsed);
         let view = SystemView::new(s.cluster(), s.table(), &cores, now, 1, 60);
         let task = probe_task();
-        let ev = CandidateEvaluator::default();
+        let policy = ReductionPolicy::default();
+        let fingerprint = |core| reference::pending_completion_pmf(&view, core, policy)
+            .as_ref()
+            .map(Pmf::fingerprint);
         prop_assert_eq!(
-            ev.prefix_fingerprint(&view, a),
-            ev.prefix_fingerprint(&view, b),
+            fingerprint(a),
+            fingerprint(b),
             "fingerprints diverged for equal loads"
         );
+        let all = reference::evaluate_all(&view, &task, policy);
         for pstate in PState::ALL {
-            let ea = ev.evaluate(&view, &task, a, pstate);
-            let eb = ev.evaluate(&view, &task, b, pstate);
+            let ea = all[a * NUM_PSTATES + pstate.index()].est;
+            let eb = all[b * NUM_PSTATES + pstate.index()].est;
             prop_assert!(
                 ea.bit_eq(&eb),
                 "estimates diverged at {:?}: {:?} vs {:?}", pstate, ea, eb
@@ -131,7 +135,7 @@ proptest! {
         let now = 100.0 + elapsed; // past every start in the pool
         let view = SystemView::new(s.cluster(), s.table(), &cores, now, 1, 60);
         let task = probe_task();
-        let deduped = CandidateEvaluator::default();
+        let mut deduped = CandidateEvaluator::default();
         let dd = deduped.evaluate_all(&view, &task);
         let pc = reference::evaluate_all(&view, &task, ReductionPolicy::default());
         prop_assert_eq!(dd.len(), n * NUM_PSTATES);

@@ -171,7 +171,7 @@ proptest! {
         let mut cores = vec![CoreState::new(); s.cluster().total_cores()];
         cores[0] = busy_core(exec_type, start, &queued);
         let task = probe_task();
-        let cached = CandidateEvaluator::default();
+        let mut cached = CandidateEvaluator::default();
         for now in [start + elapsed_a, start + elapsed_a, start + elapsed_a + advance] {
             let view = SystemView::new(s.cluster(), s.table(), &cores, now, 1, 60);
             prop_assert!(

@@ -170,9 +170,9 @@ proptest! {
         let mut now = 0.0f64;
         let mut next_id = 0usize;
 
-        let sharded = CandidateEvaluator::default();
+        let mut sharded = CandidateEvaluator::default();
         // Evaluated on mailbox-less views, so it rebuilds on every call.
-        let full = CandidateEvaluator::default();
+        let mut full = CandidateEvaluator::default();
 
         let mut out: Vec<EvaluatedCandidate> = Vec::new();
         let mut classes: Vec<ClassCandidate> = Vec::new();

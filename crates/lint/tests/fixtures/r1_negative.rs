@@ -35,7 +35,7 @@ impl Ledger {
     }
 }
 
-/// A cached-fingerprint stamp like the evaluator's `PrefixStamp`, bumping
+/// An epoch-versioned cache of a prefix fingerprint, bumping
 /// on every restamp: fine.
 // lint: epoch-guarded
 pub struct Stamp {

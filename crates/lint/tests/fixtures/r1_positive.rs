@@ -19,7 +19,7 @@ impl Ledger {
     }
 }
 
-/// A cached-fingerprint stamp like the evaluator's `PrefixStamp`: the
+/// An epoch-versioned cache of a prefix fingerprint: the
 /// whole point of the epoch is to version the recorded fingerprint, so a
 /// `restamp` that rewrites the fingerprint without bumping is the exact
 /// bug R1 exists to catch.

@@ -18,7 +18,8 @@
 //!
 //! Marks are transient runtime state: they are *not* checkpointed. A
 //! restored engine starts with an empty mailbox, and a restored evaluator
-//! must schedule a full scan (see `CandidateEvaluator::restore_state`).
+//! rebuilds its shard index in full at its first sweep (see
+//! `CandidateEvaluator::restore_state`).
 
 /// Append-only buffer of recently mutated core indices with an absolute
 /// position, so consumers can detect dropped marks.

@@ -269,74 +269,35 @@ impl EnergyAccountant {
     /// The exact instant cumulative wall energy reaches `budget`, or `None`
     /// if the budget outlasts the workload.
     ///
-    /// Walks the merged transition timeline maintaining total cluster wall
-    /// power (piecewise constant), so the crossing point is solved in closed
-    /// form within the segment where it occurs.
+    /// Integrates the piecewise-constant
+    /// [`power_timeline`](EnergyAccountant::power_timeline) segment by
+    /// segment, so the crossing point is solved in closed form within the
+    /// segment where it occurs; the last segment runs to the workload end.
     pub fn exhaustion_time(&self, cluster: &Cluster, budget: f64) -> Option<Time> {
         assert!(budget >= 0.0, "budget must be non-negative");
-        // Merge per-core transitions into one ordered change list.
-        #[derive(Clone, Copy)]
-        struct Change {
-            time: Time,
-            core: usize,
-            state: PState,
-        }
-        let mut changes: Vec<Change> = Vec::new();
-        let mut end_time: Time = f64::NEG_INFINITY;
-        for (core, log) in self.logs.iter().enumerate() {
-            let end = log
-                .end
-                .expect("finalize the accountant before querying exhaustion");
-            end_time = end_time.max(end);
-            for &(time, state) in log.entries() {
-                changes.push(Change { time, core, state });
-            }
-        }
-        changes.sort_by(|a, b| a.time.total_cmp(&b.time));
-        if changes.is_empty() {
-            return None;
-        }
+        let end_time = self
+            .logs
+            .iter()
+            .map(|log| {
+                log.end
+                    .expect("finalize the accountant before querying exhaustion")
+            })
+            .fold(f64::NEG_INFINITY, f64::max);
+        let timeline = self.power_timeline(cluster);
+        let &(first, _) = timeline.first()?;
         if budget == 0.0 {
-            return Some(changes[0].time);
+            return Some(first);
         }
-
-        let wall_watts = |core: usize, state: PState| -> f64 {
-            let node = cluster.node_of(cluster.core(core));
-            node.power.watts(state) / node.efficiency
-        };
-
-        let mut per_core_power = vec![0.0f64; self.logs.len()];
-        let mut total_power = 0.0f64;
         let mut consumed = 0.0f64;
-        let mut now = changes[0].time;
-        let mut idx = 0;
-        while idx < changes.len() {
-            // Apply all changes at this instant.
-            let t = changes[idx].time;
-            // Integrate the segment [now, t).
-            let dt = t - now;
+        for (idx, &(start, watts)) in timeline.iter().enumerate() {
+            let until = timeline.get(idx + 1).map_or(end_time, |&(t, _)| t);
+            let dt = until - start;
             if dt > 0.0 {
-                let segment = total_power * dt;
+                let segment = watts * dt;
                 if consumed + segment >= budget {
-                    return Some(now + (budget - consumed) / total_power);
+                    return Some(start + (budget - consumed) / watts);
                 }
                 consumed += segment;
-                now = t;
-            }
-            while idx < changes.len() && changes[idx].time == t {
-                let c = changes[idx];
-                total_power -= per_core_power[c.core];
-                per_core_power[c.core] = wall_watts(c.core, c.state);
-                total_power += per_core_power[c.core];
-                idx += 1;
-            }
-        }
-        // Final segment up to the workload end.
-        let dt = end_time - now;
-        if dt > 0.0 {
-            let segment = total_power * dt;
-            if consumed + segment >= budget {
-                return Some(now + (budget - consumed) / total_power);
             }
         }
         None

@@ -64,7 +64,6 @@ pub mod report;
 pub mod result;
 pub mod scenario;
 pub mod serve;
-pub mod stamp;
 pub mod state;
 mod store;
 pub mod telemetry;
@@ -83,7 +82,6 @@ pub use serve::{
     Horizon, Retention, RetiredTally, ServeConfig, ServeSession, ServeSummary, TelemetryFold,
     CHECKPOINT_VERSION,
 };
-pub use stamp::PrefixStamp;
 pub use state::{CoreState, ExecutingTask, QueuedTask};
 pub use telemetry::{MapperStats, Telemetry};
 pub use view::{Assignment, Mapper, SystemView};

@@ -305,9 +305,10 @@ fn restore_rejects_config_mismatch() {
     );
 }
 
-/// A checkpoint written under the previous wire-format version is rejected
+/// A checkpoint written under an earlier wire-format version is rejected
 /// with the typed version error, never reinterpreted: version 1 carried
-/// evaluator-configuration flags that version 2 no longer encodes.
+/// evaluator-configuration flags that version 2 dropped, and version 2
+/// carried a per-prefix stamp epoch that version 3 dropped.
 #[test]
 fn restore_rejects_a_version_1_checkpoint() {
     let scenario = Scenario::small_for_tests(3);
@@ -337,25 +338,26 @@ fn restore_rejects_a_version_1_checkpoint() {
     };
     let body = ecds::persist::open(&bytes, ecds::sim::CHECKPOINT_VERSION)
         .expect("a live checkpoint opens under the current version");
-    let version_1 = ecds::persist::seal(1, body);
-
-    let mut scheduler = build();
-    let mut discipline = ImmediateDiscipline::new(scheduler.as_mut());
-    let mut source = TraceArrivalSource::new(&trace);
-    let err = ServeSession::restore(
-        scenario.cluster(),
-        scenario.table(),
-        scenario.sim_config(),
-        &version_1,
-        &mut source,
-        &mut discipline,
-    )
-    .expect_err("a version-1 checkpoint must not restore");
-    assert!(
-        matches!(
-            err,
-            ecds::persist::DecodeError::UnsupportedVersion { found: 1 }
-        ),
-        "unexpected error: {err:?}"
-    );
+    for version in [1, 2] {
+        let sealed = ecds::persist::seal(version, body);
+        let mut scheduler = build();
+        let mut discipline = ImmediateDiscipline::new(scheduler.as_mut());
+        let mut source = TraceArrivalSource::new(&trace);
+        let err = ServeSession::restore(
+            scenario.cluster(),
+            scenario.table(),
+            scenario.sim_config(),
+            &sealed,
+            &mut source,
+            &mut discipline,
+        )
+        .expect_err("an earlier-version checkpoint must not restore");
+        assert!(
+            matches!(
+                err,
+                ecds::persist::DecodeError::UnsupportedVersion { found } if found == version
+            ),
+            "version {version}: unexpected error: {err:?}"
+        );
+    }
 }

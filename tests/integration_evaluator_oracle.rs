@@ -90,7 +90,7 @@ fn estimates_match_oracle_through_mutation_and_time() {
         quantile: 0.5,
     };
     let policy = ReductionPolicy::default();
-    let evaluator = CandidateEvaluator::default();
+    let mut evaluator = CandidateEvaluator::default();
 
     for step in 0..4 {
         let now = 10.0 + step as f64 * 15.0;

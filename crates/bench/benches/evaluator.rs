@@ -1,7 +1,8 @@
-//! Candidate-evaluator benchmarks: the evaluator (warm prefix cache,
-//! fused kernel, equivalence classes) against the per-core reference
-//! evaluator (`ecds_core::reference::evaluate_all`), over the two shapes
-//! that bound the class partition's behaviour.
+//! Candidate-evaluator benchmarks, written to
+//! `results/BENCH_evaluator.json`: the evaluator (warm prefix cache, fused
+//! kernel, equivalence classes) against the per-core reference evaluator
+//! (`ecds_core::reference::evaluate_all`), over the two shapes that bound
+//! the class partition's behaviour.
 //!
 //! * `undersubscribed` — fewer tasks than cores: one node runs a
 //!   just-dispatched same-type burst (bit-identical prefixes) and the
@@ -12,9 +13,9 @@
 
 mod common;
 
-use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 
+use common::Report;
 use ecds_cluster::PState;
 use ecds_core::{reference, CandidateEvaluator};
 use ecds_pmf::ReductionPolicy;
@@ -91,105 +92,38 @@ fn probe_task() -> Task {
     }
 }
 
-fn bench_fixture(c: &mut Criterion, name: &str, scenario: &Scenario, cores: &[CoreState]) {
+/// One fixture's rows. `classes` comes from a fresh evaluator's first
+/// sweep (one event, so the count is exact, not averaged); the timed
+/// `deduped` evaluator is warm after the harness's warm-up batch.
+fn fixture(report: &mut Report, name: &str, scenario: &Scenario, cores: &[CoreState]) {
     let view = SystemView::new(scenario.cluster(), scenario.table(), cores, 500.0, 10, 60);
     let task = probe_task();
-    let mut group = c.benchmark_group(format!("evaluate_all_dedup/{name}"));
-    group.bench_function("oracle", |b| {
-        b.iter(|| {
-            black_box(reference::evaluate_all(
-                &view,
-                &task,
-                ReductionPolicy::default(),
-            ))
-        })
+    let mut probe = CandidateEvaluator::default();
+    let _ = probe.evaluate_all(&view, &task);
+    let (classes, _) = probe.dedup_stats().expect("dedup is on by default");
+    let fields = [
+        ("cores", scenario.cluster().total_cores()),
+        ("classes", classes as usize),
+    ];
+    let group = format!("evaluate_all_dedup/{name}");
+    report.measure(&group, "oracle", &fields, 500, || {
+        drop(black_box(reference::evaluate_all(
+            &view,
+            &task,
+            ReductionPolicy::default(),
+        )))
     });
-    group.bench_function("deduped", |b| {
-        let mut evaluator = CandidateEvaluator::default();
-        let _ = evaluator.evaluate_all(&view, &task);
-        b.iter(|| black_box(evaluator.evaluate_all(&view, &task)))
+    let mut deduped = CandidateEvaluator::default();
+    report.measure(&group, "deduped", &fields, 500, || {
+        drop(black_box(deduped.evaluate_all(&view, &task)))
     });
-    group.finish();
 }
-
-fn bench_evaluator_vs_oracle(c: &mut Criterion) {
-    let (scenario, cores) = undersubscribed_fixture();
-    bench_fixture(c, "undersubscribed", &scenario, &cores);
-    let (scenario, cores) = divergent_fixture();
-    bench_fixture(c, "divergent", &scenario, &cores);
-}
-
-/// Hand-rolled median measurement feeding `results/BENCH_evaluator.json`;
-/// the vendored criterion reports mean/min/max only. In smoke mode (no
-/// `--bench` flag, i.e. `cargo test --benches`) every measured closure
-/// still runs once so the JSON path can't bit-rot, but no file is written.
-mod evaluator_json {
-    use super::*;
-    use crate::common::{measure, SAMPLES};
-
-    /// One fixture row: classes come from a fresh deduplicating evaluator's
-    /// first sweep (one event, so the class count is exact, not averaged).
-    fn row(name: &str, scenario: &Scenario, cores: &[CoreState], bench_mode: bool) -> String {
-        let view = SystemView::new(scenario.cluster(), scenario.table(), cores, 500.0, 10, 60);
-        let task = probe_task();
-        let n = scenario.cluster().total_cores();
-
-        let mut probe = CandidateEvaluator::default();
-        let _ = probe.evaluate_all(&view, &task);
-        let (classes, _) = probe.dedup_stats().expect("dedup is on by default");
-
-        let oracle = measure(
-            || {
-                drop(black_box(reference::evaluate_all(
-                    &view,
-                    &task,
-                    ReductionPolicy::default(),
-                )))
-            },
-            500,
-            bench_mode,
-        );
-        let mut deduped_eval = CandidateEvaluator::default();
-        let _ = deduped_eval.evaluate_all(&view, &task);
-        let deduped = measure(
-            || drop(black_box(deduped_eval.evaluate_all(&view, &task))),
-            500,
-            bench_mode,
-        );
-        format!(
-            "    {{\"fixture\": \"{name}\", \"cores\": {n}, \"classes\": {classes}, \
-             \"oracle_ns\": {oracle:.1}, \"deduped_ns\": {deduped:.1}, \
-             \"speedup\": {speedup:.2}}}",
-            speedup = if deduped > 0.0 { oracle / deduped } else { 0.0 },
-        )
-    }
-
-    pub fn emit() {
-        let bench_mode = std::env::args().any(|a| a == "--bench");
-        let (scenario, cores) = undersubscribed_fixture();
-        let under = row("undersubscribed", &scenario, &cores, bench_mode);
-        let (scenario, cores) = divergent_fixture();
-        let divergent = row("divergent", &scenario, &cores, bench_mode);
-        if !bench_mode {
-            println!("BENCH_evaluator.json: ok (smoke, not written)");
-            return;
-        }
-        let json = format!(
-            "{{\n  \"units\": \"median ns per op, {SAMPLES} samples\",\n  \
-             \"warm_prefix_cache\": true,\n  \"evaluate_all\": [\n{under},\n{divergent}\n  ]\n}}\n"
-        );
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../results/BENCH_evaluator.json"
-        );
-        std::fs::write(path, &json).expect("write BENCH_evaluator.json");
-        println!("wrote {path}:\n{json}");
-    }
-}
-
-criterion_group!(evaluator, bench_evaluator_vs_oracle);
 
 fn main() {
-    evaluator();
-    evaluator_json::emit();
+    let mut report = Report::new("BENCH_evaluator.json");
+    let (scenario, cores) = undersubscribed_fixture();
+    fixture(&mut report, "undersubscribed", &scenario, &cores);
+    let (scenario, cores) = divergent_fixture();
+    fixture(&mut report, "divergent", &scenario, &cores);
+    report.write();
 }

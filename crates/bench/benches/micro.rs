@@ -1,16 +1,17 @@
-//! Micro-benchmarks of the hot paths: pmf algebra (the paper notes
-//! convolution overhead "can be negligible if task execution times are
-//! sufficiently long"), candidate evaluation, and the robustness
-//! calculation.
+//! Micro-benchmarks of the hot paths, written to
+//! `results/BENCH_kernel.json`: pmf algebra (the paper notes convolution
+//! overhead "can be negligible if task execution times are sufficiently
+//! long"), candidate evaluation, the robustness calculation, and the
+//! whole-trial cost of the convolution impulse cap.
 
 mod common;
 
-use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use ecds_core::{system_robustness, CandidateEvaluator};
+use common::Report;
+use ecds_core::{system_robustness, CandidateEvaluator, FilterVariant, LightestLoad, Scheduler};
 use ecds_pmf::{Gamma, Pmf, PmfScratch, ReductionPolicy, SeedDerive};
-use ecds_sim::{CoreState, ExecutingTask, QueuedTask, Scenario, SystemView};
+use ecds_sim::{CoreState, ExecutingTask, QueuedTask, Scenario, Simulation, SystemView};
 use ecds_workload::{Task, TaskId, TaskTypeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,80 +26,51 @@ fn gamma_pmf(mean: f64, impulses: usize) -> Pmf {
     )
 }
 
-fn bench_convolution(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pmf_convolve");
-    for impulses in [8usize, 16, 24, 48] {
-        let a = gamma_pmf(750.0, impulses);
-        let b = gamma_pmf(900.0, impulses);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(impulses),
-            &impulses,
-            |bch, _| bch.iter(|| black_box(a.convolve(&b, ReductionPolicy::new(impulses)))),
-        );
-    }
-    group.finish();
-}
-
 /// The fused scratch kernel against the legacy convolve→reduce pipeline at
-/// the default 24-impulse cap: "warm" reuses one workspace across
-/// iterations (the evaluator's steady state), "cold" pays the buffer
+/// the default 24-impulse cap: "fused_warm" reuses one workspace across
+/// iterations (the evaluator's steady state), "fused_cold" pays the buffer
 /// growth on every call.
-fn bench_kernel_fused_vs_legacy(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pmf_kernel");
+fn kernel(report: &mut Report) {
     let policy = ReductionPolicy::default_cap();
+    let cap = policy.max_impulses;
     for impulses in [8usize, 24, 64] {
         let a = gamma_pmf(750.0, impulses);
         let b = gamma_pmf(900.0, impulses);
-        group.bench_with_input(BenchmarkId::new("legacy", impulses), &impulses, |bch, _| {
-            bch.iter(|| black_box(a.convolve(&b, policy)))
+        let fields = [("impulses", impulses), ("cap", cap)];
+        report.measure("pmf_kernel", "legacy", &fields, 2000, || {
+            drop(black_box(a.convolve(&b, policy)))
         });
-        group.bench_with_input(
-            BenchmarkId::new("fused_warm", impulses),
-            &impulses,
-            |bch, _| {
-                let mut scratch = PmfScratch::new();
-                bch.iter(|| {
-                    let out = scratch.convolve_reduced(black_box(&a), black_box(&b), policy);
-                    black_box(out.expectation())
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("fused_cold", impulses),
-            &impulses,
-            |bch, _| {
-                bch.iter(|| {
-                    let mut scratch = PmfScratch::new();
-                    let out = scratch.convolve_reduced(black_box(&a), black_box(&b), policy);
-                    black_box(out.expectation())
-                })
-            },
-        );
+        let mut scratch = PmfScratch::new();
+        report.measure("pmf_kernel", "fused_warm", &fields, 2000, || {
+            let out = scratch.convolve_reduced(black_box(&a), black_box(&b), policy);
+            black_box(out.expectation());
+        });
+        report.measure("pmf_kernel", "fused_cold", &fields, 2000, || {
+            let mut fresh = PmfScratch::new();
+            let out = fresh.convolve_reduced(black_box(&a), black_box(&b), policy);
+            black_box(out.expectation());
+        });
     }
-    group.finish();
 }
 
-fn bench_truncate(c: &mut Criterion) {
-    let p = gamma_pmf(750.0, 24).shift(100.0);
-    c.bench_function("pmf_truncate_renormalize", |b| {
-        b.iter(|| black_box(p.truncate_below(black_box(750.0))))
-    });
-}
-
-fn bench_quantile(c: &mut Criterion) {
+fn pmf_ops(report: &mut Report) {
     let p = gamma_pmf(750.0, 24);
-    c.bench_function("pmf_quantile", |b| {
-        b.iter(|| black_box(p.quantile(black_box(0.73)).unwrap()))
+    let shifted = p.shift(100.0);
+    report.measure("pmf", "truncate_renormalize", &[], 10_000, || {
+        drop(black_box(shifted.truncate_below(black_box(750.0))))
     });
-}
-
-fn busy_view_fixture() -> (Scenario, Vec<CoreState>) {
-    busy_view_fixture_with_depth(1)
+    report.measure("pmf", "quantile", &[], 10_000, || {
+        black_box(p.quantile(black_box(0.73)).unwrap());
+    });
+    let seeds = SeedDerive::new(42);
+    report.measure("pmf", "seed_derivation", &[], 10_000, || {
+        black_box(seeds.seed(ecds_pmf::Stream::Quantiles, black_box(17), black_box(3)));
+    });
 }
 
 /// Every core executing one task with `depth` more queued behind it
 /// (burst-time telemetry shows per-core depths of this order).
-fn busy_view_fixture_with_depth(depth: usize) -> (Scenario, Vec<CoreState>) {
+fn busy_view_fixture(depth: usize) -> (Scenario, Vec<CoreState>) {
     let scenario = Scenario::small_for_tests(3);
     let mut cores = vec![CoreState::new(); scenario.cluster().total_cores()];
     for (i, core) in cores.iter_mut().enumerate() {
@@ -131,152 +103,67 @@ fn probe_task() -> Task {
     }
 }
 
-fn bench_candidate_evaluation(c: &mut Criterion) {
-    let (scenario, cores) = busy_view_fixture();
-    let view = SystemView::new(scenario.cluster(), scenario.table(), &cores, 500.0, 10, 60);
+/// `evaluate_all` with every queue-prefix pmf served from the prefix cache
+/// ("warm": the warm-up batch primes it) against recomputing the prefixes
+/// on every call ("cold": `reset_cache` before each sweep). At depth 8 the
+/// prefix convolution chain dominates the sweep, which is the load the
+/// cache exists for.
+fn evaluate_all(report: &mut Report) {
     let task = probe_task();
-    let mut evaluator = CandidateEvaluator::default();
-    c.bench_function("evaluate_all_candidates", |b| {
-        b.iter(|| black_box(evaluator.evaluate_all(&view, &task)))
-    });
-}
-
-/// The tentpole speedup: `evaluate_all` with every queue-prefix pmf served
-/// from the versioned cache ("warm") against recomputing the prefixes on
-/// every call ("cold", the cache dropped by `reset_cache` before each
-/// sweep). Same burst-depth view in both arms: with 8 tasks queued per core
-/// the prefix convolution chain dominates the candidate sweep, which is
-/// precisely the load the cache exists for.
-fn bench_prefix_cache_cold_vs_warm(c: &mut Criterion) {
-    let (scenario, cores) = busy_view_fixture_with_depth(8);
-    let view = SystemView::new(scenario.cluster(), scenario.table(), &cores, 500.0, 10, 60);
-    let task = probe_task();
-    let mut group = c.benchmark_group("evaluate_all_prefix_cache");
-    group.bench_function("cold", |b| {
-        let mut evaluator = CandidateEvaluator::default();
-        b.iter(|| {
-            evaluator.reset_cache();
-            black_box(evaluator.evaluate_all(&view, &task))
-        })
-    });
-    group.bench_function("warm", |b| {
-        let mut evaluator = CandidateEvaluator::default();
-        // Prime every core's entry so the timed region is all hits.
-        let _ = evaluator.evaluate_all(&view, &task);
-        b.iter(|| black_box(evaluator.evaluate_all(&view, &task)))
-    });
-    group.finish();
-}
-
-fn bench_system_robustness(c: &mut Criterion) {
-    let (scenario, cores) = busy_view_fixture();
-    let view = SystemView::new(scenario.cluster(), scenario.table(), &cores, 500.0, 10, 60);
-    c.bench_function("system_robustness", |b| {
-        b.iter(|| black_box(system_robustness(&view, ReductionPolicy::default())))
-    });
-}
-
-fn bench_trace_generation(c: &mut Criterion) {
-    let scenario = Scenario::small_for_tests(3);
-    c.bench_function("trace_generation", |b| {
-        let mut trial = 0u64;
-        b.iter(|| {
-            trial += 1;
-            black_box(scenario.trace(trial))
-        })
-    });
-}
-
-fn bench_seed_derivation(c: &mut Criterion) {
-    let seeds = SeedDerive::new(42);
-    c.bench_function("seed_derivation", |b| {
-        b.iter(|| black_box(seeds.seed(ecds_pmf::Stream::Quantiles, black_box(17), black_box(3))))
-    });
-}
-
-/// Hand-rolled median measurement feeding `results/BENCH_kernel.json` —
-/// the machine-readable record of the kernel speedup (the vendored
-/// criterion reports mean/min/max only, and medians are what the
-/// acceptance criteria track). In smoke mode (no `--bench` flag, i.e.
-/// `cargo test --benches`) every measured closure still runs once so the
-/// JSON path can't bit-rot, but no file is written.
-mod kernel_json {
-    use super::*;
-    use crate::common::{measure, SAMPLES};
-
-    pub fn emit() {
-        let bench_mode = std::env::args().any(|a| a == "--bench");
-        let policy = ReductionPolicy::default_cap();
-        let mut kernel_rows = String::new();
-        for (i, impulses) in [8usize, 24, 64].into_iter().enumerate() {
-            let a = gamma_pmf(750.0, impulses);
-            let b = gamma_pmf(900.0, impulses);
-            let legacy = measure(|| drop(black_box(a.convolve(&b, policy))), 2000, bench_mode);
-            let mut scratch = PmfScratch::new();
-            let fused_warm = measure(
-                || {
-                    let out = scratch.convolve_reduced(black_box(&a), black_box(&b), policy);
-                    black_box(out.expectation());
-                },
-                2000,
-                bench_mode,
-            );
-            let fused_cold = measure(
-                || {
-                    let mut fresh = PmfScratch::new();
-                    let out = fresh.convolve_reduced(black_box(&a), black_box(&b), policy);
-                    black_box(out.expectation());
-                },
-                2000,
-                bench_mode,
-            );
-            if i > 0 {
-                kernel_rows.push_str(",\n");
-            }
-            kernel_rows.push_str(&format!(
-                "    {{\"impulses\": {impulses}, \"cap\": {cap}, \
-                 \"legacy_ns\": {legacy:.1}, \"fused_warm_ns\": {fused_warm:.1}, \
-                 \"fused_cold_ns\": {fused_cold:.1}, \"speedup_warm\": {speedup:.2}}}",
-                cap = policy.max_impulses,
-                speedup = if fused_warm > 0.0 {
-                    legacy / fused_warm
-                } else {
-                    0.0
-                },
-            ));
-        }
-
-        if !bench_mode {
-            println!("BENCH_kernel.json: ok (smoke, not written)");
-            return;
-        }
-        let json = format!(
-            "{{\n  \"units\": \"median ns per op, {SAMPLES} samples\",\n  \
-             \"kernel\": [\n{kernel_rows}\n  ]\n}}\n"
-        );
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../results/BENCH_kernel.json"
-        );
-        std::fs::write(path, &json).expect("write BENCH_kernel.json");
-        println!("wrote {path}:\n{json}");
+    for depth in [1usize, 8] {
+        let (scenario, cores) = busy_view_fixture(depth);
+        let view = SystemView::new(scenario.cluster(), scenario.table(), &cores, 500.0, 10, 60);
+        let mut cold = CandidateEvaluator::default();
+        report.measure("evaluate_all", "cold", &[("depth", depth)], 100, || {
+            cold.reset_cache();
+            drop(black_box(cold.evaluate_all(&view, &task)));
+        });
+        let mut warm = CandidateEvaluator::default();
+        report.measure("evaluate_all", "warm", &[("depth", depth)], 100, || {
+            drop(black_box(warm.evaluate_all(&view, &task)))
+        });
     }
 }
 
-criterion_group!(
-    micro,
-    bench_convolution,
-    bench_kernel_fused_vs_legacy,
-    bench_truncate,
-    bench_quantile,
-    bench_candidate_evaluation,
-    bench_prefix_cache_cold_vs_warm,
-    bench_system_robustness,
-    bench_trace_generation,
-    bench_seed_derivation,
-);
+fn robustness_and_trace(report: &mut Report) {
+    let (scenario, cores) = busy_view_fixture(1);
+    let view = SystemView::new(scenario.cluster(), scenario.table(), &cores, 500.0, 10, 60);
+    report.measure("system_robustness", "depth_1", &[], 200, || {
+        black_box(system_robustness(&view, ReductionPolicy::default()));
+    });
+    let mut trial = 0u64;
+    report.measure("trace", "generate_small", &[], 50, || {
+        trial += 1;
+        drop(black_box(scenario.trace(trial)));
+    });
+}
+
+/// The speed side of the impulse-cap ablation: one whole small LL/en+rob
+/// trial per cap (allocation *quality* under the cap is measured by
+/// `ablations impulse-cap`).
+fn trial_per_cap(report: &mut Report) {
+    let scenario = Scenario::small_for_tests(1353);
+    let trace = scenario.trace(0);
+    let budget = scenario.energy_budget().unwrap();
+    for cap in [4usize, 8, 24, 64] {
+        report.measure("trial", "ll_en_rob", &[("cap", cap)], 3, || {
+            let mut sched = Scheduler::new(
+                Box::new(LightestLoad),
+                FilterVariant::EnergyAndRobustness.build(),
+                budget,
+                ReductionPolicy::new(cap),
+            );
+            black_box(Simulation::new(&scenario, &trace).run(&mut sched).missed());
+        });
+    }
+}
 
 fn main() {
-    micro();
-    kernel_json::emit();
+    let mut report = Report::new("BENCH_kernel.json");
+    kernel(&mut report);
+    pmf_ops(&mut report);
+    evaluate_all(&mut report);
+    robustness_and_trace(&mut report);
+    trial_per_cap(&mut report);
+    report.write();
 }

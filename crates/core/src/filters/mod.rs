@@ -69,10 +69,13 @@ pub trait Filter: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimate::AssignmentEstimate;
-    use ecds_cluster::PState;
+    use crate::heuristics::mect::MinimumExpectedCompletionTime;
+    use crate::scheduler::Scheduler;
+    use ecds_pmf::ReductionPolicy;
+    use ecds_sim::{Scenario, Simulation};
 
-    /// A filter that keeps nothing — exercises the discard path end to end.
+    /// A filter that keeps nothing. It has no indexed form, so the
+    /// scheduler takes the full-scan path.
     struct RejectAll;
     impl Filter for RejectAll {
         fn name(&self) -> &'static str {
@@ -89,22 +92,20 @@ mod tests {
         }
     }
 
+    /// A boxed filter runs through a whole trial, and a chain that keeps
+    /// nothing discards every task (the full-scan discard path).
     #[test]
     fn filters_are_object_safe() {
-        let f: Box<dyn Filter> = Box::new(RejectAll);
-        assert_eq!(f.name(), "reject-all");
-        let mut candidates = vec![EvaluatedCandidate {
-            core: 0,
-            pstate: PState::P0,
-            est: AssignmentEstimate {
-                eet: 1.0,
-                ect: 1.0,
-                eec: 1.0,
-                rho: 1.0,
-            },
-        }];
-        // A task/view are not needed by RejectAll; clearing suffices here.
-        candidates.clear();
-        assert!(candidates.is_empty());
+        let s = Scenario::small_for_tests(12);
+        let trace = s.trace(0);
+        let mut sched = Scheduler::new(
+            Box::new(MinimumExpectedCompletionTime),
+            vec![Box::new(RejectAll)],
+            f64::INFINITY,
+            ReductionPolicy::default(),
+        );
+        let result = Simulation::new(&s, &trace).run(&mut sched);
+        assert!(!result.outcomes().is_empty());
+        assert_eq!(result.discarded(), result.outcomes().len());
     }
 }

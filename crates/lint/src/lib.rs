@@ -37,7 +37,7 @@
 //! only shrink with the code it excuses and every rationale stays pinned
 //! to its audited site. The parsing stack is the vendored
 //! `proc-macro2`/`syn` subset (the same offline-vendoring pattern as
-//! `rand`/`proptest`/`criterion`) extended with a statement-level body
+//! `rand`/`proptest`) extended with a statement-level body
 //! parser (`syn::body`) feeding the CFGs.
 //!
 //! [`CoreState`]: https://docs.rs/ecds-sim

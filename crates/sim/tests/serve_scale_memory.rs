@@ -57,7 +57,7 @@ fn high_water() -> i64 {
 
 /// A deliberately cheap mapper (core = id mod cores, fastest P-state): the
 /// test measures the serving loop's memory behaviour at cluster scale, not
-/// scheduling cost — `BENCH_scale.json` carries the real decision rates.
+/// scheduling cost — `perfbench`'s `serve-mid` workload times real decisions.
 struct ModuloMapper {
     cores: usize,
 }

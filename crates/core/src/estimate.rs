@@ -139,6 +139,38 @@ struct CachedPrefix {
     fingerprint: Option<u64>,
 }
 
+/// `epoch ‖ computed_at ‖ valid_until ‖ prefix ‖ fingerprint`; a NaN
+/// validity bound is refused (every comparison against it would be false).
+impl Persist for CachedPrefix {
+    const MIN_ENCODED_LEN: u64 = 8 + 8 + 8 + 1 + 1;
+
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_u64(self.epoch);
+        enc.put_f64(self.computed_at);
+        enc.put_f64(self.valid_until);
+        self.prefix.encode(enc);
+        self.fingerprint.encode(enc);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let epoch = dec.u64()?;
+        let computed_at = dec.f64()?;
+        let valid_until = dec.f64()?;
+        if computed_at.is_nan() || valid_until.is_nan() {
+            return Err(DecodeError::Corrupt(
+                "cache validity window must not be NaN",
+            ));
+        }
+        Ok(Self {
+            epoch,
+            computed_at,
+            valid_until,
+            prefix: Option::decode(dec)?,
+            fingerprint: Option::decode(dec)?,
+        })
+    }
+}
+
 /// The cache entry of `core`, which the caller has just refreshed via
 /// [`CandidateEvaluator::refresh_entry`].
 fn entry_of(entries: &[Option<CachedPrefix>], core: usize) -> &CachedPrefix {
@@ -312,20 +344,7 @@ impl CandidateEvaluator {
         enc.put_u64(self.dedup_events);
         enc.put_u64(self.dedup_skipped);
         enc.put_u64(self.scratch.kernel_calls());
-        enc.put_u64(self.cache.len() as u64);
-        for entry in &self.cache {
-            match entry {
-                Some(e) => {
-                    enc.put_bool(true);
-                    enc.put_u64(e.epoch);
-                    enc.put_f64(e.computed_at);
-                    enc.put_f64(e.valid_until);
-                    e.prefix.encode(enc);
-                    e.fingerprint.encode(enc);
-                }
-                None => enc.put_bool(false),
-            }
-        }
+        self.cache.encode(enc);
     }
 
     /// Restores state written by [`CandidateEvaluator::save_state`].
@@ -336,33 +355,7 @@ impl CandidateEvaluator {
         self.dedup_events = dec.u64()?;
         self.dedup_skipped = dec.u64()?;
         self.scratch.set_kernel_calls(dec.u64()?);
-        let n = dec.u64()?;
-        if n > dec.remaining() {
-            return Err(DecodeError::Truncated);
-        }
-        let mut entries = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            if dec.bool()? {
-                let epoch = dec.u64()?;
-                let computed_at = dec.f64()?;
-                let valid_until = dec.f64()?;
-                if computed_at.is_nan() || valid_until.is_nan() {
-                    return Err(DecodeError::Corrupt(
-                        "cache validity window must not be NaN",
-                    ));
-                }
-                entries.push(Some(CachedPrefix {
-                    epoch,
-                    computed_at,
-                    valid_until,
-                    prefix: Option::<Pmf>::decode(dec)?,
-                    fingerprint: Option::<u64>::decode(dec)?,
-                }));
-            } else {
-                entries.push(None);
-            }
-        }
-        self.cache = entries;
+        self.cache = Vec::decode(dec)?;
         // The shard index is derived from the cache entries and never
         // checkpointed: a restore schedules a full rebuild instead.
         self.shard.reset();
@@ -706,6 +699,85 @@ mod tests {
             .pmf(task.type_id, s.cluster().core(0).node, PState::P0);
         assert!((est.ect - (exec.expectation() + 100.0)).abs() < 1e-9);
         assert!(est.bit_eq(&oracle(&view, &task)[0].est));
+    }
+
+    #[test]
+    fn cached_prefix_round_trips_and_rejects_a_nan_window() {
+        let entry = CachedPrefix {
+            epoch: 7,
+            computed_at: 10.0,
+            valid_until: f64::INFINITY,
+            prefix: Some(Pmf::from_pairs(&[(12.0, 0.5), (15.0, 0.5)]).unwrap()),
+            fingerprint: Some(0xfeed),
+        };
+        let mut enc = Encoder::new();
+        entry.encode(&mut enc);
+        let mut bytes = enc.into_bytes();
+        let back = CachedPrefix::decode(&mut Decoder::new(&bytes)).unwrap();
+        assert_eq!(back.epoch, 7);
+        assert_eq!(back.valid_until, f64::INFINITY);
+        assert!(prefix_bit_eq(back.prefix.as_ref(), entry.prefix.as_ref()));
+        assert_eq!(back.fingerprint, Some(0xfeed));
+        for at in [8, 16] {
+            let mut bad = bytes.clone();
+            bad[at..at + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+            assert!(matches!(
+                CachedPrefix::decode(&mut Decoder::new(&bad)),
+                Err(DecodeError::Corrupt(
+                    "cache validity window must not be NaN"
+                ))
+            ));
+        }
+        bytes.truncate(bytes.len() - 1);
+        assert!(matches!(
+            CachedPrefix::decode(&mut Decoder::new(&bytes)),
+            Err(DecodeError::Truncated)
+        ));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn cached_prefix_persist_round_trips_bitwise(
+            epoch in 0..=u64::MAX,
+            computed_at in 0.0f64..1e6,
+            window in (proptest::bool::ANY, 0.0f64..1e6),
+            weights in proptest::collection::vec(1u32..100, 0..6),
+            fingerprint in (proptest::bool::ANY, 0..=u64::MAX),
+        ) {
+            let total: f64 = weights.iter().map(|&w| f64::from(w)).sum();
+            let pairs: Vec<(f64, f64)> = weights
+                .iter()
+                .enumerate()
+                .map(|(i, &w)| (computed_at + i as f64, f64::from(w) / total))
+                .collect();
+            let entry = CachedPrefix {
+                epoch,
+                computed_at,
+                // An infinite bound is legal; only NaN is refused.
+                valid_until: if window.0 { f64::INFINITY } else { computed_at + window.1 },
+                prefix: (!pairs.is_empty()).then(|| Pmf::from_pairs(&pairs).unwrap()),
+                fingerprint: fingerprint.0.then_some(fingerprint.1),
+            };
+            let mut enc = Encoder::new();
+            entry.encode(&mut enc);
+            proptest::prop_assert!(enc.written() >= CachedPrefix::MIN_ENCODED_LEN);
+            let mut dec = Decoder::new(enc.as_slice());
+            let back = CachedPrefix::decode(&mut dec).expect("a fresh encoding decodes");
+            proptest::prop_assert!(dec.finish().is_ok());
+            let mut again = Encoder::new();
+            back.encode(&mut again);
+            proptest::prop_assert_eq!(again.as_slice(), enc.as_slice());
+        }
+
+        #[test]
+        fn cached_prefix_decode_never_panics_on_random_bytes(
+            bytes in proptest::collection::vec(0u8..=u8::MAX, 0..128),
+        ) {
+            let _ = CachedPrefix::decode(&mut Decoder::new(&bytes));
+            let _ = Vec::<Option<CachedPrefix>>::decode(&mut Decoder::new(&bytes));
+        }
     }
 
     #[test]

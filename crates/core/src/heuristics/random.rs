@@ -1,6 +1,6 @@
 //! The Random baseline heuristic (paper Sec. V-E).
 
-use ecds_persist::{DecodeError, Decoder, Encoder};
+use ecds_persist::{DecodeError, Decoder, Encoder, Persist};
 use ecds_sim::SystemView;
 use ecds_workload::Task;
 use rand::rngs::StdRng;
@@ -56,17 +56,11 @@ impl Heuristic for RandomChoice {
     }
 
     fn save_state(&self, enc: &mut Encoder) {
-        for word in self.rng.state() {
-            enc.put_u64(word);
-        }
+        self.rng.state().encode(enc);
     }
 
     fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), DecodeError> {
-        let mut state = [0u64; 4];
-        for word in &mut state {
-            *word = dec.u64()?;
-        }
-        self.rng = StdRng::from_state(state);
+        self.rng = StdRng::from_state(Persist::decode(dec)?);
         Ok(())
     }
 }

@@ -1,9 +1,9 @@
 //! The scheduler: evaluate → filter → choose, plus the energy ledger.
 
-use ecds_persist::{DecodeError, Decoder, Encoder};
+use ecds_persist::{DecodeError, Decoder, Encoder, Persist};
 use ecds_pmf::ReductionPolicy;
 use ecds_sim::{Assignment, Mapper, MapperStats, SystemView};
-use ecds_workload::{Task, TaskId};
+use ecds_workload::Task;
 
 use crate::candidate::EvaluatedCandidate;
 use crate::estimate::CandidateEvaluator;
@@ -216,27 +216,14 @@ impl Mapper for Scheduler {
 
     fn save_state(&self, enc: &mut Encoder) {
         enc.put_f64(self.remaining);
-        enc.put_u64(self.predictions.len() as u64);
-        for &(task, rho) in &self.predictions {
-            enc.put_u64(task.0 as u64);
-            enc.put_f64(rho);
-        }
+        self.predictions.encode(enc);
         self.heuristic.save_state(enc);
         self.evaluator.save_state(enc);
     }
 
     fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), DecodeError> {
         self.remaining = dec.f64()?;
-        let n = dec.u64()?;
-        if n > dec.remaining() / 16 {
-            return Err(DecodeError::Truncated);
-        }
-        self.predictions.clear();
-        for _ in 0..n {
-            let id = dec.u64()? as usize;
-            let rho = dec.f64()?;
-            self.predictions.push((TaskId(id), rho));
-        }
+        self.predictions = Vec::decode(dec)?;
         self.heuristic.restore_state(dec)?;
         self.evaluator.restore_state(dec)
     }

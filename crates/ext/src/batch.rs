@@ -21,7 +21,7 @@
 //! engine.
 
 use ecds_cluster::{Cluster, PState};
-use ecds_persist::{DecodeError, Decoder, Encoder};
+use ecds_persist::{DecodeError, Decoder, Encoder, Persist};
 use ecds_pmf::{truncate::truncate_below_or_floor, Pmf, Time};
 use ecds_sim::{Discipline, EngineCtx, Scenario, Simulation, TrialResult};
 use ecds_workload::{ExecTable, Task, TaskId, WorkloadTrace};
@@ -312,22 +312,12 @@ impl Discipline for BatchDiscipline<'_> {
     }
 
     fn save_state(&self, enc: &mut Encoder) {
-        enc.put_u64(self.pending.len() as u64);
-        for id in &self.pending {
-            enc.put_u64(id.0 as u64);
-        }
+        self.pending.encode(enc);
         enc.put_f64(self.remaining);
     }
 
     fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), DecodeError> {
-        let n = dec.u64()?;
-        if n > dec.remaining() / 8 {
-            return Err(DecodeError::Truncated);
-        }
-        self.pending.clear();
-        for _ in 0..n {
-            self.pending.push(TaskId(dec.u64()? as usize));
-        }
+        self.pending = Vec::decode(dec)?;
         self.remaining = dec.f64()?;
         Ok(())
     }

@@ -53,7 +53,8 @@ impl Stamp {
 /// The checkpoint-restore constructor pattern: associated functions carry
 /// no `&mut self`, so rebuilding a guarded value from decoded parts —
 /// including the *saved* epoch — is out of R1's scope by construction.
-/// This is the shape `CoreState::from_checkpoint_parts` uses.
+/// This is the shape `CoreState`'s `Persist::decode` has: it builds the
+/// value, saved epoch included, without a `&mut self` receiver.
 impl Stamp {
     pub fn from_checkpoint_parts(fingerprint: Option<u64>, epoch: u64) -> Self {
         Self { fingerprint, epoch }

@@ -24,11 +24,22 @@
 //!    ([`DecodeError::ChecksumMismatch`]) before any field is interpreted.
 //!
 //! Domain crates implement [`Persist`] for their own types (the pmf
-//! impulses, core states, event queues, RNG streams) next to the private
-//! fields they must restore exactly; this crate only defines the wire
-//! primitives.
+//! impulses, tasks, core states, transition logs, event queues, the
+//! evaluator's cached prefixes) next to the private fields they must
+//! restore exactly; this crate defines the wire primitives and the
+//! container impls (`Option`, `Vec`, `VecDeque`, tuples, arrays — an RNG
+//! stream is its `[u64; 4]` state). A checkpoint is then an ordered list
+//! of `encode` calls, and its restore the same list of `decode` calls.
+//!
+//! Every impl declares [`Persist::MIN_ENCODED_LEN`], the fewest bytes any
+//! value of the type occupies on the wire. The sequence impls read their
+//! length field through [`Decoder::len_prefix`] with the element's
+//! minimum, so a corrupted count that could not fit the remaining bytes
+//! fails as [`DecodeError::Truncated`] before anything is allocated.
 
 #![warn(missing_docs)]
+
+use std::collections::VecDeque;
 
 /// Magic number opening every sealed envelope (`b"ECDSCKPT"` read as a
 /// little-endian `u64`).
@@ -229,6 +240,28 @@ impl<'b> Decoder<'b> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// Reads an `f64` that must be finite (a clock reading, an arrival or
+    /// a deadline); NaN and the infinities are [`DecodeError::Corrupt`].
+    pub fn finite_f64(&mut self) -> Result<f64, DecodeError> {
+        let v = self.f64()?;
+        if !v.is_finite() {
+            return Err(DecodeError::Corrupt("expected a finite f64"));
+        }
+        Ok(v)
+    }
+
+    /// Reads a sequence length whose elements each occupy at least
+    /// `min_elem` bytes. A count that cannot fit the remaining buffer is
+    /// [`DecodeError::Truncated`], so a corrupted length never drives a
+    /// huge reservation. A `min_elem` of 0 is treated as 1.
+    pub fn len_prefix(&mut self, min_elem: u64) -> Result<u64, DecodeError> {
+        let n = self.u64()?;
+        if n > self.remaining() / min_elem.max(1) {
+            return Err(DecodeError::Truncated);
+        }
+        Ok(n)
+    }
+
     /// Reads a `bool`; any byte other than `0` or `1` is
     /// [`DecodeError::Corrupt`].
     pub fn bool(&mut self) -> Result<bool, DecodeError> {
@@ -253,6 +286,10 @@ impl<'b> Decoder<'b> {
 /// A type that round-trips through the codec bit-identically:
 /// `decode(encode(x)) == x` down to the exact bit pattern of every float.
 pub trait Persist: Sized {
+    /// The fewest bytes any value of this type encodes to. Sequences of
+    /// the type guard their length field with it
+    /// ([`Decoder::len_prefix`]).
+    const MIN_ENCODED_LEN: u64;
     /// Appends this value's wire representation.
     fn encode(&self, enc: &mut Encoder);
     /// Reads one value back, validating every documented invariant.
@@ -260,6 +297,7 @@ pub trait Persist: Sized {
 }
 
 impl Persist for u8 {
+    const MIN_ENCODED_LEN: u64 = 1;
     fn encode(&self, enc: &mut Encoder) {
         enc.put_u8(*self);
     }
@@ -269,6 +307,7 @@ impl Persist for u8 {
 }
 
 impl Persist for u16 {
+    const MIN_ENCODED_LEN: u64 = 2;
     fn encode(&self, enc: &mut Encoder) {
         enc.put_u16(*self);
     }
@@ -278,6 +317,7 @@ impl Persist for u16 {
 }
 
 impl Persist for u32 {
+    const MIN_ENCODED_LEN: u64 = 4;
     fn encode(&self, enc: &mut Encoder) {
         enc.put_u32(*self);
     }
@@ -287,6 +327,7 @@ impl Persist for u32 {
 }
 
 impl Persist for u64 {
+    const MIN_ENCODED_LEN: u64 = 8;
     fn encode(&self, enc: &mut Encoder) {
         enc.put_u64(*self);
     }
@@ -296,6 +337,7 @@ impl Persist for u64 {
 }
 
 impl Persist for f64 {
+    const MIN_ENCODED_LEN: u64 = 8;
     fn encode(&self, enc: &mut Encoder) {
         enc.put_f64(*self);
     }
@@ -305,6 +347,7 @@ impl Persist for f64 {
 }
 
 impl Persist for bool {
+    const MIN_ENCODED_LEN: u64 = 1;
     fn encode(&self, enc: &mut Encoder) {
         enc.put_bool(*self);
     }
@@ -314,6 +357,7 @@ impl Persist for bool {
 }
 
 impl<T: Persist> Persist for Option<T> {
+    const MIN_ENCODED_LEN: u64 = 1;
     fn encode(&self, enc: &mut Encoder) {
         match self {
             None => enc.put_bool(false),
@@ -333,6 +377,7 @@ impl<T: Persist> Persist for Option<T> {
 }
 
 impl<T: Persist> Persist for Vec<T> {
+    const MIN_ENCODED_LEN: u64 = 8;
     fn encode(&self, enc: &mut Encoder) {
         enc.put_u64(self.len() as u64);
         for item in self {
@@ -340,13 +385,7 @@ impl<T: Persist> Persist for Vec<T> {
         }
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let n = dec.u64()?;
-        // Each element occupies at least one byte, so a length exceeding
-        // the remaining buffer is a truncation (and this guard keeps a
-        // corrupted length field from driving a huge reservation).
-        if n > dec.remaining() {
-            return Err(DecodeError::Truncated);
-        }
+        let n = dec.len_prefix(T::MIN_ENCODED_LEN)?;
         let mut out = Vec::with_capacity(n as _);
         for _ in 0..n {
             out.push(T::decode(dec)?);
@@ -355,7 +394,42 @@ impl<T: Persist> Persist for Vec<T> {
     }
 }
 
+/// Same wire layout as [`Vec`]: a `u64` length, then the elements front
+/// to back.
+impl<T: Persist> Persist for VecDeque<T> {
+    const MIN_ENCODED_LEN: u64 = 8;
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_u64(self.len() as u64);
+        for item in self {
+            item.encode(enc);
+        }
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        // `VecDeque::from(Vec)` reuses the buffer without copying.
+        Vec::decode(dec).map(Self::from)
+    }
+}
+
+/// A fixed-size array: its `N` elements in order, no length field (an
+/// RNG stream's `[u64; 4]` state, for one).
+impl<T: Persist + Default, const N: usize> Persist for [T; N] {
+    const MIN_ENCODED_LEN: u64 = T::MIN_ENCODED_LEN * N as u64;
+    fn encode(&self, enc: &mut Encoder) {
+        for item in self {
+            item.encode(enc);
+        }
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let mut out: [T; N] = std::array::from_fn(|_| T::default());
+        for slot in &mut out {
+            *slot = T::decode(dec)?;
+        }
+        Ok(out)
+    }
+}
+
 impl<A: Persist, B: Persist> Persist for (A, B) {
+    const MIN_ENCODED_LEN: u64 = A::MIN_ENCODED_LEN + B::MIN_ENCODED_LEN;
     fn encode(&self, enc: &mut Encoder) {
         self.0.encode(enc);
         self.1.encode(enc);
@@ -366,6 +440,7 @@ impl<A: Persist, B: Persist> Persist for (A, B) {
 }
 
 impl<A: Persist, B: Persist, C: Persist> Persist for (A, B, C) {
+    const MIN_ENCODED_LEN: u64 = A::MIN_ENCODED_LEN + B::MIN_ENCODED_LEN + C::MIN_ENCODED_LEN;
     fn encode(&self, enc: &mut Encoder) {
         self.0.encode(enc);
         self.1.encode(enc);
@@ -501,6 +576,37 @@ mod tests {
         let bytes = enc.into_bytes();
         let mut dec = Decoder::new(&bytes);
         assert_eq!(Vec::<u8>::decode(&mut dec), Err(DecodeError::Truncated));
+    }
+
+    #[test]
+    fn len_prefix_guards_at_the_element_minimum() {
+        // Two u64 elements claimed, 16 bytes present: fits at 8 bytes per
+        // element, not at 9.
+        let mut enc = Encoder::new();
+        enc.put_u64(2);
+        enc.put_bytes(&[0; 16]);
+        let bytes = enc.into_bytes();
+        assert_eq!(Decoder::new(&bytes).len_prefix(8), Ok(2));
+        assert_eq!(
+            Decoder::new(&bytes).len_prefix(9),
+            Err(DecodeError::Truncated)
+        );
+        // A zero minimum still bounds the count by the remaining bytes.
+        assert_eq!(Decoder::new(&bytes).len_prefix(0), Ok(2));
+    }
+
+    #[test]
+    fn finite_f64_rejects_nan_and_infinities() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let bytes = bad.to_bits().to_le_bytes();
+            assert_eq!(
+                Decoder::new(&bytes).finite_f64(),
+                Err(DecodeError::Corrupt("expected a finite f64"))
+            );
+        }
+        let bytes = (-0.0f64).to_bits().to_le_bytes();
+        let v = Decoder::new(&bytes).finite_f64().unwrap();
+        assert_eq!(v.to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! 1. **Round-trip bit-identity** — `decode(encode(x))` reproduces `x`
 //!    exactly, down to the bit pattern of every float (NaN payloads and the
 //!    sign of zero included), for every `Persist` type in the workspace:
-//!    the wire primitives, `Option`/`Vec`/tuples, the pmf types, the
-//!    prefix-cache fingerprint, and the RNG state words.
+//!    the wire primitives, `Option`/`Vec`/`VecDeque`/tuples/arrays, the
+//!    pmf types, the prefix-cache fingerprint, and the RNG state words.
 //! 2. **Hostile bytes never panic** — corrupted, truncated, bit-flipped,
 //!    or wrong-version buffers produce a typed [`DecodeError`]; no input
 //!    reaches an unwrap, an overflow, or an oversized allocation.
@@ -17,7 +17,14 @@ use proptest::prelude::*;
 use proptest::strategy::Map;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 use std::ops::RangeInclusive;
+
+fn encoded<T: Persist>(value: &T) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    value.encode(&mut enc);
+    enc.into_bytes()
+}
 
 fn roundtrip<T: Persist>(value: &T) -> T {
     let mut enc = Encoder::new();
@@ -131,23 +138,47 @@ proptest! {
         for _ in 0..burn {
             let _ = original.gen_range(0..u64::MAX);
         }
-        let mut enc = Encoder::new();
-        for word in original.state() {
-            enc.put_u64(word);
-        }
-        let bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&bytes);
-        let mut state = [0u64; 4];
-        for word in &mut state {
-            *word = dec.u64().expect("state words present");
-        }
-        let mut restored = StdRng::from_state(state);
+        let mut restored = StdRng::from_state(roundtrip(&original.state()));
         for _ in 0..16 {
             prop_assert_eq!(
                 original.gen_range(0..u64::MAX),
                 restored.gen_range(0..u64::MAX)
             );
         }
+    }
+
+    #[test]
+    fn deques_and_arrays_round_trip(deque in prop::collection::vec(arb_f64_bits(), 0..32),
+                                    words in (arb_u64(), arb_u64(), arb_u64(), arb_u64()),
+                                    rows in prop::collection::vec(arb_u64(), 6)) {
+        // A deque has the same layout as a vector of its elements.
+        let deque: VecDeque<f64> = deque.into_iter().collect();
+        let back = roundtrip(&deque);
+        prop_assert_eq!(encoded(&back), encoded(&deque));
+        prop_assert_eq!(
+            encoded(&deque),
+            encoded(&deque.iter().copied().collect::<Vec<f64>>())
+        );
+        let state = [words.0, words.1, words.2, words.3];
+        prop_assert_eq!(roundtrip(&state), state);
+        let nested = [[rows[0], rows[1]], [rows[2], rows[3]], [rows[4], rows[5]]];
+        prop_assert_eq!(roundtrip(&nested), nested);
+    }
+
+    #[test]
+    fn encodings_never_undercut_the_declared_minimum(
+        vec in prop::collection::vec(arb_u64(), 0..8),
+        opt in arb_option(arb_f64_bits()),
+        pmf in arb_pmf(),
+        flag in prop::bool::ANY,
+    ) {
+        prop_assert!(encoded(&vec).len() as u64 >= Vec::<u64>::MIN_ENCODED_LEN);
+        prop_assert!(encoded(&opt).len() as u64 >= Option::<f64>::MIN_ENCODED_LEN);
+        prop_assert!(encoded(&pmf).len() as u64 >= Pmf::MIN_ENCODED_LEN);
+        prop_assert!(encoded(&flag).len() as u64 >= bool::MIN_ENCODED_LEN);
+        let deque: VecDeque<u64> = vec.into_iter().collect();
+        prop_assert!(encoded(&deque).len() as u64 >= VecDeque::<u64>::MIN_ENCODED_LEN);
+        prop_assert_eq!(encoded(&[0u64; 4]).len() as u64, <[u64; 4]>::MIN_ENCODED_LEN);
     }
 
     // -- the envelope ------------------------------------------------------
@@ -205,6 +236,9 @@ proptest! {
         let _ = Vec::<(u64, f64)>::decode(&mut Decoder::new(&bytes));
         let _ = Option::<Pmf>::decode(&mut Decoder::new(&bytes));
         let _ = bool::decode(&mut Decoder::new(&bytes));
+        let _ = VecDeque::<Pmf>::decode(&mut Decoder::new(&bytes));
+        let _ = <[[u64; 4]; 3]>::decode(&mut Decoder::new(&bytes));
+        let _ = <[Option<Pmf>; 2]>::decode(&mut Decoder::new(&bytes));
     }
 
     #[test]

@@ -12,6 +12,8 @@ use crate::impulse::Impulse;
 use crate::pmf::Pmf;
 
 impl Persist for Impulse {
+    const MIN_ENCODED_LEN: u64 = 16;
+
     fn encode(&self, enc: &mut Encoder) {
         enc.put_f64(self.value);
         enc.put_f64(self.prob);
@@ -25,6 +27,9 @@ impl Persist for Impulse {
 }
 
 impl Persist for Pmf {
+    /// A length field and at least one impulse.
+    const MIN_ENCODED_LEN: u64 = 8 + Impulse::MIN_ENCODED_LEN;
+
     fn encode(&self, enc: &mut Encoder) {
         let imps = self.impulses();
         enc.put_u64(imps.len() as u64);
@@ -34,17 +39,9 @@ impl Persist for Pmf {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let n = dec.u64()?;
-        if n == 0 {
+        let impulses = Vec::<Impulse>::decode(dec)?;
+        if impulses.is_empty() {
             return Err(DecodeError::Corrupt("pmf needs at least one impulse"));
-        }
-        // 16 bytes per impulse: reject absurd lengths before allocating.
-        if n > dec.remaining() / 16 {
-            return Err(DecodeError::Truncated);
-        }
-        let mut impulses = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            impulses.push(Impulse::decode(dec)?);
         }
         // Re-establish every invariant of `from_invariant_impulses` on the
         // untrusted bytes (same bounds as its debug assertions).

@@ -49,7 +49,6 @@
 pub mod codec;
 pub mod convolve;
 pub mod dist;
-pub mod distance;
 pub mod error;
 pub mod impulse;
 pub mod pmf;
@@ -60,7 +59,6 @@ pub mod seed;
 pub mod truncate;
 
 pub use dist::{Exponential, Gamma, Uniform};
-pub use distance::{kolmogorov_smirnov, wasserstein_1};
 pub use error::PmfError;
 pub use impulse::Impulse;
 pub use pmf::Pmf;

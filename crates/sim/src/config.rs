@@ -1,7 +1,10 @@
 //! Simulator configuration.
 
 use ecds_cluster::PState;
+use ecds_persist::{DecodeError, Decoder, Encoder, Persist};
 use ecds_pmf::Time;
+
+use crate::state::{decode_pstate, encode_pstate};
 
 /// Tunable simulator behaviour.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,6 +62,38 @@ impl SimConfig {
     /// The budget, or +∞ when unconstrained.
     pub fn budget_or_infinite(&self) -> f64 {
         self.energy_budget.unwrap_or(f64::INFINITY)
+    }
+}
+
+/// `initial ‖ budget ‖ idle downshift ‖ cancel_overdue`; a checkpoint
+/// leads with it so a restore can refuse a different configuration.
+impl Persist for SimConfig {
+    const MIN_ENCODED_LEN: u64 = 4;
+
+    fn encode(&self, enc: &mut Encoder) {
+        encode_pstate(enc, self.initial_pstate);
+        self.energy_budget.encode(enc);
+        match self.idle_downshift {
+            None => enc.put_bool(false),
+            Some(state) => {
+                enc.put_bool(true);
+                encode_pstate(enc, state);
+            }
+        }
+        enc.put_bool(self.cancel_overdue);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(Self {
+            initial_pstate: decode_pstate(dec)?,
+            energy_budget: Option::decode(dec)?,
+            idle_downshift: if dec.bool()? {
+                Some(decode_pstate(dec)?)
+            } else {
+                None
+            },
+            cancel_overdue: dec.bool()?,
+        })
     }
 }
 

@@ -11,7 +11,10 @@
 //! walking the merged transition timeline — no numerical integration.
 
 use ecds_cluster::{Cluster, PState};
+use ecds_persist::{DecodeError, Decoder, Encoder, Persist};
 use ecds_pmf::Time;
+
+use crate::state::{decode_pstate, encode_pstate};
 
 /// One core's P-state transition log.
 ///
@@ -56,33 +59,7 @@ impl TransitionLog {
         }
     }
 
-    /// Rebuilds a log from checkpointed parts (associated constructor for
-    /// the restore path).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `entries` is empty (a log always holds the transition
-    /// at workload start).
-    pub(crate) fn from_checkpoint_parts(
-        folded: f64,
-        entries: Vec<(Time, PState)>,
-        end: Option<Time>,
-    ) -> Self {
-        assert!(!entries.is_empty(), "log never empty");
-        Self {
-            folded,
-            entries,
-            end,
-        }
-    }
-
-    /// Energy already folded out of the entry list by
-    /// `TransitionLog::compact` (zero until the first compaction).
-    pub fn folded(&self) -> f64 {
-        self.folded
-    }
-
-    /// Folds every completed segment into [`TransitionLog::folded`] and
+    /// Folds every completed segment into the log's folded energy and
     /// drops all entries but the last, bounding the log's memory by the
     /// transition rate between compactions instead of the run length.
     ///
@@ -165,11 +142,51 @@ impl TransitionLog {
     }
 }
 
+/// `folded ‖ entries ‖ end`, each entry a finite time and a P-state byte.
+/// A decoded log holds at least its opening entry, in time order.
+impl Persist for TransitionLog {
+    const MIN_ENCODED_LEN: u64 = 8 + 8 + 9 + 1;
+
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_f64(self.folded);
+        enc.put_u64(self.entries.len() as u64);
+        for &(time, state) in &self.entries {
+            enc.put_f64(time);
+            encode_pstate(enc, state);
+        }
+        self.end.encode(enc);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let folded = dec.f64()?;
+        let n = dec.len_prefix(9)?;
+        if n == 0 {
+            return Err(DecodeError::Corrupt("transition log must not be empty"));
+        }
+        let mut entries = Vec::with_capacity(n as usize);
+        let mut prev = f64::NEG_INFINITY;
+        for _ in 0..n {
+            let time = dec.finite_f64()?;
+            if time < prev {
+                return Err(DecodeError::Corrupt("transition log out of time order"));
+            }
+            prev = time;
+            entries.push((time, decode_pstate(dec)?));
+        }
+        Ok(Self {
+            folded,
+            entries,
+            end: Option::decode(dec)?,
+        })
+    }
+}
+
 /// Cluster-wide energy accountant: one [`TransitionLog`] per core (flat
 /// indexing matching [`Cluster::cores`]).
 #[derive(Debug, Clone)]
 pub struct EnergyAccountant {
-    logs: Vec<TransitionLog>,
+    /// One log per core; a checkpoint carries them in this order.
+    pub(crate) logs: Vec<TransitionLog>,
 }
 
 impl EnergyAccountant {
@@ -181,12 +198,6 @@ impl EnergyAccountant {
                 .map(|_| TransitionLog::new(start, initial))
                 .collect(),
         }
-    }
-
-    /// Rebuilds an accountant from checkpointed per-core logs (associated
-    /// constructor for the restore path).
-    pub(crate) fn from_logs(logs: Vec<TransitionLog>) -> Self {
-        Self { logs }
     }
 
     /// Records a transition on the core with flat index `core`.
@@ -373,6 +384,52 @@ mod tests {
         let mut log = TransitionLog::new(0.0, PState::P4);
         log.finalize(1.0);
         log.record(2.0, PState::P0);
+    }
+
+    fn log_bytes(log: &TransitionLog) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        log.encode(&mut enc);
+        enc.into_bytes()
+    }
+
+    #[test]
+    fn log_persist_round_trips_and_validates() {
+        let mut log = TransitionLog::new(0.0, PState::P4);
+        log.record(5.0, PState::P0);
+        log.record(8.0, PState::P2);
+        log.compact(|_| 20.0);
+        log.record(9.0, PState::P1);
+        log.finalize(12.0);
+        let bytes = log_bytes(&log);
+        assert_eq!(
+            TransitionLog::decode(&mut Decoder::new(&bytes)),
+            Ok(log.clone())
+        );
+
+        // No entries: every log opens with its start transition.
+        let mut empty = bytes[..8].to_vec();
+        empty.extend_from_slice(&0u64.to_le_bytes());
+        empty.push(0);
+        assert_eq!(
+            TransitionLog::decode(&mut Decoder::new(&empty)),
+            Err(DecodeError::Corrupt("transition log must not be empty"))
+        );
+
+        // Entry times at 16..24 and 25..33: move the second before the first.
+        let mut backwards = bytes.clone();
+        backwards[25..33].copy_from_slice(&(-1.0f64).to_bits().to_le_bytes());
+        assert_eq!(
+            TransitionLog::decode(&mut Decoder::new(&backwards)),
+            Err(DecodeError::Corrupt("transition log out of time order"))
+        );
+
+        // The first entry's P-state byte sits after its time.
+        let mut bad_state = bytes;
+        bad_state[24] = 5;
+        assert_eq!(
+            TransitionLog::decode(&mut Decoder::new(&bad_state)),
+            Err(DecodeError::Corrupt("p-state index out of range"))
+        );
     }
 
     #[test]

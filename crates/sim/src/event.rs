@@ -8,6 +8,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use ecds_persist::{DecodeError, Decoder, Encoder, Persist};
 use ecds_pmf::Time;
 use ecds_workload::TaskId;
 
@@ -35,6 +36,42 @@ impl EventKind {
     }
 }
 
+/// A tag byte and two `u64` payload words: `0 ‖ task ‖ 0` for an arrival,
+/// `1 ‖ core ‖ task` for a completion.
+impl Persist for EventKind {
+    const MIN_ENCODED_LEN: u64 = 17;
+
+    fn encode(&self, enc: &mut Encoder) {
+        match *self {
+            EventKind::Arrival(task) => {
+                enc.put_u8(0);
+                task.encode(enc);
+                enc.put_u64(0);
+            }
+            EventKind::Completion { core, task } => {
+                enc.put_u8(1);
+                enc.put_u64(core as u64);
+                task.encode(enc);
+            }
+        }
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        match dec.u8()? {
+            0 => {
+                let task = TaskId::decode(dec)?;
+                dec.u64()?;
+                Ok(EventKind::Arrival(task))
+            }
+            1 => Ok(EventKind::Completion {
+                core: dec.u64()? as usize,
+                task: TaskId::decode(dec)?,
+            }),
+            _ => Err(DecodeError::Corrupt("unknown event tag")),
+        }
+    }
+}
+
 /// A scheduled event.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Event {
@@ -44,6 +81,32 @@ pub struct Event {
     pub kind: EventKind,
     /// Insertion sequence number (set by the queue; final tie-break).
     seq: u64,
+}
+
+impl Event {
+    /// Insertion sequence number: the final tie-break of the pop order.
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+}
+
+/// `time ‖ kind ‖ seq`, the time finite.
+impl Persist for Event {
+    const MIN_ENCODED_LEN: u64 = 8 + EventKind::MIN_ENCODED_LEN + 8;
+
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_f64(self.time);
+        self.kind.encode(enc);
+        enc.put_u64(self.seq);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(Self {
+            time: dec.finite_f64()?,
+            kind: EventKind::decode(dec)?,
+            seq: dec.u64()?,
+        })
+    }
 }
 
 impl Eq for Event {}
@@ -121,52 +184,52 @@ impl EventQueue {
         self.heap.is_empty()
     }
 
-    /// The next insertion sequence number (checkpoint support).
+    /// The next insertion sequence number.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
-    /// Snapshots every pending event in pop order, carrying each event's
-    /// insertion sequence number so a reconstructed queue pops in exactly
-    /// the same order (checkpoint support).
+    /// Every pending event in pop order, each carrying its insertion
+    /// sequence number.
     ///
     /// Allocates only the returned vector: the pending events are copied
     /// out of the live heap and sorted by the pop order `(time, rank,
     /// seq)` directly — no heap clone, no pop loop — so checkpointing a
     /// 10⁶-event queue costs one allocation and one sort.
-    pub fn snapshot(&self) -> Vec<(Time, EventKind, u64)> {
-        let mut out: Vec<(Time, EventKind, u64)> = Vec::with_capacity(self.heap.len());
-        out.extend(self.heap.iter().map(|e| (e.time, e.kind, e.seq)));
-        out.sort_unstable_by(|a, b| {
-            a.0.total_cmp(&b.0)
-                .then_with(|| a.1.rank().cmp(&b.1.rank()))
-                .then_with(|| a.2.cmp(&b.2))
-        });
+    pub fn snapshot(&self) -> Vec<Event> {
+        let mut out: Vec<Event> = Vec::with_capacity(self.heap.len());
+        out.extend(self.heap.iter().copied());
+        // `Ord` is reversed for the max-heap; pop order is descending.
+        out.sort_unstable_by(|a, b| b.cmp(a));
         out
     }
+}
 
-    /// Rebuilds a queue from a [`snapshot`](EventQueue::snapshot) and the
-    /// saved `next_seq`. Pop order depends only on the total event order
-    /// (time, rank, seq), so the rebuilt queue replays identically
-    /// regardless of heap-internal layout; that freedom is what lets the
-    /// rebuild heapify in O(n) instead of pushing one event at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any event time is not finite (validate before calling
-    /// from a decode path).
-    pub fn from_parts(next_seq: u64, events: Vec<(Time, EventKind, u64)>) -> Self {
-        let events: Vec<Event> = events
-            .into_iter()
-            .map(|(time, kind, seq)| {
-                assert!(time.is_finite(), "event time must be finite");
-                Event { time, kind, seq }
-            })
-            .collect();
-        Self {
+/// `next_seq ‖ events`, the events in pop order ([`EventQueue::snapshot`]).
+/// Pop order depends only on the total event order `(time, rank, seq)`,
+/// so the decoded queue replays identically whatever its heap layout;
+/// that freedom lets the decode heapify in O(n) instead of pushing one
+/// event at a time. Every decoded `seq` must lie below `next_seq`.
+impl Persist for EventQueue {
+    const MIN_ENCODED_LEN: u64 = 16;
+
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_u64(self.next_seq);
+        self.snapshot().encode(enc);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let next_seq = dec.u64()?;
+        let events = Vec::<Event>::decode(dec)?;
+        if events.iter().any(|e| e.seq >= next_seq) {
+            return Err(DecodeError::Corrupt(
+                "event sequence beyond the queue counter",
+            ));
+        }
+        Ok(Self {
             heap: BinaryHeap::from(events),
             next_seq,
-        }
+        })
     }
 }
 
@@ -234,6 +297,12 @@ mod tests {
         q.push(f64::NAN, EventKind::Arrival(TaskId(0)));
     }
 
+    fn queue_bytes(q: &EventQueue) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        q.encode(&mut enc);
+        enc.into_bytes()
+    }
+
     #[test]
     fn snapshot_is_in_pop_order_and_roundtrips() {
         let mut q = EventQueue::with_capacity(64);
@@ -248,17 +317,49 @@ mod tests {
         q.push(1.0, EventKind::Arrival(TaskId(1)));
         q.push(2.0, EventKind::Arrival(TaskId(2)));
         let snap = q.snapshot();
-        let mut rebuilt = EventQueue::from_parts(q.next_seq(), snap.clone());
+        let bytes = queue_bytes(&q);
+        assert_eq!(bytes.len(), 16 + 4 * 33);
+        let mut rebuilt = EventQueue::decode(&mut Decoder::new(&bytes)).unwrap();
         assert_eq!(rebuilt.next_seq(), q.next_seq());
-        for &(time, kind, _) in &snap {
+        for expected in &snap {
             let a = q.pop().unwrap();
             let b = rebuilt.pop().unwrap();
-            assert_eq!(a.time.to_bits(), time.to_bits());
-            assert_eq!(a.kind, kind);
+            assert_eq!(a.time.to_bits(), expected.time.to_bits());
+            assert_eq!(a.kind, expected.kind);
+            assert_eq!(a.seq(), expected.seq());
             assert_eq!(b.time.to_bits(), a.time.to_bits());
             assert_eq!(b.kind, a.kind);
+            assert_eq!(b.seq(), a.seq());
         }
         assert!(q.is_empty() && rebuilt.is_empty());
+    }
+
+    #[test]
+    fn decode_rejects_a_bad_tag_and_a_seq_past_the_counter() {
+        let mut q = EventQueue::new();
+        q.push(1.0, EventKind::Arrival(TaskId(0)));
+        let bytes = queue_bytes(&q);
+        // next_seq ‖ len ‖ time ‖ tag ‖ two words ‖ seq.
+        let mut bad_tag = bytes.clone();
+        bad_tag[24] = 2;
+        assert_eq!(
+            EventQueue::decode(&mut Decoder::new(&bad_tag)).map(|_| ()),
+            Err(DecodeError::Corrupt("unknown event tag"))
+        );
+        let mut stale_counter = bytes.clone();
+        stale_counter[..8].copy_from_slice(&0u64.to_le_bytes());
+        assert_eq!(
+            EventQueue::decode(&mut Decoder::new(&stale_counter)).map(|_| ()),
+            Err(DecodeError::Corrupt(
+                "event sequence beyond the queue counter"
+            ))
+        );
+        let mut nan_time = bytes;
+        nan_time[16..24].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+        assert_eq!(
+            EventQueue::decode(&mut Decoder::new(&nan_time)).map(|_| ()),
+            Err(DecodeError::Corrupt("expected a finite f64"))
+        );
     }
 
     #[test]

@@ -32,18 +32,20 @@
 //! `tests/integration_unified_engine.rs` run; that suite holds finite
 //! trials to bit identity with them.
 
-use ecds_cluster::{Cluster, PState};
-use ecds_persist::{open, seal, DecodeError, Decoder, Encoder};
+use ecds_cluster::Cluster;
+use ecds_persist::{open, seal, DecodeError, Decoder, Encoder, Persist};
 use ecds_pmf::Time;
-use ecds_workload::{ArrivalSource, ExecTable, Task, TaskId, TaskTypeId};
+use ecds_workload::{ArrivalSource, ExecTable};
 
 use crate::config::SimConfig;
+use crate::dirty::DirtyCores;
 use crate::discipline::{Discipline, EngineCtx};
-use crate::energy::TransitionLog;
-use crate::event::EventKind;
-use crate::result::{TaskOutcome, TrialResult};
-use crate::state::{CoreState, ExecutingTask, QueuedTask};
+use crate::energy::{EnergyAccountant, TransitionLog};
+use crate::event::{EventKind, EventQueue};
+use crate::result::TrialResult;
+use crate::state::CoreState;
 use crate::store::TaskStore;
+use crate::telemetry::Telemetry;
 
 pub use crate::store::RetiredTally;
 
@@ -113,6 +115,63 @@ impl ServeConfig {
             retention: Retention::Bounded { flush_every },
             max_arrivals: Some(max_arrivals),
         }
+    }
+}
+
+/// `horizon tag ‖ u64 ‖ retention tag ‖ u64 ‖ max_arrivals`; full
+/// retention pads its `u64` with 0, and a bounded `flush_every` must be
+/// positive.
+impl Persist for ServeConfig {
+    const MIN_ENCODED_LEN: u64 = 9 + 9 + 1;
+
+    fn encode(&self, enc: &mut Encoder) {
+        match self.horizon {
+            Horizon::Fixed(n) => {
+                enc.put_u8(0);
+                enc.put_u64(n);
+            }
+            Horizon::Rolling { lookahead } => {
+                enc.put_u8(1);
+                enc.put_u64(lookahead);
+            }
+        }
+        match self.retention {
+            Retention::Full => {
+                enc.put_u8(0);
+                enc.put_u64(0);
+            }
+            Retention::Bounded { flush_every } => {
+                enc.put_u8(1);
+                enc.put_u64(flush_every);
+            }
+        }
+        self.max_arrivals.encode(enc);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let horizon = match dec.u8()? {
+            0 => Horizon::Fixed(dec.u64()?),
+            1 => Horizon::Rolling {
+                lookahead: dec.u64()?,
+            },
+            _ => return Err(DecodeError::Corrupt("unknown horizon tag")),
+        };
+        let retention = match dec.u8()? {
+            0 => {
+                dec.u64()?;
+                Retention::Full
+            }
+            1 => match dec.u64()? {
+                0 => return Err(DecodeError::Corrupt("flush_every must be positive")),
+                flush_every => Retention::Bounded { flush_every },
+            },
+            _ => return Err(DecodeError::Corrupt("unknown retention tag")),
+        };
+        Ok(Self {
+            horizon,
+            retention,
+            max_arrivals: Option::decode(dec)?,
+        })
     }
 }
 
@@ -400,88 +459,34 @@ impl<'a> ServeSession<'a> {
     /// into a sealed, versioned, checksummed buffer. Call only at an event
     /// boundary (between [`ServeSession::step`] calls).
     pub fn checkpoint(&self, source: &dyn ArrivalSource, discipline: &dyn Discipline) -> Vec<u8> {
+        let ctx = &self.ctx;
         let mut enc = Encoder::new();
         // Config digests, verified on restore.
-        encode_sim_config(&mut enc, self.ctx.cfg);
-        encode_serve_config(&mut enc, &self.serve_cfg);
+        ctx.cfg.encode(&mut enc);
+        self.serve_cfg.encode(&mut enc);
         // Scalars.
-        enc.put_f64(self.ctx.now);
+        enc.put_f64(ctx.now);
         enc.put_f64(self.end_time);
-        enc.put_u64(self.ctx.arrived as u64);
-        enc.put_u64(self.ctx.window as u64);
+        enc.put_u64(ctx.arrived as u64);
+        enc.put_u64(ctx.window as u64);
         enc.put_u64(self.events_processed);
         enc.put_u64(self.arrivals_pulled);
         enc.put_bool(self.done_pulling);
-        // Tally and fold.
-        enc.put_u64(self.tally.retired);
-        enc.put_u64(self.tally.completed);
-        enc.put_u64(self.tally.on_time);
-        enc.put_u64(self.tally.cancelled);
-        enc.put_u64(self.tally.discarded);
-        let fold = self.ctx.fold.unwrap_or_default();
-        enc.put_u64(fold.samples);
-        enc.put_f64(fold.sum_queue_depth);
-        enc.put_f64(fold.peak_queue_depth);
-        enc.put_u64(fold.max_busy);
-        // Windowed store.
-        enc.put_u64(self.ctx.store.base() as u64);
-        enc.put_u64(self.ctx.store.resident() as u64);
-        for (task, outcome) in self
-            .ctx
-            .store
-            .resident_tasks()
-            .iter()
-            .zip(self.ctx.store.resident_outcomes())
-        {
-            encode_task(&mut enc, task);
-            encode_outcome(&mut enc, outcome);
+        self.tally.encode(&mut enc);
+        ctx.fold.unwrap_or_default().encode(&mut enc);
+        ctx.store.encode(&mut enc);
+        ctx.cores.encode(&mut enc);
+        // One energy log per core, without a count: the cluster fixes it.
+        for log in &ctx.accountant.logs {
+            log.encode(&mut enc);
         }
-        // Cores, with epochs.
-        enc.put_u64(self.ctx.cores.len() as u64);
-        for core in &self.ctx.cores {
-            match core.executing() {
-                None => enc.put_bool(false),
-                Some(exec) => {
-                    enc.put_bool(true);
-                    encode_executing(&mut enc, exec);
-                }
-            }
-            enc.put_u64(core.queued().len() as u64);
-            for queued in core.queued() {
-                encode_queued(&mut enc, queued);
-            }
-            enc.put_u64(core.epoch());
-        }
-        // Energy logs (one per core).
-        for i in 0..self.ctx.cores.len() {
-            let log = self.ctx.accountant.log(i);
-            enc.put_f64(log.folded());
-            enc.put_u64(log.entries().len() as u64);
-            for &(time, state) in log.entries() {
-                enc.put_f64(time);
-                enc.put_u8(state.index() as u8);
-            }
-            log.end_time().encode_into(&mut enc);
-        }
-        // Event queue, in pop order with preserved sequence numbers.
-        enc.put_u64(self.ctx.queue.next_seq());
-        let events = self.ctx.queue.snapshot();
-        enc.put_u64(events.len() as u64);
-        for (time, kind, seq) in events {
-            enc.put_f64(time);
-            encode_event_kind(&mut enc, kind);
-            enc.put_u64(seq);
-        }
+        ctx.queue.encode(&mut enc);
         // Unflushed telemetry buffers.
-        enc.put_u64(self.ctx.telemetry.queue_depth.len() as u64);
-        for &(t, d) in &self.ctx.telemetry.queue_depth {
+        ctx.telemetry.queue_depth.encode(&mut enc);
+        enc.put_u64(ctx.telemetry.busy_cores.len() as u64);
+        for &(t, busy) in &ctx.telemetry.busy_cores {
             enc.put_f64(t);
-            enc.put_f64(d);
-        }
-        enc.put_u64(self.ctx.telemetry.busy_cores.len() as u64);
-        for &(t, b) in &self.ctx.telemetry.busy_cores {
-            enc.put_f64(t);
-            enc.put_u64(b as u64);
+            enc.put_u64(busy as u64);
         }
         // Collaborator state.
         source.save_state(&mut enc);
@@ -508,115 +513,38 @@ impl<'a> ServeSession<'a> {
     ) -> Result<Self, DecodeError> {
         let body = open(bytes, CHECKPOINT_VERSION)?;
         let mut dec = Decoder::new(body);
-        let saved_cfg = decode_sim_config(&mut dec)?;
-        if saved_cfg != *cfg {
+        if SimConfig::decode(&mut dec)? != *cfg {
             return Err(DecodeError::Corrupt("checkpoint simulator config mismatch"));
         }
-        let serve_cfg = decode_serve_config(&mut dec)?;
+        let serve_cfg = ServeConfig::decode(&mut dec)?;
         // Scalars.
-        let now = decode_finite(&mut dec)?;
-        let end_time = decode_finite(&mut dec)?;
+        let now = dec.finite_f64()?;
+        let end_time = dec.finite_f64()?;
         let arrived = dec.u64()? as usize;
         let window = dec.u64()? as usize;
         let events_processed = dec.u64()?;
         let arrivals_pulled = dec.u64()?;
         let done_pulling = dec.bool()?;
-        let tally = RetiredTally {
-            retired: dec.u64()?,
-            completed: dec.u64()?,
-            on_time: dec.u64()?,
-            cancelled: dec.u64()?,
-            discarded: dec.u64()?,
-        };
-        let fold = TelemetryFold {
-            samples: dec.u64()?,
-            sum_queue_depth: dec.f64()?,
-            peak_queue_depth: dec.f64()?,
-            max_busy: dec.u64()?,
-        };
-        // Windowed store.
-        let base = dec.u64()? as usize;
-        let resident = checked_len(&mut dec, 41)?;
-        let mut tasks = Vec::with_capacity(resident);
-        let mut outcomes = Vec::with_capacity(resident);
-        for i in 0..resident {
-            let task = decode_task(&mut dec)?;
-            if task.id.0 != base + i {
-                return Err(DecodeError::Corrupt("store tasks not dense and id-ordered"));
-            }
-            outcomes.push(decode_outcome(&mut dec, &task)?);
-            tasks.push(task);
-        }
-        if arrived > base + resident {
+        let tally = RetiredTally::decode(&mut dec)?;
+        let fold = TelemetryFold::decode(&mut dec)?;
+        let store = TaskStore::decode(&mut dec)?;
+        if arrived > store.total() {
             return Err(DecodeError::Corrupt("arrived count exceeds streamed tasks"));
         }
-        let store = TaskStore::from_checkpoint_parts(base, tasks, outcomes);
-        // Cores.
-        let num_cores = dec.u64()? as usize;
-        if num_cores != cluster.total_cores() {
+        let cores = Vec::<CoreState>::decode(&mut dec)?;
+        if cores.len() != cluster.total_cores() {
             return Err(DecodeError::Corrupt(
                 "core count does not match the cluster",
             ));
         }
-        let mut cores = Vec::with_capacity(num_cores);
-        for _ in 0..num_cores {
-            let executing = if dec.bool()? {
-                Some(decode_executing(&mut dec)?)
-            } else {
-                None
-            };
-            let queued_len = checked_len(&mut dec, 25)?;
-            let mut queued = std::collections::VecDeque::with_capacity(queued_len);
-            for _ in 0..queued_len {
-                queued.push_back(decode_queued(&mut dec)?);
-            }
-            let epoch = dec.u64()?;
-            cores.push(CoreState::from_checkpoint_parts(executing, queued, epoch));
+        let mut logs = Vec::with_capacity(cores.len());
+        for _ in &cores {
+            logs.push(TransitionLog::decode(&mut dec)?);
         }
-        // Energy logs.
-        let mut logs = Vec::with_capacity(num_cores);
-        for _ in 0..num_cores {
-            let folded = dec.f64()?;
-            let entry_len = checked_len(&mut dec, 9)?;
-            if entry_len == 0 {
-                return Err(DecodeError::Corrupt("transition log must not be empty"));
-            }
-            let mut entries = Vec::with_capacity(entry_len);
-            let mut prev = f64::NEG_INFINITY;
-            for _ in 0..entry_len {
-                let time = decode_finite(&mut dec)?;
-                if time < prev {
-                    return Err(DecodeError::Corrupt("transition log out of time order"));
-                }
-                prev = time;
-                entries.push((time, decode_pstate(&mut dec)?));
-            }
-            let end = decode_opt_f64(&mut dec)?;
-            logs.push(TransitionLog::from_checkpoint_parts(folded, entries, end));
-        }
-        // Event queue.
-        let next_seq = dec.u64()?;
-        let event_len = checked_len(&mut dec, 18)?;
-        let mut events = Vec::with_capacity(event_len);
-        for _ in 0..event_len {
-            let time = decode_finite(&mut dec)?;
-            let kind = decode_event_kind(&mut dec)?;
-            let seq = dec.u64()?;
-            if seq >= next_seq {
-                return Err(DecodeError::Corrupt(
-                    "event sequence beyond the queue counter",
-                ));
-            }
-            events.push((time, kind, seq));
-        }
-        // Telemetry buffers.
-        let depth_len = checked_len(&mut dec, 16)?;
-        let mut queue_depth = Vec::with_capacity(depth_len);
-        for _ in 0..depth_len {
-            queue_depth.push((dec.f64()?, dec.f64()?));
-        }
-        let busy_len = checked_len(&mut dec, 16)?;
-        let mut busy_cores = Vec::with_capacity(busy_len);
+        let queue = EventQueue::decode(&mut dec)?;
+        let queue_depth = Vec::decode(&mut dec)?;
+        let busy_len = dec.len_prefix(16)?;
+        let mut busy_cores = Vec::with_capacity(busy_len as usize);
         for _ in 0..busy_len {
             busy_cores.push((dec.f64()?, dec.u64()? as usize));
         }
@@ -625,12 +553,6 @@ impl<'a> ServeSession<'a> {
         discipline.restore_state(&mut dec)?;
         dec.finish()?;
 
-        let telemetry = crate::telemetry::Telemetry {
-            queue_depth,
-            busy_cores,
-            power: Vec::new(),
-            mapper: crate::telemetry::MapperStats::default(),
-        };
         // Derived engine state is rebuilt, not decoded: the load
         // aggregates come from one scan of the restored cores, and the
         // dirty-core mailbox restarts empty (consumers full-scan once).
@@ -643,12 +565,16 @@ impl<'a> ServeSession<'a> {
             store,
             window,
             cores,
-            accountant: crate::energy::EnergyAccountant::from_logs(logs),
-            queue: crate::event::EventQueue::from_parts(next_seq, events),
-            telemetry,
+            accountant: EnergyAccountant { logs },
+            queue,
+            telemetry: Telemetry {
+                queue_depth,
+                busy_cores,
+                ..Telemetry::default()
+            },
             arrived,
             now,
-            dirty: crate::dirty::DirtyCores::default(),
+            dirty: DirtyCores::default(),
             depth_total,
             busy,
             fold: match serve_cfg.retention {
@@ -665,267 +591,5 @@ impl<'a> ServeSession<'a> {
             done_pulling,
             tally,
         })
-    }
-}
-
-// ---- field codecs -------------------------------------------------------
-
-/// Reads a vector length and rejects lengths that cannot possibly fit the
-/// remaining buffer (`min_elem` = minimum encoded bytes per element), so a
-/// corrupted count fails fast instead of attempting a huge allocation.
-fn checked_len(dec: &mut Decoder<'_>, min_elem: u64) -> Result<usize, DecodeError> {
-    let n = dec.u64()?;
-    if n > dec.remaining() / min_elem {
-        return Err(DecodeError::Truncated);
-    }
-    Ok(n as usize)
-}
-
-fn decode_finite(dec: &mut Decoder<'_>) -> Result<f64, DecodeError> {
-    let v = dec.f64()?;
-    if !v.is_finite() {
-        return Err(DecodeError::Corrupt("expected a finite f64"));
-    }
-    Ok(v)
-}
-
-fn decode_opt_f64(dec: &mut Decoder<'_>) -> Result<Option<f64>, DecodeError> {
-    Ok(if dec.bool()? { Some(dec.f64()?) } else { None })
-}
-
-/// Extension trait shim: encode an `Option<f64>` with a presence flag.
-trait EncodeOptF64 {
-    fn encode_into(&self, enc: &mut Encoder);
-}
-
-impl EncodeOptF64 for Option<f64> {
-    fn encode_into(&self, enc: &mut Encoder) {
-        match self {
-            None => enc.put_bool(false),
-            Some(v) => {
-                enc.put_bool(true);
-                enc.put_f64(*v);
-            }
-        }
-    }
-}
-
-fn decode_pstate(dec: &mut Decoder<'_>) -> Result<PState, DecodeError> {
-    let idx = dec.u8()?;
-    if idx >= 5 {
-        return Err(DecodeError::Corrupt("p-state index out of range"));
-    }
-    Ok(PState::from_index(idx as usize))
-}
-
-fn encode_sim_config(enc: &mut Encoder, cfg: &SimConfig) {
-    enc.put_u8(cfg.initial_pstate.index() as u8);
-    match cfg.energy_budget {
-        None => enc.put_bool(false),
-        Some(b) => {
-            enc.put_bool(true);
-            enc.put_f64(b);
-        }
-    }
-    match cfg.idle_downshift {
-        None => enc.put_bool(false),
-        Some(s) => {
-            enc.put_bool(true);
-            enc.put_u8(s.index() as u8);
-        }
-    }
-    enc.put_bool(cfg.cancel_overdue);
-}
-
-fn decode_sim_config(dec: &mut Decoder<'_>) -> Result<SimConfig, DecodeError> {
-    let initial_pstate = decode_pstate(dec)?;
-    let energy_budget = decode_opt_f64(dec)?;
-    let idle_downshift = if dec.bool()? {
-        Some(decode_pstate(dec)?)
-    } else {
-        None
-    };
-    let cancel_overdue = dec.bool()?;
-    Ok(SimConfig {
-        initial_pstate,
-        energy_budget,
-        idle_downshift,
-        cancel_overdue,
-    })
-}
-
-fn encode_serve_config(enc: &mut Encoder, cfg: &ServeConfig) {
-    match cfg.horizon {
-        Horizon::Fixed(n) => {
-            enc.put_u8(0);
-            enc.put_u64(n);
-        }
-        Horizon::Rolling { lookahead } => {
-            enc.put_u8(1);
-            enc.put_u64(lookahead);
-        }
-    }
-    match cfg.retention {
-        Retention::Full => {
-            enc.put_u8(0);
-            enc.put_u64(0);
-        }
-        Retention::Bounded { flush_every } => {
-            enc.put_u8(1);
-            enc.put_u64(flush_every);
-        }
-    }
-    match cfg.max_arrivals {
-        None => enc.put_bool(false),
-        Some(n) => {
-            enc.put_bool(true);
-            enc.put_u64(n);
-        }
-    }
-}
-
-fn decode_serve_config(dec: &mut Decoder<'_>) -> Result<ServeConfig, DecodeError> {
-    let horizon = match dec.u8()? {
-        0 => Horizon::Fixed(dec.u64()?),
-        1 => Horizon::Rolling {
-            lookahead: dec.u64()?,
-        },
-        _ => return Err(DecodeError::Corrupt("unknown horizon tag")),
-    };
-    let retention = match dec.u8()? {
-        0 => {
-            let _ = dec.u64()?;
-            Retention::Full
-        }
-        1 => {
-            let flush_every = dec.u64()?;
-            if flush_every == 0 {
-                return Err(DecodeError::Corrupt("flush_every must be positive"));
-            }
-            Retention::Bounded { flush_every }
-        }
-        _ => return Err(DecodeError::Corrupt("unknown retention tag")),
-    };
-    let max_arrivals = if dec.bool()? { Some(dec.u64()?) } else { None };
-    Ok(ServeConfig {
-        horizon,
-        retention,
-        max_arrivals,
-    })
-}
-
-fn encode_task(enc: &mut Encoder, task: &Task) {
-    enc.put_u64(task.id.0 as u64);
-    enc.put_u64(task.type_id.0 as u64);
-    enc.put_f64(task.arrival);
-    enc.put_f64(task.deadline);
-    enc.put_f64(task.quantile);
-}
-
-fn decode_task(dec: &mut Decoder<'_>) -> Result<Task, DecodeError> {
-    Ok(Task {
-        id: TaskId(dec.u64()? as usize),
-        type_id: TaskTypeId(dec.u64()? as usize),
-        arrival: decode_finite(dec)?,
-        deadline: decode_finite(dec)?,
-        quantile: dec.f64()?,
-    })
-}
-
-fn encode_outcome(enc: &mut Encoder, outcome: &TaskOutcome) {
-    match outcome.assignment {
-        None => enc.put_bool(false),
-        Some((core, pstate)) => {
-            enc.put_bool(true);
-            enc.put_u64(core as u64);
-            enc.put_u8(pstate.index() as u8);
-        }
-    }
-    outcome.start.encode_into(enc);
-    outcome.completion.encode_into(enc);
-    enc.put_bool(outcome.cancelled);
-}
-
-/// Decodes an outcome; the identifying fields are rebuilt from the
-/// already-decoded task rather than stored twice.
-fn decode_outcome(dec: &mut Decoder<'_>, task: &Task) -> Result<TaskOutcome, DecodeError> {
-    let assignment = if dec.bool()? {
-        Some((dec.u64()? as usize, decode_pstate(dec)?))
-    } else {
-        None
-    };
-    Ok(TaskOutcome {
-        task: task.id,
-        type_id: task.type_id,
-        arrival: task.arrival,
-        deadline: task.deadline,
-        assignment,
-        start: decode_opt_f64(dec)?,
-        completion: decode_opt_f64(dec)?,
-        cancelled: dec.bool()?,
-    })
-}
-
-fn encode_executing(enc: &mut Encoder, exec: &ExecutingTask) {
-    enc.put_u64(exec.task.0 as u64);
-    enc.put_u64(exec.type_id.0 as u64);
-    enc.put_u8(exec.pstate.index() as u8);
-    enc.put_f64(exec.start);
-    enc.put_f64(exec.deadline);
-}
-
-fn decode_executing(dec: &mut Decoder<'_>) -> Result<ExecutingTask, DecodeError> {
-    Ok(ExecutingTask {
-        task: TaskId(dec.u64()? as usize),
-        type_id: TaskTypeId(dec.u64()? as usize),
-        pstate: decode_pstate(dec)?,
-        start: decode_finite(dec)?,
-        deadline: decode_finite(dec)?,
-    })
-}
-
-fn encode_queued(enc: &mut Encoder, queued: &QueuedTask) {
-    enc.put_u64(queued.task.0 as u64);
-    enc.put_u64(queued.type_id.0 as u64);
-    enc.put_u8(queued.pstate.index() as u8);
-    enc.put_f64(queued.deadline);
-}
-
-fn decode_queued(dec: &mut Decoder<'_>) -> Result<QueuedTask, DecodeError> {
-    Ok(QueuedTask {
-        task: TaskId(dec.u64()? as usize),
-        type_id: TaskTypeId(dec.u64()? as usize),
-        pstate: decode_pstate(dec)?,
-        deadline: decode_finite(dec)?,
-    })
-}
-
-fn encode_event_kind(enc: &mut Encoder, kind: EventKind) {
-    match kind {
-        EventKind::Arrival(task) => {
-            enc.put_u8(0);
-            enc.put_u64(task.0 as u64);
-            enc.put_u64(0);
-        }
-        EventKind::Completion { core, task } => {
-            enc.put_u8(1);
-            enc.put_u64(core as u64);
-            enc.put_u64(task.0 as u64);
-        }
-    }
-}
-
-fn decode_event_kind(dec: &mut Decoder<'_>) -> Result<EventKind, DecodeError> {
-    match dec.u8()? {
-        0 => {
-            let task = TaskId(dec.u64()? as usize);
-            let _ = dec.u64()?;
-            Ok(EventKind::Arrival(task))
-        }
-        1 => Ok(EventKind::Completion {
-            core: dec.u64()? as usize,
-            task: TaskId(dec.u64()? as usize),
-        }),
-        _ => Err(DecodeError::Corrupt("unknown event tag")),
     }
 }

@@ -3,8 +3,26 @@
 use std::collections::VecDeque;
 
 use ecds_cluster::PState;
+use ecds_persist::{DecodeError, Decoder, Encoder, Persist};
 use ecds_pmf::Time;
 use ecds_workload::{TaskId, TaskTypeId};
+
+/// Appends a P-state as its one-byte index. (`PState` lives in
+/// `ecds-cluster`, which has no codec dependency, so its wire form is
+/// defined here rather than as a `Persist` impl.)
+pub(crate) fn encode_pstate(enc: &mut Encoder, state: PState) {
+    enc.put_u8(state.index() as u8);
+}
+
+/// Reads a P-state written by [`encode_pstate`]; an index past the
+/// ladder is [`DecodeError::Corrupt`].
+pub(crate) fn decode_pstate(dec: &mut Decoder<'_>) -> Result<PState, DecodeError> {
+    let idx = dec.u8()?;
+    if usize::from(idx) >= PState::ALL.len() {
+        return Err(DecodeError::Corrupt("p-state index out of range"));
+    }
+    Ok(PState::from_index(usize::from(idx)))
+}
 
 /// A task waiting in a core's FIFO queue (its P-state was fixed at mapping
 /// time and cannot change — Sec. III-B: "tasks cannot be reassigned, either
@@ -21,6 +39,27 @@ pub struct QueuedTask {
     pub deadline: Time,
 }
 
+/// `task ‖ type ‖ pstate ‖ deadline`, the deadline finite.
+impl Persist for QueuedTask {
+    const MIN_ENCODED_LEN: u64 = 25;
+
+    fn encode(&self, enc: &mut Encoder) {
+        self.task.encode(enc);
+        self.type_id.encode(enc);
+        encode_pstate(enc, self.pstate);
+        enc.put_f64(self.deadline);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(Self {
+            task: TaskId::decode(dec)?,
+            type_id: TaskTypeId::decode(dec)?,
+            pstate: decode_pstate(dec)?,
+            deadline: dec.finite_f64()?,
+        })
+    }
+}
+
 /// The task currently executing on a core.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecutingTask {
@@ -34,6 +73,29 @@ pub struct ExecutingTask {
     pub start: Time,
     /// Its hard deadline `δ(z)` (cached for robustness math).
     pub deadline: Time,
+}
+
+/// `task ‖ type ‖ pstate ‖ start ‖ deadline`, both times finite.
+impl Persist for ExecutingTask {
+    const MIN_ENCODED_LEN: u64 = 33;
+
+    fn encode(&self, enc: &mut Encoder) {
+        self.task.encode(enc);
+        self.type_id.encode(enc);
+        encode_pstate(enc, self.pstate);
+        enc.put_f64(self.start);
+        enc.put_f64(self.deadline);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(Self {
+            task: TaskId::decode(dec)?,
+            type_id: TaskTypeId::decode(dec)?,
+            pstate: decode_pstate(dec)?,
+            start: dec.finite_f64()?,
+            deadline: dec.finite_f64()?,
+        })
+    }
 }
 
 /// One core's run state.
@@ -52,23 +114,6 @@ impl CoreState {
     /// A fresh idle core.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Rebuilds a core's run state from checkpointed parts, including its
-    /// mutation epoch — an exact restore must resume the epoch sequence,
-    /// not restart it, or observers' caches would treat stale derived
-    /// state as fresh (associated constructor: it creates state rather
-    /// than mutating it, so it is exempt from the R1 bump rule).
-    pub(crate) fn from_checkpoint_parts(
-        executing: Option<ExecutingTask>,
-        queued: VecDeque<QueuedTask>,
-        epoch: u64,
-    ) -> Self {
-        Self {
-            executing,
-            queued,
-            epoch,
-        }
     }
 
     /// The mutation epoch: strictly increases on every
@@ -136,6 +181,27 @@ impl CoreState {
             self.epoch += 1;
         }
         popped
+    }
+}
+
+/// `executing ‖ queued ‖ epoch`. The mutation epoch is restored, not
+/// restarted: observers' caches key on it, and a restarted sequence would
+/// let stale derived state pass as fresh.
+impl Persist for CoreState {
+    const MIN_ENCODED_LEN: u64 = 17;
+
+    fn encode(&self, enc: &mut Encoder) {
+        self.executing.encode(enc);
+        self.queued.encode(enc);
+        enc.put_u64(self.epoch);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(Self {
+            executing: Option::decode(dec)?,
+            queued: VecDeque::decode(dec)?,
+            epoch: dec.u64()?,
+        })
     }
 }
 
@@ -243,6 +309,29 @@ mod tests {
         let mut empty = CoreState::new();
         assert!(empty.pop_queued().is_none());
         assert_eq!(empty.epoch(), 0, "popping nothing is not a mutation");
+    }
+
+    #[test]
+    fn persist_round_trips_the_epoch_and_rejects_a_bad_pstate() {
+        let mut c = CoreState::new();
+        c.start(executing(0));
+        c.enqueue(queued(1));
+        c.enqueue(queued(2));
+        let mut enc = Encoder::new();
+        c.encode(&mut enc);
+        let mut bytes = enc.into_bytes();
+        assert_eq!(bytes.len(), 1 + 33 + 8 + 2 * 25 + 8);
+        let back = CoreState::decode(&mut Decoder::new(&bytes)).unwrap();
+        assert_eq!(back, c);
+        assert_eq!(back.epoch(), 3);
+        // The executing task's P-state byte follows its tag and two ids.
+        for bad in [5u8, 0xFF] {
+            bytes[17] = bad;
+            assert_eq!(
+                CoreState::decode(&mut Decoder::new(&bytes)),
+                Err(DecodeError::Corrupt("p-state index out of range"))
+            );
+        }
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! retention (every finite trial) never retires, so `base` stays 0 and
 //! [`TaskStore::into_outcomes`] returns every outcome.
 
+use ecds_persist::{DecodeError, Decoder, Encoder, Persist};
 use ecds_workload::{Task, TaskId};
 
 use crate::result::TaskOutcome;
+use crate::state::{decode_pstate, encode_pstate};
 
 /// Running counts of retired (settled and evicted) tasks in a serving
 /// session.
@@ -46,6 +48,29 @@ impl RetiredTally {
     }
 }
 
+/// The five counts in field order.
+impl Persist for RetiredTally {
+    const MIN_ENCODED_LEN: u64 = 40;
+
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_u64(self.retired);
+        enc.put_u64(self.completed);
+        enc.put_u64(self.on_time);
+        enc.put_u64(self.cancelled);
+        enc.put_u64(self.discarded);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(Self {
+            retired: dec.u64()?,
+            completed: dec.u64()?,
+            on_time: dec.u64()?,
+            cancelled: dec.u64()?,
+            discarded: dec.u64()?,
+        })
+    }
+}
+
 /// Parallel task/outcome arrays with a retired prefix.
 ///
 /// `tasks[i]` always has id `base + i`; `outcomes[i]` is its outcome.
@@ -63,21 +88,6 @@ impl TaskStore {
             base: 0,
             tasks: Vec::new(),
             outcomes: Vec::new(),
-        }
-    }
-
-    /// Rebuilds a store from checkpointed parts; ids stay dense starting
-    /// at `base` (validated by the caller's decode path).
-    pub(crate) fn from_checkpoint_parts(
-        base: usize,
-        tasks: Vec<Task>,
-        outcomes: Vec<TaskOutcome>,
-    ) -> Self {
-        debug_assert_eq!(tasks.len(), outcomes.len());
-        Self {
-            base,
-            tasks,
-            outcomes,
         }
     }
 
@@ -105,11 +115,6 @@ impl TaskStore {
         });
     }
 
-    /// First resident id (ids below are retired).
-    pub(crate) fn base(&self) -> usize {
-        self.base
-    }
-
     /// One past the highest id ever stored.
     pub(crate) fn total(&self) -> usize {
         self.base + self.tasks.len()
@@ -120,13 +125,7 @@ impl TaskStore {
         self.tasks.len()
     }
 
-    /// The resident tasks, id-ordered from [`TaskStore::base`].
-    pub(crate) fn resident_tasks(&self) -> &[Task] {
-        &self.tasks
-    }
-
-    /// The resident outcomes, parallel to
-    /// [`TaskStore::resident_tasks`].
+    /// The resident outcomes, id-ordered from the first resident id.
     pub(crate) fn resident_outcomes(&self) -> &[TaskOutcome] {
         &self.outcomes
     }
@@ -198,6 +197,69 @@ impl TaskStore {
     }
 }
 
+/// `base ‖ resident count ‖ (task ‖ outcome)*`. An outcome stores only
+/// what the task does not: `assignment ‖ start ‖ completion ‖ cancelled`.
+/// Decoded task ids must run densely from `base`.
+impl Persist for TaskStore {
+    const MIN_ENCODED_LEN: u64 = 16;
+
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_u64(self.base as u64);
+        enc.put_u64(self.tasks.len() as u64);
+        for (task, outcome) in self.tasks.iter().zip(&self.outcomes) {
+            task.encode(enc);
+            match outcome.assignment {
+                None => enc.put_bool(false),
+                Some((core, pstate)) => {
+                    enc.put_bool(true);
+                    enc.put_u64(core as u64);
+                    encode_pstate(enc, pstate);
+                }
+            }
+            outcome.start.encode(enc);
+            outcome.completion.encode(enc);
+            enc.put_bool(outcome.cancelled);
+        }
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        const NOT_DENSE: DecodeError = DecodeError::Corrupt("store tasks not dense and id-ordered");
+        let base = dec.u64()? as usize;
+        // A task and the four one-byte tags of the smallest outcome.
+        let n = dec.len_prefix(Task::MIN_ENCODED_LEN + 4)? as usize;
+        // `total()` is `base + n`; ids past `usize::MAX` cannot be dense.
+        base.checked_add(n).ok_or(NOT_DENSE)?;
+        let mut store = Self {
+            base,
+            tasks: Vec::with_capacity(n),
+            outcomes: Vec::with_capacity(n),
+        };
+        for i in 0..n {
+            let task = Task::decode(dec)?;
+            if task.id.0 != base + i {
+                return Err(NOT_DENSE);
+            }
+            let assignment = if dec.bool()? {
+                Some((dec.u64()? as usize, decode_pstate(dec)?))
+            } else {
+                None
+            };
+            store.outcomes.push(TaskOutcome {
+                task: task.id,
+                type_id: task.type_id,
+                arrival: task.arrival,
+                deadline: task.deadline,
+                assignment,
+                start: Option::decode(dec)?,
+                completion: Option::decode(dec)?,
+                cancelled: dec.bool()?,
+            });
+            store.tasks.push(task);
+        }
+        Ok(store)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,7 +312,7 @@ mod tests {
         let mut tally = RetiredTally::default();
         let n = store.retire_settled(4, false, &mut tally);
         assert_eq!(n, 2);
-        assert_eq!(store.base(), 2);
+        assert_eq!(store.total() - store.resident(), 2, "first resident id");
         assert_eq!(store.resident(), 2);
         assert_eq!(tally.retired, 2);
         assert_eq!(tally.completed, 1);
@@ -282,6 +344,71 @@ mod tests {
         let mut tally = RetiredTally::default();
         store.retire_settled(1, false, &mut tally);
         let _ = store.into_outcomes();
+    }
+
+    #[test]
+    fn persist_round_trips_a_retired_store_and_rejects_gaps() {
+        let mut store = filled(4);
+        store.outcome_mut(TaskId(0)).completion = Some(5.0);
+        store.outcome_mut(TaskId(2)).assignment = Some((1, ecds_cluster::PState::P3));
+        store.outcome_mut(TaskId(2)).start = Some(2.5);
+        store.retire_settled(4, true, &mut RetiredTally::default());
+        let mut enc = Encoder::new();
+        store.encode(&mut enc);
+        let mut bytes = enc.into_bytes();
+        // 44 bytes per outcome-less pair, plus the assignment and start.
+        assert_eq!(bytes.len(), 16 + 3 * 44 + 9 + 8);
+        let back = TaskStore::decode(&mut Decoder::new(&bytes)).unwrap();
+        assert_eq!(back.total(), 4);
+        assert_eq!(back.resident_outcomes(), store.resident_outcomes());
+        assert_eq!(back.task(TaskId(3)), store.task(TaskId(3)));
+
+        // The first resident task must carry id `base`.
+        bytes[16..24].copy_from_slice(&2u64.to_le_bytes());
+        assert_eq!(
+            TaskStore::decode(&mut Decoder::new(&bytes)).map(|s| s.total()),
+            Err(DecodeError::Corrupt("store tasks not dense and id-ordered"))
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn persist_round_trips_any_settled_prefix(
+            n in 0usize..12,
+            retire_upto in 0usize..12,
+            marks in proptest::collection::vec((0u8..4, 0usize..8, 0.0f64..50.0), 12),
+        ) {
+            let mut store = filled(n);
+            for (id, &(mark, core, t)) in marks.iter().enumerate().take(n) {
+                let outcome = store.outcome_mut(TaskId(id));
+                if mark > 0 {
+                    outcome.assignment = Some((core, ecds_cluster::PState::from_index(core % 5)));
+                    outcome.start = Some(t);
+                }
+                outcome.completion = (mark == 2).then_some(t + 1.0);
+                outcome.cancelled = mark == 3;
+            }
+            store.retire_settled(retire_upto, false, &mut RetiredTally::default());
+            let mut enc = Encoder::new();
+            store.encode(&mut enc);
+            proptest::prop_assert!(enc.written() >= TaskStore::MIN_ENCODED_LEN);
+            let mut dec = Decoder::new(enc.as_slice());
+            let back = TaskStore::decode(&mut dec).expect("a fresh encoding decodes");
+            proptest::prop_assert!(dec.finish().is_ok());
+            let mut again = Encoder::new();
+            back.encode(&mut again);
+            proptest::prop_assert_eq!(again.as_slice(), enc.as_slice());
+            proptest::prop_assert_eq!(back.total(), n);
+        }
+
+        #[test]
+        fn decode_never_panics_on_random_bytes(
+            bytes in proptest::collection::vec(0u8..=u8::MAX, 0..160),
+        ) {
+            let _ = TaskStore::decode(&mut Decoder::new(&bytes));
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! example and diagnosis of burst behaviour (queue build-up during λ_fast,
 //! drain during the lull).
 
+use ecds_persist::{DecodeError, Decoder, Encoder, Persist};
 use ecds_pmf::Time;
 
 /// Structured per-trial instrumentation reported by a mapper (or any other
@@ -114,6 +115,27 @@ impl TelemetryFold {
     /// Mean folded queue depth, or `None` before the first sample.
     pub fn mean_queue_depth(&self) -> Option<f64> {
         (self.samples > 0).then(|| self.sum_queue_depth / self.samples as f64)
+    }
+}
+
+/// The four accumulators in field order.
+impl Persist for TelemetryFold {
+    const MIN_ENCODED_LEN: u64 = 32;
+
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_u64(self.samples);
+        enc.put_f64(self.sum_queue_depth);
+        enc.put_f64(self.peak_queue_depth);
+        enc.put_u64(self.max_busy);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(Self {
+            samples: dec.u64()?,
+            sum_queue_depth: dec.f64()?,
+            peak_queue_depth: dec.f64()?,
+            max_busy: dec.u64()?,
+        })
     }
 }
 

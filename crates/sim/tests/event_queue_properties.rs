@@ -8,6 +8,8 @@
 //!    (FIFO) — the final, total tie-break that makes trials reproducible
 //!    bit-for-bit.
 
+use ecds_persist::{Decoder, Encoder, Persist};
+use ecds_sim::event::Event;
 use ecds_sim::{EventKind, EventQueue};
 use ecds_workload::TaskId;
 use proptest::prelude::*;
@@ -121,13 +123,46 @@ proptest! {
         prop_assert_eq!(n, pushes.len());
         prop_assert!(q.is_empty());
     }
+
+    #[test]
+    fn persist_round_trips_a_partly_drained_queue(pushes in arb_pushes(), drained in 0usize..40) {
+        let mut q = build(&pushes);
+        for _ in 0..drained.min(pushes.len()) {
+            q.pop();
+        }
+        let mut enc = Encoder::new();
+        q.encode(&mut enc);
+        prop_assert!(enc.written() >= EventQueue::MIN_ENCODED_LEN);
+        let mut dec = Decoder::new(enc.as_slice());
+        let mut back = EventQueue::decode(&mut dec).expect("a fresh encoding decodes");
+        prop_assert!(dec.finish().is_ok());
+        let mut again = Encoder::new();
+        back.encode(&mut again);
+        prop_assert_eq!(again.as_slice(), enc.as_slice());
+        while let Some(a) = q.pop() {
+            let b = back.pop().expect("same length");
+            prop_assert_eq!(a.time.to_bits(), b.time.to_bits());
+            prop_assert_eq!(a.kind, b.kind);
+            prop_assert_eq!(a.seq(), b.seq());
+        }
+        prop_assert!(back.is_empty());
+    }
+
+    #[test]
+    fn event_decoders_never_panic_on_random_bytes(
+        bytes in prop::collection::vec(0u8..=u8::MAX, 0..160),
+    ) {
+        // Each decode either succeeds or returns a typed error.
+        let _ = EventKind::decode(&mut Decoder::new(&bytes));
+        let _ = Event::decode(&mut Decoder::new(&bytes));
+        let _ = EventQueue::decode(&mut Decoder::new(&bytes));
+    }
 }
 
-/// Satellite pin for checkpointing at depth: a 10⁵-event queue snapshots
-/// into exactly one right-sized vector (no heap clone, no pop loop, no
-/// over-allocation), its encoded checkpoint section is the tight linear
-/// size the serve codec implies (33 bytes per event + two `u64` headers),
-/// and `from_parts` rebuilds a queue that pops bit-identically.
+/// Pin for checkpointing at depth: a 10⁵-event queue snapshots into
+/// exactly one right-sized vector (no heap clone, no pop loop, no
+/// over-allocation), its encoding is tightly linear in depth (33 bytes per
+/// event + two `u64` headers), and the decoded queue pops bit-identically.
 #[test]
 fn depth_1e5_snapshot_is_right_sized_and_roundtrips() {
     const DEPTH: usize = 100_000;
@@ -157,39 +192,24 @@ fn depth_1e5_snapshot_is_right_sized_and_roundtrips() {
 
     // Snapshot is already in pop order: (time, rank, seq) non-decreasing.
     for w in snap.windows(2) {
-        let key = |e: &(f64, EventKind, u64)| (e.0, rank(&e.1), e.2);
+        let key = |e: &Event| (e.time, rank(&e.kind), e.seq());
         assert!(key(&w[0]) <= key(&w[1]), "snapshot not in pop order");
     }
 
-    // Encoded exactly as the serve checkpoint does: next_seq + len headers,
-    // then per event f64 time (8) + kind tag (1) + two u64 payload words
-    // (16) + u64 seq (8).
-    let mut enc = ecds_persist::Encoder::new();
-    enc.put_u64(q.next_seq());
-    enc.put_u64(snap.len() as u64);
-    for &(time, kind, seq) in &snap {
-        enc.put_f64(time);
-        match kind {
-            EventKind::Arrival(task) => {
-                enc.put_u8(0);
-                enc.put_u64(task.0 as u64);
-                enc.put_u64(0);
-            }
-            EventKind::Completion { core, task } => {
-                enc.put_u8(1);
-                enc.put_u64(core as u64);
-                enc.put_u64(task.0 as u64);
-            }
-        }
-        enc.put_u64(seq);
-    }
+    // Per event: f64 time (8) + kind tag (1) + two u64 payload words (16)
+    // + u64 seq (8).
+    let mut enc = Encoder::new();
+    q.encode(&mut enc);
     assert_eq!(
         enc.as_slice().len(),
         16 + DEPTH * 33,
         "queue checkpoint section must stay tightly linear in depth"
     );
 
-    let mut rebuilt = EventQueue::from_parts(q.next_seq(), snap);
+    let mut dec = Decoder::new(enc.as_slice());
+    let mut rebuilt = EventQueue::decode(&mut dec).expect("a fresh encoding decodes");
+    dec.finish()
+        .expect("the queue consumes exactly its encoding");
     assert_eq!(rebuilt.next_seq(), q.next_seq());
     loop {
         match (q.pop(), rebuilt.pop()) {
@@ -197,6 +217,7 @@ fn depth_1e5_snapshot_is_right_sized_and_roundtrips() {
             (Some(a), Some(b)) => {
                 assert_eq!(a.time.to_bits(), b.time.to_bits());
                 assert_eq!(a.kind, b.kind);
+                assert_eq!(a.seq(), b.seq());
             }
             _ => panic!("queues drained at different depths"),
         }

@@ -7,8 +7,7 @@
 //! by trial seed. The paper also defines an equilibrium rate
 //! `λ_eq = 1/28` at which the system would be perfectly subscribed.
 
-use ecds_pmf::{Exponential, Time};
-use rand::Rng;
+use ecds_pmf::Time;
 
 /// One phase of the arrival pattern: `count` tasks arriving at Poisson rate
 /// `rate`.
@@ -31,14 +30,26 @@ impl ArrivalPhase {
 
 /// A piecewise-constant-rate Poisson arrival pattern.
 ///
+/// Arrival times are drawn by a
+/// [`BurstyArrivalSource`](crate::BurstyArrivalSource) cycling the
+/// pattern: exponential inter-arrival gaps at each phase's rate, starting
+/// from time 0 (the first task arrives after one gap).
+///
 /// ```
-/// use ecds_workload::BurstPattern;
-/// use ecds_pmf::{SeedDerive, Stream};
+/// use ecds_cluster::{generate_cluster, ClusterGenConfig};
+/// use ecds_pmf::SeedDerive;
+/// use ecds_workload::{
+///     ArrivalSource, BurstPattern, BurstyArrivalSource, ExecTable, WorkloadConfig,
+/// };
 ///
 /// let pattern = BurstPattern::paper(); // 200 fast / 600 slow / 200 fast
 /// assert_eq!(pattern.total_tasks(), 1000);
-/// let mut rng = SeedDerive::new(7).rng(Stream::Arrivals, 0, 0);
-/// let times = pattern.generate(&mut rng);
+/// let seeds = SeedDerive::new(7);
+/// let cfg = WorkloadConfig::small_for_tests();
+/// let cluster = generate_cluster(&ClusterGenConfig::small_for_tests(), &seeds);
+/// let table = ExecTable::generate(&cfg, &cluster, &seeds);
+/// let mut source = BurstyArrivalSource::new(pattern, &cfg, &table, &seeds, 0);
+/// let times: Vec<f64> = (0..1000).map(|_| source.next_task().unwrap().arrival).collect();
 /// assert!(times.windows(2).all(|w| w[0] <= w[1]));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -128,32 +139,36 @@ impl BurstPattern {
     pub fn expected_span(&self) -> Time {
         self.phases.iter().map(|p| p.count as f64 / p.rate).sum()
     }
-
-    /// Generates the arrival-time sequence: exponential inter-arrival gaps
-    /// at each phase's rate, starting from time 0 (the first task arrives
-    /// after one gap). Monotonically non-decreasing by construction.
-    pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<Time> {
-        let mut times = Vec::with_capacity(self.total_tasks());
-        let mut now = 0.0;
-        for phase in &self.phases {
-            let exp = Exponential::new(phase.rate);
-            for _ in 0..phase.count {
-                now += exp.sample(rng);
-                times.push(now);
-            }
-        }
-        times
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::{ArrivalSource, BurstyArrivalSource, ExecTable, WorkloadConfig};
+    use ecds_cluster::{generate_cluster, ClusterGenConfig};
+    use ecds_pmf::SeedDerive;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(11)
+    /// The arrival times of `runs` trials of one pass over `pattern`, each
+    /// drawn by the bursty source.
+    fn arrival_runs(pattern: &BurstPattern, runs: u64) -> Vec<Vec<Time>> {
+        let seeds = SeedDerive::new(11);
+        let cluster = generate_cluster(&ClusterGenConfig::small_for_tests(), &seeds);
+        let cfg = WorkloadConfig::small_for_tests();
+        let table = ExecTable::generate(&cfg, &cluster, &seeds);
+        (0..runs)
+            .map(|trial| {
+                let mut source =
+                    BurstyArrivalSource::new(pattern.clone(), &cfg, &table, &seeds, trial);
+                std::iter::from_fn(|| source.next_task())
+                    .take(pattern.total_tasks())
+                    .map(|task| task.arrival)
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn paper_arrivals() -> Vec<Time> {
+        arrival_runs(&BurstPattern::paper(), 1).remove(0)
     }
 
     #[test]
@@ -173,7 +188,7 @@ mod tests {
 
     #[test]
     fn generated_times_are_sorted_and_positive() {
-        let times = BurstPattern::paper().generate(&mut rng());
+        let times = paper_arrivals();
         assert_eq!(times.len(), 1000);
         assert!(times[0] > 0.0);
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
@@ -183,14 +198,11 @@ mod tests {
     fn phase_means_are_respected() {
         // Average over many runs: the first burst of 200 tasks at rate 1/8
         // should span about 1600 time units.
-        let p = BurstPattern::paper();
-        let mut r = rng();
-        let mut total = 0.0;
-        const RUNS: usize = 200;
-        for _ in 0..RUNS {
-            let times = p.generate(&mut r);
-            total += times[199];
-        }
+        const RUNS: u64 = 200;
+        let total: f64 = arrival_runs(&BurstPattern::paper(), RUNS)
+            .iter()
+            .map(|times| times[199])
+            .sum();
         let mean = total / RUNS as f64;
         assert!((mean - 1600.0).abs() < 60.0, "burst span {mean}");
     }
@@ -204,7 +216,7 @@ mod tests {
 
     #[test]
     fn lull_is_slower_than_bursts() {
-        let times = BurstPattern::paper().generate(&mut rng());
+        let times = paper_arrivals();
         let burst1_span = times[199] - times[0];
         let lull_span = times[799] - times[200];
         // 600 slow tasks take far longer than 200 fast ones.
@@ -243,9 +255,7 @@ mod tests {
 
     #[test]
     fn determinism_per_seed() {
-        let a = BurstPattern::paper().generate(&mut rng());
-        let b = BurstPattern::paper().generate(&mut rng());
-        assert_eq!(a, b);
+        assert_eq!(paper_arrivals(), paper_arrivals());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! mutable cursor/RNG state, so a restored source resumes the stream at
 //! precisely the same position with the same future draws.
 
-use ecds_persist::{DecodeError, Decoder, Encoder};
+use ecds_persist::{DecodeError, Decoder, Encoder, Persist};
 use ecds_pmf::{Exponential, SeedDerive, Stream, Time};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -92,13 +92,15 @@ impl ArrivalSource for TraceArrivalSource<'_> {
 }
 
 /// The infinite source: an endless bursty-λ Poisson arrival stream cycling
-/// a [`BurstPattern`]'s phases forever, with types, quantiles, and
-/// deadlines drawn exactly as [`WorkloadTrace::generate`] draws them.
+/// a [`BurstPattern`]'s phases forever, drawing each task's arrival gap,
+/// type and quantile and deriving its Sec. VI deadline.
 ///
-/// Uses the `b = 1` substreams of [`Stream::Arrivals`],
-/// [`Stream::TaskTypes`], and [`Stream::Quantiles`] (the finite trace
-/// generator owns `b = 0`), so a serve run over this source never shares
-/// draws with the trial-shaped path of the same `(master seed, trial)`.
+/// This is the workspace's one task generator: a [`WorkloadTrace`] is the
+/// first `window` tasks of this stream on the `b = 0` substreams of
+/// [`Stream::Arrivals`], [`Stream::TaskTypes`], and [`Stream::Quantiles`].
+/// [`BurstyArrivalSource::new`] uses the `b = 1` substreams, so a serve
+/// run over it never shares draws with the trial-shaped path of the same
+/// `(master seed, trial)`.
 #[derive(Debug, Clone)]
 pub struct BurstyArrivalSource {
     phases: Vec<ArrivalPhase>,
@@ -130,6 +132,19 @@ impl BurstyArrivalSource {
         seeds: &SeedDerive,
         trial: u64,
     ) -> Self {
+        Self::on_substream(pattern.phases(), cfg, table, seeds, trial, 1)
+    }
+
+    /// The stream for `(seeds, trial)` drawn on substream `b` of the
+    /// arrival, type and quantile streams — `b = 0` is the finite trace's.
+    pub(crate) fn on_substream(
+        phases: &[ArrivalPhase],
+        cfg: &WorkloadConfig,
+        table: &ExecTable,
+        seeds: &SeedDerive,
+        trial: u64,
+        b: u64,
+    ) -> Self {
         cfg.validate();
         assert_eq!(
             cfg.num_types,
@@ -140,12 +155,12 @@ impl BurstyArrivalSource {
             .map(|i| table.type_average(TaskTypeId(i)))
             .collect();
         Self {
-            phases: pattern.phases().to_vec(),
+            phases: phases.to_vec(),
             type_averages,
             t_avg: table.t_avg(),
-            arrival_rng: seeds.rng(Stream::Arrivals, trial, 1),
-            type_rng: seeds.rng(Stream::TaskTypes, trial, 1),
-            quantile_rng: seeds.rng(Stream::Quantiles, trial, 1),
+            arrival_rng: seeds.rng(Stream::Arrivals, trial, b),
+            type_rng: seeds.rng(Stream::TaskTypes, trial, b),
+            quantile_rng: seeds.rng(Stream::Quantiles, trial, b),
             phase: 0,
             in_phase: 0,
             now: 0.0,
@@ -183,15 +198,12 @@ impl ArrivalSource for BurstyArrivalSource {
     }
 
     fn save_state(&self, enc: &mut Encoder) {
-        for word in self.arrival_rng.state() {
-            enc.put_u64(word);
-        }
-        for word in self.type_rng.state() {
-            enc.put_u64(word);
-        }
-        for word in self.quantile_rng.state() {
-            enc.put_u64(word);
-        }
+        [
+            self.arrival_rng.state(),
+            self.type_rng.state(),
+            self.quantile_rng.state(),
+        ]
+        .encode(enc);
         enc.put_u64(self.phase as u64);
         enc.put_u64(self.in_phase as u64);
         enc.put_f64(self.now);
@@ -199,12 +211,7 @@ impl ArrivalSource for BurstyArrivalSource {
     }
 
     fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), DecodeError> {
-        let mut words = [[0u64; 4]; 3];
-        for rng_words in words.iter_mut() {
-            for word in rng_words.iter_mut() {
-                *word = dec.u64()?;
-            }
-        }
+        let [arrival, types, quantiles] = <[[u64; 4]; 3]>::decode(dec)?;
         let phase = dec.u64()?;
         let in_phase = dec.u64()?;
         let now = dec.f64()?;
@@ -218,9 +225,9 @@ impl ArrivalSource for BurstyArrivalSource {
         if !now.is_finite() || now < 0.0 {
             return Err(DecodeError::Corrupt("bursty clock not a finite time"));
         }
-        self.arrival_rng = StdRng::from_state(words[0]);
-        self.type_rng = StdRng::from_state(words[1]);
-        self.quantile_rng = StdRng::from_state(words[2]);
+        self.arrival_rng = StdRng::from_state(arrival);
+        self.type_rng = StdRng::from_state(types);
+        self.quantile_rng = StdRng::from_state(quantiles);
         self.phase = phase as usize;
         self.in_phase = in_phase as usize;
         self.now = now;

@@ -1,5 +1,6 @@
 //! Task identity and per-task trace data.
 
+use ecds_persist::{DecodeError, Decoder, Encoder, Persist};
 use ecds_pmf::{Prob, Time};
 
 /// Identifier of a task *type* (one of the paper's 100 well-known types).
@@ -53,6 +54,56 @@ impl Task {
     }
 }
 
+/// Ids travel as `u64`, whatever the platform's pointer width.
+impl Persist for TaskTypeId {
+    const MIN_ENCODED_LEN: u64 = 8;
+
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_u64(self.0 as u64);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(Self(dec.u64()? as usize))
+    }
+}
+
+/// Ids travel as `u64`, whatever the platform's pointer width.
+impl Persist for TaskId {
+    const MIN_ENCODED_LEN: u64 = 8;
+
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_u64(self.0 as u64);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(Self(dec.u64()? as usize))
+    }
+}
+
+/// `id ‖ type ‖ arrival ‖ deadline ‖ quantile`; the two times must be
+/// finite, the quantile travels as raw bits.
+impl Persist for Task {
+    const MIN_ENCODED_LEN: u64 = 40;
+
+    fn encode(&self, enc: &mut Encoder) {
+        self.id.encode(enc);
+        self.type_id.encode(enc);
+        enc.put_f64(self.arrival);
+        enc.put_f64(self.deadline);
+        enc.put_f64(self.quantile);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(Self {
+            id: TaskId::decode(dec)?,
+            type_id: TaskTypeId::decode(dec)?,
+            arrival: dec.finite_f64()?,
+            deadline: dec.finite_f64()?,
+            quantile: dec.f64()?,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,6 +124,28 @@ mod tests {
             quantile: 0.5,
         };
         assert_eq!(t.relative_deadline(), 250.0);
+    }
+
+    #[test]
+    fn task_times_must_be_finite() {
+        let t = Task {
+            id: TaskId(3),
+            type_id: TaskTypeId(1),
+            arrival: 1.0,
+            deadline: 9.0,
+            quantile: 0.25,
+        };
+        let mut enc = Encoder::new();
+        t.encode(&mut enc);
+        let mut bytes = enc.into_bytes();
+        assert_eq!(bytes.len() as u64, Task::MIN_ENCODED_LEN);
+        assert_eq!(Task::decode(&mut Decoder::new(&bytes)), Ok(t));
+        // The deadline is the fourth word.
+        bytes[24..32].copy_from_slice(&f64::INFINITY.to_bits().to_le_bytes());
+        assert_eq!(
+            Task::decode(&mut Decoder::new(&bytes)),
+            Err(DecodeError::Corrupt("expected a finite f64"))
+        );
     }
 
     #[test]

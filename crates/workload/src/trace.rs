@@ -6,12 +6,12 @@
 //! The cluster, the ETC matrix, and the pmf table stay constant across
 //! trials ("All other parameters are held constant", Sec. VI).
 
-use ecds_pmf::{SeedDerive, Stream, Time};
-use rand::Rng;
+use ecds_pmf::{SeedDerive, Time};
 
 use crate::config::WorkloadConfig;
 use crate::exec_table::ExecTable;
-use crate::task::{Task, TaskId, TaskTypeId};
+use crate::source::{ArrivalSource, BurstyArrivalSource};
+use crate::task::Task;
 
 /// One trial's worth of tasks, sorted by arrival time.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,7 +21,9 @@ pub struct WorkloadTrace {
 }
 
 impl WorkloadTrace {
-    /// Generates trial `trial`'s trace.
+    /// Generates trial `trial`'s trace: the first `cfg.window` tasks of the
+    /// [`BurstyArrivalSource`] over `cfg.arrivals` on substream `b = 0`
+    /// (the window is exactly one pass over the pattern's phases).
     ///
     /// Deadlines follow Sec. VI:
     /// `δ(z) = arrival(z) + type_average(type(z)) + t_avg`, where the load
@@ -33,33 +35,10 @@ impl WorkloadTrace {
         seeds: &SeedDerive,
         trial: u64,
     ) -> Self {
-        cfg.validate();
-        assert_eq!(
-            cfg.num_types,
-            table.num_types(),
-            "config and table disagree on task-type count"
-        );
-        let arrivals = cfg
-            .arrivals
-            .generate(&mut seeds.rng(Stream::Arrivals, trial, 0));
-        let mut type_rng = seeds.rng(Stream::TaskTypes, trial, 0);
-        let mut quantile_rng = seeds.rng(Stream::Quantiles, trial, 0);
-        let t_avg = table.t_avg();
-        let tasks: Vec<Task> = arrivals
-            .into_iter()
-            .enumerate()
-            .map(|(i, arrival)| {
-                let type_id = TaskTypeId(type_rng.gen_range(0..cfg.num_types));
-                let quantile: f64 = quantile_rng.gen_range(0.0..1.0);
-                let deadline = arrival + table.type_average(type_id) + t_avg;
-                Task {
-                    id: TaskId(i),
-                    type_id,
-                    arrival,
-                    deadline,
-                    quantile,
-                }
-            })
+        let mut source =
+            BurstyArrivalSource::on_substream(cfg.arrivals.phases(), cfg, table, seeds, trial, 0);
+        let tasks = std::iter::from_fn(|| source.next_task())
+            .take(cfg.window)
             .collect();
         Self { trial, tasks }
     }
@@ -98,6 +77,7 @@ impl WorkloadTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::TaskId;
     use ecds_cluster::{generate_cluster, ClusterGenConfig};
 
     fn setup() -> (WorkloadConfig, ExecTable, SeedDerive) {

@@ -1,9 +1,10 @@
 //! Property tests of workload-generation invariants.
 
 use ecds_cluster::{generate_cluster, ClusterGenConfig, PState};
+use ecds_persist::{Decoder, Encoder, Persist};
 use ecds_pmf::SeedDerive;
 use ecds_workload::{
-    BurstPattern, EtcMatrix, ExecTable, TaskTypeId, WorkloadConfig, WorkloadTrace,
+    BurstPattern, EtcMatrix, ExecTable, Task, TaskId, TaskTypeId, WorkloadConfig, WorkloadTrace,
 };
 use proptest::prelude::*;
 
@@ -38,8 +39,12 @@ proptest! {
     ) {
         let pattern = BurstPattern::scaled_with_rates(window, 1.0 / fast_inv, 1.0 / slow_inv);
         prop_assert_eq!(pattern.total_tasks(), window);
-        let mut rng = SeedDerive::new(seed).rng(ecds_pmf::Stream::Arrivals, 0, 0);
-        let times = pattern.generate(&mut rng);
+        let seeds = SeedDerive::new(seed);
+        let cluster = generate_cluster(&ClusterGenConfig::small_for_tests(), &seeds);
+        let cfg = WorkloadConfig { window, arrivals: pattern, ..WorkloadConfig::small_for_tests() };
+        let table = ExecTable::generate(&cfg, &cluster, &seeds);
+        let trace = WorkloadTrace::generate(&cfg, &table, &seeds, 0);
+        let times: Vec<f64> = trace.tasks().iter().map(|t| t.arrival).collect();
         prop_assert_eq!(times.len(), window);
         prop_assert!(times[0] > 0.0);
         prop_assert!(times.windows(2).all(|w| w[0] <= w[1]));
@@ -100,5 +105,44 @@ proptest! {
         let a = WorkloadTrace::generate(&cfg, &table, &seeds, trial);
         let b = WorkloadTrace::generate(&cfg, &table, &seeds, trial);
         prop_assert_eq!(a, b);
+    }
+
+    #[test]
+    fn task_codec_round_trips_bitwise(
+        id in 0usize..1 << 40,
+        type_id in 0usize..100,
+        arrival in 0.0f64..1e9,
+        slack in 0.0f64..1e6,
+        quantile_bits in 0..=u64::MAX,
+    ) {
+        // The quantile travels as raw bits, so any pattern must survive.
+        let task = Task {
+            id: TaskId(id),
+            type_id: TaskTypeId(type_id),
+            arrival,
+            deadline: arrival + slack,
+            quantile: f64::from_bits(quantile_bits),
+        };
+        let mut enc = Encoder::new();
+        task.encode(&mut enc);
+        prop_assert!(enc.written() >= Task::MIN_ENCODED_LEN);
+        let mut dec = Decoder::new(enc.as_slice());
+        let back = Task::decode(&mut dec).expect("a fresh encoding decodes");
+        prop_assert!(dec.finish().is_ok());
+        let mut again = Encoder::new();
+        back.encode(&mut again);
+        prop_assert_eq!(again.as_slice(), enc.as_slice());
+        prop_assert_eq!(back.id, task.id);
+        prop_assert_eq!(back.type_id, task.type_id);
+    }
+
+    #[test]
+    fn task_decoders_never_panic_on_random_bytes(
+        bytes in prop::collection::vec(0u8..=u8::MAX, 0..96),
+    ) {
+        // Each decode either succeeds or returns a typed error.
+        let _ = Task::decode(&mut Decoder::new(&bytes));
+        let _ = Vec::<TaskId>::decode(&mut Decoder::new(&bytes));
+        let _ = TaskTypeId::decode(&mut Decoder::new(&bytes));
     }
 }

@@ -361,3 +361,198 @@ fn restore_rejects_a_version_1_checkpoint() {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// The wire format, pinned.
+// ---------------------------------------------------------------------------
+
+/// Runs `events` events of an immediate-mode session over trial `trial` of
+/// `scenario` and returns its sealed checkpoint.
+fn immediate_checkpoint(
+    scenario: &Scenario,
+    trial: u64,
+    kind: HeuristicKind,
+    variant: FilterVariant,
+    events: u64,
+) -> Vec<u8> {
+    let trace = scenario.trace(trial);
+    let mut scheduler = build_scheduler(kind, variant, scenario, 0);
+    let mut discipline = ImmediateDiscipline::new(scheduler.as_mut());
+    let mut source = TraceArrivalSource::new(&trace);
+    let mut session = ServeSession::new(
+        scenario.cluster(),
+        scenario.table(),
+        scenario.sim_config(),
+        ServeConfig::finite(trace.len()),
+        &mut source,
+        &mut discipline,
+    );
+    session.run_events(events, &mut source, &mut discipline);
+    session.checkpoint(&source, &discipline)
+}
+
+/// Checkpoint (a) of the pin table: LL/en+rob on seed 3, 40 events.
+fn checkpoint_a() -> Vec<u8> {
+    immediate_checkpoint(
+        &Scenario::small_for_tests(3),
+        0,
+        HeuristicKind::LightestLoad,
+        FilterVariant::EnergyAndRobustness,
+        40,
+    )
+}
+
+/// Five checkpoints covering every section of the format — both horizon
+/// and retention tags, every event kind, executing and queued cores,
+/// cancelled outcomes, cached prefixes, the Random RNG, the batch pending
+/// bag and the bursty source's RNG words — pinned to their length and
+/// FNV-1a-64 digest.
+///
+/// A failure here means the wire format changed. Bump
+/// `CHECKPOINT_VERSION` (old checkpoints must be rejected, never
+/// reinterpreted) and re-pin the values.
+#[test]
+fn checkpoint_wire_format_is_pinned() {
+    let digest = |bytes: &[u8]| (bytes.len(), ecds::persist::fnv1a_64(bytes));
+
+    assert_eq!(digest(&checkpoint_a()), (3_919, 0x680274cc178e09ac), "(a)");
+
+    let b = immediate_checkpoint(
+        &Scenario::small_for_tests(11),
+        1,
+        HeuristicKind::Random,
+        FilterVariant::Energy,
+        89,
+    );
+    assert_eq!(digest(&b), (7_314, 0x28aab4f7c44ab012), "(b)");
+
+    let base = Scenario::small_for_tests(29);
+    let cancelling = base.with_sim_config({
+        let mut c = *base.sim_config();
+        c.cancel_overdue = true;
+        c
+    });
+    let c = immediate_checkpoint(&cancelling, 0, HeuristicKind::Mect, FilterVariant::None, 61);
+    assert_eq!(digest(&c), (4_939, 0xf102a3839088977e), "(c)");
+
+    let d = {
+        let scenario = Scenario::small_for_tests(3);
+        let trace = scenario.trace(0);
+        let mut policy = BatchMaxRho::default();
+        let mut discipline = BatchDiscipline::new(&mut policy);
+        let mut source = TraceArrivalSource::new(&trace);
+        let mut session = ServeSession::new(
+            scenario.cluster(),
+            scenario.table(),
+            scenario.sim_config(),
+            ServeConfig::finite(trace.len()),
+            &mut source,
+            &mut discipline,
+        );
+        session.run_events(37, &mut source, &mut discipline);
+        session.checkpoint(&source, &discipline)
+    };
+    assert_eq!(digest(&d), (3_053, 0xe1dbcbdee8d5759c), "(d)");
+
+    let e = {
+        let scenario = Scenario::small_for_tests(7).with_sim_config(SimConfig::unconstrained());
+        let mut source = BurstyArrivalSource::new(
+            scenario.workload().arrivals.clone(),
+            scenario.workload(),
+            scenario.table(),
+            scenario.seeds(),
+            0,
+        );
+        let mut scheduler = build_scheduler(
+            HeuristicKind::Random,
+            FilterVariant::Robustness,
+            &scenario,
+            2,
+        );
+        let mut discipline = ImmediateDiscipline::new(scheduler.as_mut());
+        let mut session = ServeSession::new(
+            scenario.cluster(),
+            scenario.table(),
+            scenario.sim_config(),
+            ServeConfig::streaming(50, 16, 400),
+            &mut source,
+            &mut discipline,
+        );
+        session.run_events(500, &mut source, &mut discipline);
+        session.checkpoint(&source, &discipline)
+    };
+    assert_eq!(digest(&e), (4_326, 0x2d3656f48e957ad2), "(e)");
+}
+
+/// Every field check the restore makes, one corrupted field at a time:
+/// the body of checkpoint (a) is opened, one field is overwritten at its
+/// byte offset, the body is re-sealed (so the checksum passes), and the
+/// restore must refuse it with the check's exact error text.
+#[test]
+fn restore_rejects_each_corrupt_field() {
+    use ecds::persist::{open, seal, DecodeError};
+    use ecds::sim::CHECKPOINT_VERSION;
+
+    let scenario = Scenario::small_for_tests(3);
+    let trace = scenario.trace(0);
+    let sealed = checkpoint_a();
+    let body = open(&sealed, CHECKPOINT_VERSION).expect("a live checkpoint opens");
+    let restore_into = |cluster: &Cluster, bytes: &[u8]| {
+        let mut scheduler = build_scheduler(
+            HeuristicKind::LightestLoad,
+            FilterVariant::EnergyAndRobustness,
+            &scenario,
+            0,
+        );
+        let mut discipline = ImmediateDiscipline::new(scheduler.as_mut());
+        let mut source = TraceArrivalSource::new(&trace);
+        ServeSession::restore(
+            cluster,
+            scenario.table(),
+            scenario.sim_config(),
+            bytes,
+            &mut source,
+            &mut discipline,
+        )
+        .map(|_| ())
+    };
+    /// Overwrites one field of a checkpoint body in place.
+    type Edit = fn(&mut [u8]);
+    let corrupted = |edit: Edit| {
+        let mut bytes = body.to_vec();
+        edit(&mut bytes);
+        restore_into(scenario.cluster(), &seal(CHECKPOINT_VERSION, &bytes))
+    };
+    fn put_u64(bytes: &mut [u8], at: usize, v: u64) {
+        bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    assert_eq!(restore_into(scenario.cluster(), &sealed), Ok(()));
+    let cases: [(&str, Edit); 6] = [
+        ("unknown horizon tag", |b| b[13] = 7),
+        ("unknown retention tag", |b| b[22] = 7),
+        ("flush_every must be positive", |b| {
+            b[22] = 1;
+            put_u64(b, 23, 0);
+        }),
+        ("expected a finite f64", |b| {
+            put_u64(b, 32, f64::NAN.to_bits())
+        }),
+        ("arrived count exceeds streamed tasks", |b| {
+            put_u64(b, 48, 1 << 40)
+        }),
+        ("store tasks not dense and id-ordered", |b| {
+            put_u64(b, 169, 5)
+        }),
+    ];
+    for (what, edit) in cases {
+        assert_eq!(corrupted(edit), Err(DecodeError::Corrupt(what)), "{what}");
+    }
+    let paper = Scenario::paper(3);
+    assert_eq!(
+        restore_into(paper.cluster(), &sealed),
+        Err(DecodeError::Corrupt(
+            "core count does not match the cluster"
+        ))
+    );
+}

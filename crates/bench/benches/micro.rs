@@ -16,9 +16,9 @@ use ecds_workload::{Task, TaskId, TaskTypeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn gamma_pmf(mean: f64, impulses: usize) -> Pmf {
+fn gamma_pmf(mean: f64, impulses: usize, seed: u64) -> Pmf {
     let gamma = Gamma::from_mean_cv(mean, 0.2);
-    let mut rng = StdRng::seed_from_u64(7);
+    let mut rng = StdRng::seed_from_u64(seed);
     ecds_pmf::empirical_pmf(
         &mut rng,
         ecds_pmf::SamplePmfConfig::new(impulses * 10, impulses),
@@ -29,13 +29,16 @@ fn gamma_pmf(mean: f64, impulses: usize) -> Pmf {
 /// The fused scratch kernel against the legacy convolve→reduce pipeline at
 /// the default 24-impulse cap: "fused_warm" reuses one workspace across
 /// iterations (the evaluator's steady state), "fused_cold" pays the buffer
-/// growth on every call.
+/// growth on every call. These rows convolve one pair over and over, so a
+/// branch predictor can learn the merge's exact branch sequence;
+/// "fused_varied" cycles through distinct pairs, as the evaluator's calls
+/// do.
 fn kernel(report: &mut Report) {
     let policy = ReductionPolicy::default_cap();
     let cap = policy.max_impulses;
     for impulses in [8usize, 24, 64] {
-        let a = gamma_pmf(750.0, impulses);
-        let b = gamma_pmf(900.0, impulses);
+        let a = gamma_pmf(750.0, impulses, 7);
+        let b = gamma_pmf(900.0, impulses, 7);
         let fields = [("impulses", impulses), ("cap", cap)];
         report.measure("pmf_kernel", "legacy", &fields, 2000, || {
             drop(black_box(a.convolve(&b, policy)))
@@ -51,10 +54,32 @@ fn kernel(report: &mut Report) {
             black_box(out.expectation());
         });
     }
+    // 256 queue-prefix ⊛ execution-time pairs at the evaluator's common
+    // 24 × 24 shape: a prefix of three chained convolutions (reduced to the
+    // cap) against a 24-impulse execution pmf, one pair per call.
+    let pairs: Vec<(Pmf, Pmf)> = (0..256u64)
+        .map(|s| {
+            let prefix = [650.0, 800.0, 950.0]
+                .into_iter()
+                .zip(0..)
+                .map(|(mean, k)| gamma_pmf(mean, cap, 4 * s + k))
+                .reduce(|acc, p| acc.convolve(&p, policy))
+                .unwrap();
+            (prefix, gamma_pmf(900.0, cap, 4 * s + 3))
+        })
+        .collect();
+    let mut scratch = PmfScratch::new();
+    let mut next = pairs.iter().cycle();
+    let fields = [("impulses", cap), ("cap", cap), ("pairs", pairs.len())];
+    report.measure("pmf_kernel", "fused_varied", &fields, 2000, || {
+        let (a, b) = next.next().unwrap();
+        let out = scratch.convolve_reduced(black_box(a), black_box(b), policy);
+        black_box(out.expectation());
+    });
 }
 
 fn pmf_ops(report: &mut Report) {
-    let p = gamma_pmf(750.0, 24);
+    let p = gamma_pmf(750.0, 24, 7);
     let shifted = p.shift(100.0);
     report.measure("pmf", "truncate_renormalize", &[], 10_000, || {
         drop(black_box(shifted.truncate_below(black_box(750.0))))

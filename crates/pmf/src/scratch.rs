@@ -25,8 +25,35 @@
 //!    bit-for-bit. Each of the `n` product rows (one `small` impulse against
 //!    every `large` impulse) is already non-decreasing — float addition is
 //!    monotone — so a bottom-up merge of the `n` pre-sorted rows (adjacent
-//!    run pairs, ties taking the left run) is such a stable algorithm, and
-//!    it runs in `O(n·m·log n)` without allocating.
+//!    run pairs, ping-ponging between two buffers) is such a stable
+//!    algorithm, and it runs in `O(n·m·log n)` without allocating.
+//!
+//!    Each run pair is merged from both ends at once. A *front* chain takes
+//!    the smaller head (a tie takes the left run) and emits the first `s`
+//!    elements of the stable merge; a *back* chain takes the larger tail (a
+//!    tie takes the right run, which the stable order puts last) and emits
+//!    the last `s`. With `s = min(|L|, |R|)` neither run runs dry within
+//!    `s` steps, and the two sets are disjoint because `2s ≤ |L| + |R|`; the
+//!    middle left between them (non-empty only for the unbalanced tail
+//!    merges of the bottom-up tree, such as 384 + 192 at 24 rows) goes
+//!    through the scalar merge. Where a pass's runs pair up at equal width,
+//!    two pairs merge in lockstep, so four independent chains are in
+//!    flight. Each step is a load → compare → index-update chain; a
+//!    one-directional merge runs one such chain (and mispredicts the branch
+//!    the data makes unpredictable), the bidirectional merge overlaps up to
+//!    four. The sort dominates the kernel, as the phases of kernel calls
+//!    sampled from the `serve-mid` benchmark workload show (µs per call;
+//!    80% of its calls are 24 × 24; DESIGN.md §7.1 has the method):
+//!
+//!    | merge | products | stable merge sort | coincidence merge | equal-mass reduce | ECT/ρ reads |
+//!    |---|---|---|---|---|---|
+//!    | one-directional | 0.8 | 15.5 | 1.8 | 1.0 | 0.06 |
+//!    | bidirectional | 0.8 | 9.0 | 1.8 | 1.1 | 0.06 |
+//!
+//!    The merge compares with `<`, which ties `-0.0` with `0.0` where the
+//!    legacy `total_cmp` puts `-0.0` first; equal values are contiguous
+//!    after the merge, so a stable sort of the zero block restores the
+//!    legacy order.
 //! 2. **Summation order.** Coincident-value merging accumulates
 //!    probabilities in emission order, exactly as
 //!    `sort_and_merge` (in `crate::pmf`) does; the reduction pass replays
@@ -333,35 +360,22 @@ fn fused_convolve_reduce(
         }
     }
 
-    // Pass 2: bottom-up merge of the n pre-sorted rows (each row is
-    // non-decreasing because float addition is monotone in one operand).
-    // Adjacent runs are merged pairwise, ties always taking the *left* run —
-    // a stable merge sort seeded with the row-major runs. A stable sort's
-    // output sequence is uniquely determined, so this emits the products in
-    // exactly the order the legacy stable `sort_by` would, in O(n·m·log n)
-    // and without allocating. The sorted products are then streamed through
-    // the coincident-value merge, replaying `sort_and_merge`'s accumulation.
+    // Pass 2: stable merge sort of the n pre-sorted rows (see
+    // `merge_sort_rows`), then the coincident-value merge, replaying
+    // `sort_and_merge`'s accumulation. The merge buffer only ever grows: the
+    // sort writes every slot of `[..total]` before reading it.
     let total = n * m;
-    let mut width = m;
-    // Ping-pong between `products` and `merge_buf`; `src` always holds the
-    // current (partially merged) runs.
-    merge_buf.clear();
-    merge_buf.resize(total, Impulse::new(0.0, 1.0));
-    let mut src: &mut [Impulse] = products;
-    let mut dst: &mut [Impulse] = merge_buf;
-    while width < total {
-        let mut start = 0;
-        while start < total {
-            let mid = usize::min(start + width, total);
-            let end = usize::min(start + 2 * width, total);
-            merge_runs(&src[start..mid], &src[mid..end], &mut dst[start..end]);
-            start = end;
-        }
-        std::mem::swap(&mut src, &mut dst);
-        width *= 2;
+    if merge_buf.len() < total {
+        merge_buf.resize(total, Impulse::new(0.0, 1.0));
     }
+    let sorted = merge_sort_rows(products, &mut merge_buf[..total], m);
+    // The merge's `<` ties `-0.0` with `0.0`, where the legacy `total_cmp`
+    // puts `-0.0` first: put the (contiguous) zeros in that order too.
+    let zeros =
+        sorted.partition_point(|i| i.value < 0.0)..sorted.partition_point(|i| i.value <= 0.0);
+    insertion_sort_stable(&mut sorted[zeros]);
     merged.clear();
-    for &imp in src.iter() {
+    for &imp in sorted.iter() {
         push_merged(merged, imp);
     }
 
@@ -384,9 +398,136 @@ fn fused_convolve_reduce(
     );
 }
 
-/// One stable two-run merge step: `a` and `b` are non-decreasing by value;
-/// ties take `a` (the left run), so relative order of equal values — and
-/// with it the stable-sort output permutation — is preserved.
+/// Stable-sorts `rows` — consecutive runs of `width` impulses, each already
+/// non-decreasing by value — by bottom-up merging of adjacent run pairs,
+/// ping-ponging between `rows` and the equally long `buf`. Returns whichever
+/// of the two holds the sorted sequence: the order of a stable `sort_by` on
+/// `f64::partial_cmp` of the values (see the module docs).
+fn merge_sort_rows<'a>(
+    mut rows: &'a mut [Impulse],
+    mut buf: &'a mut [Impulse],
+    mut width: usize,
+) -> &'a mut [Impulse] {
+    debug_assert_eq!(rows.len(), buf.len());
+    let total = rows.len();
+    while width < total {
+        let pair = 2 * width;
+        let mut start = 0;
+        // Two balanced pairs in lockstep: four independent chains.
+        while start + 2 * pair <= total {
+            let (src1, src2) = rows[start..start + 2 * pair].split_at(pair);
+            let (dst1, dst2) = buf[start..start + 2 * pair].split_at_mut(pair);
+            let (mut m1, mut m2) = (BiMerge::new(src1, width), BiMerge::new(src2, width));
+            let (lo1, hi1) = dst1.split_at_mut(width);
+            let (lo2, hi2) = dst2.split_at_mut(width);
+            let slots = lo1
+                .iter_mut()
+                .zip(hi1.iter_mut().rev())
+                .zip(lo2.iter_mut())
+                .zip(hi2.iter_mut().rev());
+            for (k, (((lo1, hi1), lo2), hi2)) in slots.enumerate() {
+                *lo1 = m1.front(k);
+                *lo2 = m2.front(k);
+                *hi1 = m1.back(k);
+                *hi2 = m2.back(k);
+            }
+            start += 2 * pair;
+        }
+        // The leftover pair: balanced, unbalanced, or a lone tail run.
+        while start < total {
+            let end = usize::min(start + pair, total);
+            let mid = usize::min(width, end - start);
+            BiMerge::new(&rows[start..end], mid).merge_into(&mut buf[start..end]);
+            start = end;
+        }
+        std::mem::swap(&mut rows, &mut buf);
+        width = pair;
+    }
+    rows
+}
+
+/// A stable merge of the runs `src[..mid]` (left) and `src[mid..]` (right),
+/// run from both ends at once. Step `k` of the front chain emits output `k`
+/// (the smaller head; a tie takes the left run), step `k` of the back chain
+/// output `len - 1 - k` (the larger tail; a tie takes the right run, which
+/// the stable order puts last). Over `s = min(mid, len - mid)` steps the
+/// chains emit the first and the last `s` elements of the unique stable
+/// merge — disjoint sets, because `2s ≤ len` — and neither run runs dry, so
+/// no step needs an exhaustion check.
+///
+/// Each chain carries one index and derives the other from `k`: the front
+/// chain has taken `src[..front]` and `src[mid..mid + k - front]`; the back
+/// chain has left `src[..back]` and `src[mid..len + mid - k - back]`.
+struct BiMerge<'a> {
+    src: &'a [Impulse],
+    mid: usize,
+    front: usize,
+    back: usize,
+}
+
+impl<'a> BiMerge<'a> {
+    fn new(src: &'a [Impulse], mid: usize) -> Self {
+        Self {
+            src,
+            mid,
+            front: 0,
+            back: mid,
+        }
+    }
+
+    /// Front step `k`, for `k < s`.
+    #[inline(always)]
+    fn front(&mut self, k: usize) -> Impulse {
+        let (x, y) = (self.src[self.front], self.src[self.mid + k - self.front]);
+        // The right head wins only when strictly smaller.
+        let take_right = y.value < x.value;
+        self.front += usize::from(!take_right);
+        if take_right {
+            y
+        } else {
+            x
+        }
+    }
+
+    /// Back step `k`, for `k < s`.
+    #[inline(always)]
+    fn back(&mut self, k: usize) -> Impulse {
+        let len = self.src.len();
+        let (x, y) = (
+            self.src[self.back - 1],
+            self.src[len + self.mid - k - self.back - 1],
+        );
+        // The left tail wins only when strictly larger.
+        let take_left = y.value < x.value;
+        self.back -= usize::from(take_left);
+        if take_left {
+            x
+        } else {
+            y
+        }
+    }
+
+    /// Runs all `s` steps of both chains into `out`, then merges the
+    /// middle they leave with the scalar [`merge_runs`].
+    fn merge_into(mut self, out: &mut [Impulse]) {
+        let len = self.src.len();
+        debug_assert_eq!(len, out.len());
+        let s = self.mid.min(len - self.mid);
+        let (lo, rest) = out.split_at_mut(s);
+        let (middle, hi) = rest.split_at_mut(len - 2 * s);
+        for (k, (lo, hi)) in lo.iter_mut().zip(hi.iter_mut().rev()).enumerate() {
+            *lo = self.front(k);
+            *hi = self.back(k);
+        }
+        let right = self.mid + s - self.front..len + self.mid - s - self.back;
+        merge_runs(&self.src[self.front..self.back], &self.src[right], middle);
+    }
+}
+
+/// The scalar stable merge, used for the middle [`BiMerge`] leaves
+/// between its chains: `a` and `b` are non-decreasing by value; ties
+/// take `a` (the left run), so relative order of equal values — and with it
+/// the stable-sort output permutation — is preserved.
 #[inline]
 fn merge_runs(a: &[Impulse], b: &[Impulse], out: &mut [Impulse]) {
     debug_assert_eq!(a.len() + b.len(), out.len());
@@ -457,13 +598,13 @@ fn reduce_into(src: &[Impulse], cap: usize, out: &mut Vec<Impulse>) {
     merge_coincident_in_place(out);
 }
 
-/// Stable in-place insertion sort by value — O(n) on the (nearly always
-/// already sorted) centroid list, and by stability bit-identical in output
-/// order to the legacy `sort_by`.
+/// Stable in-place insertion sort by value in the legacy `total_cmp`
+/// order — O(n) on an (almost always) already sorted list, and by
+/// stability bit-identical in output order to the legacy `sort_by`.
 fn insertion_sort_stable(xs: &mut [Impulse]) {
     for i in 1..xs.len() {
         let mut j = i;
-        while j > 0 && xs[j - 1].value > xs[j].value {
+        while j > 0 && xs[j - 1].value.total_cmp(&xs[j].value).is_gt() {
             xs.swap(j - 1, j);
             j -= 1;
         }
@@ -495,6 +636,7 @@ mod tests {
     use super::*;
     use crate::convolve::convolve;
     use crate::truncate::truncate_below_or_floor;
+    use std::cmp::Ordering;
 
     fn pmf(pairs: &[(f64, f64)]) -> Pmf {
         Pmf::from_pairs(pairs).unwrap()
@@ -641,6 +783,112 @@ mod tests {
         assert!(scratch.has_prefix());
         scratch.clear_prefix();
         assert!(!scratch.has_prefix());
+    }
+
+    #[test]
+    fn fused_matches_legacy_on_signed_zero_ties() {
+        // Row 0 holds -1 + 1 = 0.0, row 1 holds -0.0 + -0.0 = -0.0: a tie
+        // across rows that the legacy `total_cmp` sort breaks by sign.
+        let a = pmf(&[(-1.0, 0.5), (-0.0, 0.5)]);
+        let b = pmf(&[(-0.0, 0.25), (1.0, 0.75)]);
+        let mut scratch = PmfScratch::new();
+        for policy in [ReductionPolicy::unlimited(), ReductionPolicy::new(2)] {
+            let legacy = convolve(&a, &b, policy);
+            let fused = scratch.convolve_reduced_into(&a, &b, policy);
+            assert!(fused.bit_eq(&legacy), "{fused:?} vs {legacy:?}");
+        }
+    }
+
+    /// Runs the merge pass over `rows` (each non-decreasing) and compares
+    /// it bit for bit with std's stable `sort_by`. Each product's
+    /// probability is its row-major position, so any reordering of tied
+    /// values shows; the merge buffer starts as NaN, so any slot the pass
+    /// fails to write shows too.
+    fn assert_merge_pass_matches_std_sort(rows: &[Vec<f64>]) {
+        let width = rows[0].len();
+        assert!(rows.iter().all(|r| r.len() == width));
+        assert!(rows.iter().all(|r| r.windows(2).all(|w| w[0] <= w[1])));
+        let mut products: Vec<Impulse> = rows
+            .iter()
+            .flatten()
+            .enumerate()
+            .map(|(i, &v)| Impulse::new(v, (i + 1) as f64))
+            .collect();
+        let mut oracle = products.clone();
+        // Finite values, so `partial_cmp` is total here except that it
+        // ties `-0.0` with `0.0`, as the merge's `<` does.
+        oracle.sort_by(|x, y| x.value.partial_cmp(&y.value).unwrap_or(Ordering::Equal));
+        let mut buf = vec![Impulse::new(f64::NAN, f64::NAN); products.len()];
+        let sorted = merge_sort_rows(&mut products, &mut buf, width);
+        let bits = |xs: &[Impulse]| -> Vec<(u64, u64)> {
+            xs.iter()
+                .map(|i| (i.value.to_bits(), i.prob.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(sorted), bits(&oracle), "rows {rows:?}");
+    }
+
+    /// `n` sorted rows of `m` values: drawn from `0..grid` when `grid` is
+    /// set (so sums tie across rows), else continuous.
+    fn rows(n: usize, m: usize, grid: Option<u64>, seed: u64) -> Vec<Vec<f64>> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        (0..n)
+            .map(|_| {
+                let mut row: Vec<f64> = (0..m)
+                    .map(|_| match grid {
+                        Some(g) => (next() % g) as f64,
+                        None => (next() >> 11) as f64 / (1u64 << 53) as f64 * 1000.0,
+                    })
+                    .collect();
+                row.sort_by(f64::total_cmp);
+                row
+            })
+            .collect()
+    }
+
+    #[test]
+    fn merge_pass_matches_std_stable_sort() {
+        let mut seed = 0;
+        let mut check = |n: usize, m: usize, grid: Option<u64>| {
+            seed += 1;
+            assert_merge_pass_matches_std_sort(&rows(n, m, grid, seed));
+        };
+        // 1 × k and k × 1 shapes.
+        for k in [1, 2, 7, 24] {
+            check(1, k, None);
+            check(k, 1, None);
+            check(k, 1, Some(3));
+        }
+        // Odd totals, and row counts whose passes leave unbalanced
+        // remainder runs, continuous and on tie-heavy grids.
+        for n in [3, 5, 7, 24] {
+            for m in [1, 2, 3, 5, 24] {
+                for grid in [None, Some(2), Some(16)] {
+                    check(n, m, grid);
+                }
+            }
+        }
+        // All values equal: the output is the input order.
+        for (n, m) in [(3, 4), (5, 5), (24, 24)] {
+            check(n, m, Some(1));
+        }
+    }
+
+    #[test]
+    fn merge_pass_ties_signed_zeros_in_row_order() {
+        assert_merge_pass_matches_std_sort(&[
+            vec![-0.0, 0.0, 1.0],
+            vec![0.0, 0.0, 2.0],
+            vec![-1.0, -0.0, -0.0],
+            vec![-0.0, 0.0, 0.0],
+            vec![0.0, 1.0, 1.0],
+        ]);
     }
 
     #[test]

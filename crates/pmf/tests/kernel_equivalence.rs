@@ -1,6 +1,6 @@
 //! Property-based proof that the fused scratch kernel is *bit-identical* —
-//! `assert_eq!` on the full impulse lists, not approximate — to the legacy
-//! `convolve` + `reduce` pipeline. Bit-identity is load-bearing: impulse
+//! `Pmf::bit_eq` or `assert_eq!` on the full impulse lists, not
+//! approximate — to the legacy `convolve` + `reduce` pipeline. Bit-identity is load-bearing: impulse
 //! reduction makes convolution non-associative, and the prefix cache's
 //! correctness argument (DESIGN.md §7) assumes recompute ≡ cached
 //! bit-for-bit, so the fused and legacy paths must be interchangeable at
@@ -11,11 +11,25 @@ use ecds_pmf::truncate::truncate_below_or_floor;
 use ecds_pmf::{Pmf, PmfScratch, ReductionPolicy};
 use proptest::prelude::*;
 
-/// Strategy producing a valid pmf with 1..=12 impulses, values in
-/// [0, 1000], weights in (0, 1].
+/// Strategy producing a valid pmf with 1..=24 impulses (24 is the
+/// workspace's impulse cap, so 24 × 24 is the evaluator's common kernel
+/// shape), values in [0, 1000], weights in (0, 1].
 fn arb_pmf() -> impl Strategy<Value = Pmf> {
-    prop::collection::vec((0.0f64..1000.0, 0.01f64..1.0), 1..=12)
+    prop::collection::vec((0.0f64..1000.0, 0.01f64..1.0), 1..=24)
         .prop_map(|pairs| Pmf::from_pairs(&pairs).expect("valid pairs"))
+}
+
+/// Strategy producing a pmf with up to 24 impulses on the grid
+/// {0, 0.5, ..., 20}: sums are exact, so `a_i + b_j` ties across product
+/// rows — the case where a stable sort's tie order decides the output.
+fn arb_tied_pmf() -> impl Strategy<Value = Pmf> {
+    prop::collection::vec((0u32..=40, 1u32..=8), 1..=24).prop_map(|pairs| {
+        let pairs: Vec<(f64, f64)> = pairs
+            .into_iter()
+            .map(|(v, w)| (f64::from(v) * 0.5, f64::from(w)))
+            .collect();
+        Pmf::from_pairs(&pairs).expect("valid pairs")
+    })
 }
 
 /// The policies under test: no reduction, degenerate single-impulse cap,
@@ -29,17 +43,54 @@ fn arb_policy() -> impl Strategy<Value = ReductionPolicy> {
     })
 }
 
+/// One fused kernel call against the legacy pipeline, bit for bit.
+fn assert_fused_equals_legacy(a: &Pmf, b: &Pmf, policy: ReductionPolicy) {
+    let legacy = a.convolve(b, policy);
+    let mut scratch = PmfScratch::new();
+    let fused = scratch.convolve_reduced_into(a, b, policy);
+    // `bit_eq` compares every value's and probability's bits: identity,
+    // not tolerance (it also tells `-0.0` from `0.0`).
+    prop_assert!(
+        fused.bit_eq(&legacy),
+        "fused {fused:?} != legacy {legacy:?}"
+    );
+}
+
+/// A chain of convolutions through the resident prefix against the legacy
+/// fold, compared at every step.
+fn assert_chain_equals_legacy(pmfs: &[Pmf], policy: ReductionPolicy) {
+    // Chains compound any divergence: one ULP in step 1 changes the
+    // reduction bucketing of step 2. Fold both pipelines and compare at
+    // the end — and at every intermediate step via the prefix API.
+    let legacy = convolve_all(pmfs.iter(), policy).expect("non-empty");
+    let mut scratch = PmfScratch::new();
+    scratch.load_prefix_shifted(&pmfs[0], 0.0);
+    for (step, next) in pmfs[1..].iter().enumerate() {
+        scratch.convolve_prefix_with(next, policy);
+        let legacy_step = convolve_all(pmfs[..step + 2].iter(), policy).unwrap();
+        prop_assert!(
+            scratch.prefix().to_pmf().bit_eq(&legacy_step),
+            "step {step}"
+        );
+    }
+    prop_assert!(scratch.prefix().to_pmf().bit_eq(&legacy));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn fused_equals_legacy_bitwise(a in arb_pmf(), b in arb_pmf(), policy in arb_policy()) {
-        let legacy = a.convolve(&b, policy);
-        let mut scratch = PmfScratch::new();
-        let fused = scratch.convolve_reduced_into(&a, &b, policy);
-        // Pmf's PartialEq compares every impulse's value and prob with f64
-        // equality: bit-identity, not tolerance.
-        prop_assert_eq!(fused, legacy);
+        assert_fused_equals_legacy(&a, &b, policy);
+    }
+
+    #[test]
+    fn fused_equals_legacy_bitwise_on_tied_sums(
+        a in arb_tied_pmf(),
+        b in arb_tied_pmf(),
+        policy in arb_policy(),
+    ) {
+        assert_fused_equals_legacy(&a, &b, policy);
     }
 
     #[test]
@@ -63,18 +114,15 @@ proptest! {
         pmfs in prop::collection::vec(arb_pmf(), 2..=5),
         policy in arb_policy(),
     ) {
-        // Chains compound any divergence: one ULP in step 1 changes the
-        // reduction bucketing of step 2. Fold both pipelines and compare at
-        // the end — and at every intermediate step via the prefix API.
-        let legacy = convolve_all(pmfs.iter(), policy).expect("non-empty");
-        let mut scratch = PmfScratch::new();
-        scratch.load_prefix_shifted(&pmfs[0], 0.0);
-        for (step, next) in pmfs[1..].iter().enumerate() {
-            scratch.convolve_prefix_with(next, policy);
-            let legacy_step = convolve_all(pmfs[..step + 2].iter(), policy).unwrap();
-            prop_assert_eq!(scratch.prefix().to_pmf(), legacy_step);
-        }
-        prop_assert_eq!(scratch.prefix().to_pmf(), legacy);
+        assert_chain_equals_legacy(&pmfs, policy);
+    }
+
+    #[test]
+    fn chained_convolutions_on_tied_sums_stay_bit_identical(
+        pmfs in prop::collection::vec(arb_tied_pmf(), 2..=5),
+        policy in arb_policy(),
+    ) {
+        assert_chain_equals_legacy(&pmfs, policy);
     }
 
     #[test]

@@ -82,14 +82,18 @@ fn divergent_fixture() -> (Scenario, Vec<CoreState>) {
     (scenario, cores)
 }
 
-fn probe_task() -> Task {
-    Task {
-        id: TaskId(50),
-        type_id: TaskTypeId(5),
-        arrival: 500.0,
-        deadline: 3000.0,
-        quantile: 0.5,
-    }
+/// One probe task per task type: each timed call maps the next one, so
+/// neither the evaluator nor the branch predictor replays one input.
+fn probe_tasks() -> Vec<Task> {
+    (0..10)
+        .map(|t| Task {
+            id: TaskId(50 + t),
+            type_id: TaskTypeId(t),
+            arrival: 500.0,
+            deadline: 3000.0,
+            quantile: 0.5,
+        })
+        .collect()
 }
 
 /// One fixture's rows. `classes` comes from a fresh evaluator's first
@@ -97,25 +101,27 @@ fn probe_task() -> Task {
 /// `deduped` evaluator is warm after the harness's warm-up batch.
 fn fixture(report: &mut Report, name: &str, scenario: &Scenario, cores: &[CoreState]) {
     let view = SystemView::new(scenario.cluster(), scenario.table(), cores, 500.0, 10, 60);
-    let task = probe_task();
+    let tasks = probe_tasks();
     let mut probe = CandidateEvaluator::default();
-    let _ = probe.evaluate_all(&view, &task);
+    let _ = probe.evaluate_all(&view, &tasks[0]);
     let (classes, _) = probe.dedup_stats().expect("dedup is on by default");
     let fields = [
         ("cores", scenario.cluster().total_cores()),
         ("classes", classes as usize),
     ];
     let group = format!("evaluate_all_dedup/{name}");
+    let mut next = tasks.iter().cycle();
     report.measure(&group, "oracle", &fields, 500, || {
         drop(black_box(reference::evaluate_all(
             &view,
-            &task,
+            next.next().unwrap(),
             ReductionPolicy::default(),
         )))
     });
     let mut deduped = CandidateEvaluator::default();
+    let mut next = tasks.iter().cycle();
     report.measure(&group, "deduped", &fields, 500, || {
-        drop(black_box(deduped.evaluate_all(&view, &task)))
+        drop(black_box(deduped.evaluate_all(&view, next.next().unwrap())))
     });
 }
 

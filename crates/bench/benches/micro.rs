@@ -26,56 +26,49 @@ fn gamma_pmf(mean: f64, impulses: usize, seed: u64) -> Pmf {
     )
 }
 
+/// Distinct pairs each kernel row cycles through: the evaluator never
+/// convolves one pair over and over, so a row that did would let the
+/// branch predictor learn the merge's exact branch sequence.
+const PAIRS: usize = 256;
+
 /// The fused scratch kernel against the legacy convolve→reduce pipeline at
 /// the default 24-impulse cap: "fused_warm" reuses one workspace across
 /// iterations (the evaluator's steady state), "fused_cold" pays the buffer
-/// growth on every call. These rows convolve one pair over and over, so a
-/// branch predictor can learn the merge's exact branch sequence;
-/// "fused_varied" cycles through distinct pairs, as the evaluator's calls
-/// do.
+/// growth on every call. Every row cycles through the same [`PAIRS`]
+/// distinct pairs of its impulse count, one pair per call.
 fn kernel(report: &mut Report) {
     let policy = ReductionPolicy::default_cap();
     let cap = policy.max_impulses;
     for impulses in [8usize, 24, 64] {
-        let a = gamma_pmf(750.0, impulses, 7);
-        let b = gamma_pmf(900.0, impulses, 7);
-        let fields = [("impulses", impulses), ("cap", cap)];
+        let pairs: Vec<(Pmf, Pmf)> = (0..PAIRS as u64)
+            .map(|s| {
+                (
+                    gamma_pmf(750.0, impulses, 2 * s),
+                    gamma_pmf(900.0, impulses, 2 * s + 1),
+                )
+            })
+            .collect();
+        let fields = [("impulses", impulses), ("cap", cap), ("pairs", PAIRS)];
+        let mut next = pairs.iter().cycle();
         report.measure("pmf_kernel", "legacy", &fields, 2000, || {
-            drop(black_box(a.convolve(&b, policy)))
+            let (a, b) = next.next().unwrap();
+            drop(black_box(a.convolve(b, policy)))
         });
         let mut scratch = PmfScratch::new();
+        let mut next = pairs.iter().cycle();
         report.measure("pmf_kernel", "fused_warm", &fields, 2000, || {
-            let out = scratch.convolve_reduced(black_box(&a), black_box(&b), policy);
+            let (a, b) = next.next().unwrap();
+            let out = scratch.convolve_reduced(black_box(a), black_box(b), policy);
             black_box(out.expectation());
         });
+        let mut next = pairs.iter().cycle();
         report.measure("pmf_kernel", "fused_cold", &fields, 2000, || {
+            let (a, b) = next.next().unwrap();
             let mut fresh = PmfScratch::new();
-            let out = fresh.convolve_reduced(black_box(&a), black_box(&b), policy);
+            let out = fresh.convolve_reduced(black_box(a), black_box(b), policy);
             black_box(out.expectation());
         });
     }
-    // 256 queue-prefix ⊛ execution-time pairs at the evaluator's common
-    // 24 × 24 shape: a prefix of three chained convolutions (reduced to the
-    // cap) against a 24-impulse execution pmf, one pair per call.
-    let pairs: Vec<(Pmf, Pmf)> = (0..256u64)
-        .map(|s| {
-            let prefix = [650.0, 800.0, 950.0]
-                .into_iter()
-                .zip(0..)
-                .map(|(mean, k)| gamma_pmf(mean, cap, 4 * s + k))
-                .reduce(|acc, p| acc.convolve(&p, policy))
-                .unwrap();
-            (prefix, gamma_pmf(900.0, cap, 4 * s + 3))
-        })
-        .collect();
-    let mut scratch = PmfScratch::new();
-    let mut next = pairs.iter().cycle();
-    let fields = [("impulses", cap), ("cap", cap), ("pairs", pairs.len())];
-    report.measure("pmf_kernel", "fused_varied", &fields, 2000, || {
-        let (a, b) = next.next().unwrap();
-        let out = scratch.convolve_reduced(black_box(a), black_box(b), policy);
-        black_box(out.expectation());
-    });
 }
 
 fn pmf_ops(report: &mut Report) {

@@ -263,18 +263,18 @@ impl ShardIndex {
         let key = class.key;
         let next = class.next;
         class.members.clear();
-        let head = *self
+        let head = self
             .by_key
-            .get(&key)
+            .get_mut(&key)
             .expect("a live class's key is indexed");
-        if head == id {
+        if *head == id {
             if next == CLASS_NONE {
                 self.by_key.remove(&key);
             } else {
-                *self.by_key.get_mut(&key).expect("checked above") = next;
+                *head = next;
             }
         } else {
-            let mut prev = head;
+            let mut prev = *head;
             loop {
                 let after = self.classes[prev as usize].next;
                 if after == id {

@@ -4,14 +4,15 @@
 //! The file is an array of `[[allow]]` tables. Every entry must name the
 //! rule, the exact workspace-relative file, a `pattern` substring that
 //! must appear on the flagged source line, and a non-empty `reason` the
-//! lint prints with the site; an optional bare-integer `line` pins the
-//! entry to one source line. An entry that matches no current diagnostic
-//! is **stale** and fails the run: allowlists must shrink with the code
-//! they excuse, never outlive it. An entry that matches *more than one*
-//! diagnostic is **ambiguous** and also fails the run: every audit
-//! rationale must be anchored to exactly the site it audited, or a new
-//! violation sharing the pattern would be silently excused by an old
-//! reason (add `line = N` or a longer pattern to disambiguate).
+//! lint prints with the site. The pattern is the only anchor: there is no
+//! line-number key, so an entry survives edits that move its site. An
+//! entry that matches no current diagnostic is **stale** and fails the
+//! run: allowlists must shrink with the code they excuse, never outlive
+//! it. An entry that matches *more than one* diagnostic is **ambiguous**
+//! and also fails the run: every audit rationale must be anchored to
+//! exactly the site it audited, or a new violation sharing the pattern
+//! would be silently excused by an old reason (lengthen the pattern or
+//! give the site a line of its own).
 //!
 //! The parser is a deliberately small TOML subset (the workspace vendors
 //! no `toml` crate): `[[allow]]` headers, `key = "value"` pairs with
@@ -30,9 +31,6 @@ pub struct AllowEntry {
     pub file: String,
     /// Substring that must occur on the flagged source line.
     pub pattern: String,
-    /// Optional 1-based source line pin, for disambiguating entries
-    /// whose pattern matches several diagnostics in one file.
-    pub line: Option<usize>,
     /// Why the site is sound. Printed with the diagnostic.
     pub reason: String,
     /// 1-based line in `lint.toml` where the entry starts (for errors).
@@ -42,10 +40,7 @@ pub struct AllowEntry {
 impl AllowEntry {
     /// Whether this entry covers the diagnostic.
     pub fn matches(&self, d: &Diagnostic) -> bool {
-        self.rule == d.rule
-            && self.file == d.file
-            && self.line.is_none_or(|l| l == d.line)
-            && d.snippet.contains(&self.pattern)
+        self.rule == d.rule && self.file == d.file && d.snippet.contains(&self.pattern)
     }
 }
 
@@ -56,7 +51,7 @@ pub struct ApplyOutcome {
     /// gone — delete them).
     pub stale: Vec<AllowEntry>,
     /// Entries that matched more than one diagnostic, with the match
-    /// count (anchor them with `line = N` or a longer pattern).
+    /// count (lengthen the pattern or give the site a line of its own).
     pub ambiguous: Vec<(AllowEntry, usize)>,
 }
 
@@ -91,46 +86,30 @@ impl Allowlist {
                     "lint.toml:{lineno}: unknown table `{line}` (only [[allow]] is supported)"
                 ));
             }
-            // `line = N` is the one bare-integer key.
-            if let Some(rest) = line.strip_prefix("line") {
-                let rest = rest.trim_start();
-                if let Some(value) = rest.strip_prefix('=') {
-                    let value = value.split('#').next().unwrap_or("").trim();
-                    let Some((_, partial)) = current.as_mut() else {
-                        return Err(format!(
-                            "lint.toml:{lineno}: `line` outside an [[allow]] entry"
-                        ));
-                    };
-                    partial.line = Some(value.parse::<usize>().map_err(|_| {
-                        format!("lint.toml:{lineno}: `line` must be a bare integer, got `{value}`")
-                    })?);
-                    continue;
-                }
-            }
-            let Some((key, value)) = parse_key_value(line) else {
+            let Some((key, value)) = line.split_once('=') else {
                 return Err(format!(
                     "lint.toml:{lineno}: expected `key = \"value\"`, got `{line}`"
                 ));
             };
+            let key = key.trim();
             let Some((_, partial)) = current.as_mut() else {
                 return Err(format!(
                     "lint.toml:{lineno}: `{key}` outside an [[allow]] entry"
                 ));
             };
-            match key {
-                "rule" => {
-                    partial.rule =
-                        Some(RuleId::parse(&value).ok_or_else(|| {
-                            format!("lint.toml:{lineno}: unknown rule id `{value}`")
-                        })?)
-                }
-                "file" => partial.file = Some(value),
-                "pattern" => partial.pattern = Some(value),
-                "reason" => partial.reason = Some(value),
-                other => {
-                    return Err(format!("lint.toml:{lineno}: unknown key `{other}`"));
-                }
-            }
+            let slot = match key {
+                "rule" => &mut partial.rule,
+                "file" => &mut partial.file,
+                "pattern" => &mut partial.pattern,
+                "reason" => &mut partial.reason,
+                other => return Err(format!("lint.toml:{lineno}: unknown key `{other}`")),
+            };
+            let Some(value) = parse_string(value.trim()) else {
+                return Err(format!(
+                    "lint.toml:{lineno}: expected `key = \"value\"`, got `{line}`"
+                ));
+            };
+            *slot = Some(value);
         }
         if let Some((at, partial)) = current.take() {
             entries.push(partial.finish(at)?);
@@ -167,16 +146,18 @@ impl Allowlist {
 
 #[derive(Debug, Default)]
 struct PartialEntry {
-    rule: Option<RuleId>,
+    rule: Option<String>,
     file: Option<String>,
     pattern: Option<String>,
-    line: Option<usize>,
     reason: Option<String>,
 }
 
 impl PartialEntry {
     fn finish(self, at: usize) -> Result<AllowEntry, String> {
         let missing = |k: &str| format!("lint.toml:{at}: [[allow]] entry is missing `{k}`");
+        let rule = self.rule.ok_or_else(|| missing("rule"))?;
+        let rule = RuleId::parse(&rule)
+            .ok_or_else(|| format!("lint.toml:{at}: unknown rule id `{rule}`"))?;
         let reason = self.reason.ok_or_else(|| missing("reason"))?;
         if reason.trim().is_empty() {
             return Err(format!(
@@ -185,22 +166,18 @@ impl PartialEntry {
             ));
         }
         Ok(AllowEntry {
-            rule: self.rule.ok_or_else(|| missing("rule"))?,
+            rule,
             file: self.file.ok_or_else(|| missing("file"))?,
             pattern: self.pattern.ok_or_else(|| missing("pattern"))?,
-            line: self.line,
             reason,
             defined_at: at,
         })
     }
 }
 
-/// Parses `key = "value"` / `key = 'value'`, returning the unescaped
-/// value. Trailing comments after the closing quote are ignored.
-fn parse_key_value(line: &str) -> Option<(&str, String)> {
-    let (key, rest) = line.split_once('=')?;
-    let key = key.trim();
-    let rest = rest.trim();
+/// Parses a `"basic"` or `'literal'` string value, returning it
+/// unescaped. Trailing comments after the closing quote are ignored.
+fn parse_string(rest: &str) -> Option<String> {
     let mut chars = rest.chars();
     let quote = chars.next()?;
     match quote {
@@ -217,7 +194,7 @@ fn parse_key_value(line: &str) -> Option<(&str, String)> {
                     c => value.push(c),
                 }
             }
-            Some((key, value))
+            Some(value)
         }
         '\'' => {
             let mut value = String::new();
@@ -227,7 +204,7 @@ fn parse_key_value(line: &str) -> Option<(&str, String)> {
                     c => value.push(c),
                 }
             }
-            Some((key, value))
+            Some(value)
         }
         _ => None,
     }
@@ -315,29 +292,21 @@ reason = "event times come from finite pmf support"
     }
 
     #[test]
-    fn a_line_pin_disambiguates_a_shared_pattern() {
-        let toml = "[[allow]]\nrule = \"R4-panic\"\nfile = \"crates/a.rs\"\n\
-                    pattern = \"unwrap()\"\nline = 9\nreason = \"the line-9 site is audited\"\n";
-        let list = Allowlist::parse(toml).unwrap();
-        assert_eq!(list.entries[0].line, Some(9));
-        let mut ds = vec![
-            diag(RuleId::PanicDiscipline, "crates/a.rs", "x.unwrap()"),
-            diag(RuleId::PanicDiscipline, "crates/a.rs", "y.unwrap()"),
-        ];
-        ds[0].line = 4;
-        ds[1].line = 9;
-        let outcome = list.apply(&mut ds);
-        assert!(outcome.ambiguous.is_empty(), "{:?}", outcome.ambiguous);
-        assert!(outcome.stale.is_empty());
-        assert!(ds[0].allowed.is_none());
-        assert!(ds[1].allowed.is_some());
+    fn a_line_pin_is_an_unknown_key() {
+        let toml = "[[allow]]\nrule = \"R4-panic\"\nfile = \"f\"\npattern = \"p\"\n\
+                    line = 9\nreason = \"r\"\n";
+        let err = Allowlist::parse(toml).unwrap_err();
+        assert!(err.contains("lint.toml:5: unknown key `line`"), "{err}");
     }
 
     #[test]
     fn non_integer_line_values_are_rejected() {
+        // A quoted value has the shape of every accepted key, so this
+        // checks that `line` is refused by name, not by its value's form.
         let toml = "[[allow]]\nrule = \"R4-panic\"\nfile = \"f\"\npattern = \"p\"\n\
                     line = \"9\"\nreason = \"r\"\n";
-        assert!(Allowlist::parse(toml).unwrap_err().contains("bare integer"));
+        let err = Allowlist::parse(toml).unwrap_err();
+        assert!(err.contains("lint.toml:5: unknown key `line`"), "{err}");
     }
 
     #[test]
@@ -351,8 +320,11 @@ reason = "event times come from finite pmf support"
 
     #[test]
     fn unknown_rules_keys_and_tables_are_rejected() {
-        assert!(Allowlist::parse("[[allow]]\nrule = \"R9-x\"\n").is_err());
+        assert!(Allowlist::parse("[[allow]]\nrule = \"R9-x\"\n")
+            .unwrap_err()
+            .contains("unknown rule id `R9-x`"));
         assert!(Allowlist::parse("[[allow]]\nrle = \"R4-panic\"\n").is_err());
+        assert!(Allowlist::parse("[[allow]]\nfile = f\n").is_err());
         assert!(Allowlist::parse("[settings]\n").is_err());
         assert!(Allowlist::parse("rule = \"R4-panic\"\n").is_err());
     }

@@ -62,7 +62,7 @@ pub fn human(result: &RunResult, verbose: bool) -> String {
         let _ = writeln!(
             out,
             "lint.toml:{}: ambiguous [[allow]] entry ({} {} pattern `{}`) matches {n} \
-             diagnostics — anchor it with `line = N` or a longer pattern",
+             diagnostics — lengthen the pattern or give the site a line of its own",
             e.defined_at, e.rule, e.file, e.pattern
         );
     }
@@ -296,7 +296,6 @@ mod tests {
                 rule: RuleId::PanicDiscipline,
                 file: "crates/a.rs".to_string(),
                 pattern: "unwrap()".to_string(),
-                line: None,
                 reason: "audited".to_string(),
                 defined_at: 12,
             },

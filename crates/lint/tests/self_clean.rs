@@ -39,7 +39,7 @@ fn workspace_is_lint_clean() {
     );
     assert!(
         result.ambiguous_entries.is_empty(),
-        "ambiguous lint.toml entries (pin with `line = N`): {:#?}",
+        "ambiguous lint.toml entries (lengthen the pattern or give the site a line of its own): {:#?}",
         result.ambiguous_entries
     );
     assert!(

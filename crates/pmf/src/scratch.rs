@@ -578,16 +578,15 @@ fn reduce_into(src: &[Impulse], cap: usize, out: &mut Vec<Impulse>) {
         let must_flush = remaining_impulses == remaining_buckets && remaining_buckets > 0;
         let quota_met =
             bucket_mass + 1e-15 >= target_mass * (filled_buckets + 1) as f64 - emitted_mass;
-        if (quota_met || must_flush) && remaining_buckets > 0 {
+        // The last impulse always closes its bucket: that is `reduce`'s
+        // trailing flush, whose mass is positive because every impulse's is.
+        if idx + 1 == n || ((quota_met || must_flush) && remaining_buckets > 0) {
             out.push(Impulse::new(bucket_weighted / bucket_mass, bucket_mass));
             emitted_mass += bucket_mass;
             filled_buckets += 1;
             bucket_mass = 0.0;
             bucket_weighted = 0.0;
         }
-    }
-    if bucket_mass > 0.0 {
-        out.push(Impulse::new(bucket_weighted / bucket_mass, bucket_mass));
     }
     debug_assert!(out.len() <= cap);
     // `reduce` runs `sort_and_merge` on its bucket centroids; replicate

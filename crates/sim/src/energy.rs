@@ -77,9 +77,15 @@ impl TransitionLog {
             let (t1, _) = w[1];
             self.folded += watts(s0) * (t1 - t0);
         }
-        let last = *self.entries.last().expect("log never empty");
+        let last = self.tail();
         self.entries.clear();
         self.entries.push(last);
+    }
+
+    /// The latest entry. [`TransitionLog::new`] seeds the log and nothing
+    /// empties it for good, so there always is one.
+    fn tail(&self) -> (Time, PState) {
+        *self.entries.last().expect("log never empty")
     }
 
     /// Records a transition to `state` at `time`. Out-of-order records are
@@ -87,7 +93,7 @@ impl TransitionLog {
     /// physically transitioned).
     pub fn record(&mut self, time: Time, state: PState) {
         assert!(self.end.is_none(), "log already finalized");
-        let (last_t, last_s) = *self.entries.last().expect("log never empty");
+        let (last_t, last_s) = self.tail();
         assert!(
             time >= last_t,
             "transitions must be recorded in time order ({time} < {last_t})"
@@ -100,7 +106,7 @@ impl TransitionLog {
     /// Closes the log at `end` (the workload-end transition).
     pub fn finalize(&mut self, end: Time) {
         assert!(self.end.is_none(), "log already finalized");
-        let (last_t, _) = *self.entries.last().expect("log never empty");
+        let (last_t, _) = self.tail();
         assert!(end >= last_t, "end must not precede the last transition");
         self.end = Some(end);
     }
@@ -136,7 +142,7 @@ impl TransitionLog {
             let (t1, _) = w[1];
             total += watts(s0) * (t1 - t0);
         }
-        let (t_last, s_last) = *self.entries.last().expect("log never empty");
+        let (t_last, s_last) = self.tail();
         total += watts(s_last) * (end - t_last);
         total
     }

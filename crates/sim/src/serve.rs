@@ -358,13 +358,7 @@ impl<'a> ServeSession<'a> {
         self.ctx
             .store
             .retire_settled(self.ctx.arrived, holds_unassigned, &mut self.tally);
-        // Samples stream directly into the fold nowadays; absorbing here
-        // only drains whatever a non-folding path buffered.
-        let ctx = &mut self.ctx;
-        if let Some(fold) = &mut ctx.fold {
-            fold.absorb(&mut ctx.telemetry);
-        }
-        ctx.accountant.compact(ctx.cluster);
+        self.ctx.accountant.compact(self.ctx.cluster);
     }
 
     /// Current simulated time.
@@ -547,6 +541,15 @@ impl<'a> ServeSession<'a> {
         let mut busy_cores = Vec::with_capacity(busy_len as usize);
         for _ in 0..busy_len {
             busy_cores.push((dec.f64()?, dec.u64()? as usize));
+        }
+        // Bounded retention folds every sample as it is taken, so its
+        // checkpoints never carry a sample buffer.
+        if matches!(serve_cfg.retention, Retention::Bounded { .. })
+            && !(queue_depth.is_empty() && busy_cores.is_empty())
+        {
+            return Err(DecodeError::Corrupt(
+                "bounded checkpoint carries buffered telemetry",
+            ));
         }
         // Collaborator state, then the trailing-bytes check.
         source.restore_state(&mut dec)?;

@@ -528,12 +528,17 @@ fn restore_rejects_each_corrupt_field() {
     }
 
     assert_eq!(restore_into(scenario.cluster(), &sealed), Ok(()));
-    let cases: [(&str, Edit); 6] = [
+    let cases: [(&str, Edit); 7] = [
         ("unknown horizon tag", |b| b[13] = 7),
         ("unknown retention tag", |b| b[22] = 7),
         ("flush_every must be positive", |b| {
             b[22] = 1;
             put_u64(b, 23, 0);
+        }),
+        // Checkpoint (a) is full-retention with buffered samples.
+        ("bounded checkpoint carries buffered telemetry", |b| {
+            b[22] = 1;
+            put_u64(b, 23, 64);
         }),
         ("expected a finite f64", |b| {
             put_u64(b, 32, f64::NAN.to_bits())

@@ -10,8 +10,26 @@
 //! Without cargo's `--bench` flag (i.e. under `cargo test --benches`) the
 //! report runs in smoke mode: every measured closure runs once so no path
 //! can bit-rot, and no file is written.
+//!
+//! Rows that map tasks cycle through [`probe_tasks`], one per call, so
+//! neither a cache nor the branch predictor replays one input.
 
 use std::time::Instant;
+
+use ecds_workload::{Task, TaskId, TaskTypeId};
+
+/// One probe task per task type, arriving at t = 500 with deadline 3000.
+pub fn probe_tasks() -> Vec<Task> {
+    (0..10)
+        .map(|t| Task {
+            id: TaskId(50 + t),
+            type_id: TaskTypeId(t),
+            arrival: 500.0,
+            deadline: 3000.0,
+            quantile: 0.5,
+        })
+        .collect()
+}
 
 /// Timed batches per measurement.
 const SAMPLES: usize = 30;

@@ -15,12 +15,12 @@ mod common;
 
 use std::hint::black_box;
 
-use common::Report;
+use common::{probe_tasks, Report};
 use ecds_cluster::PState;
 use ecds_core::{reference, CandidateEvaluator};
 use ecds_pmf::ReductionPolicy;
 use ecds_sim::{CoreState, ExecutingTask, QueuedTask, Scenario, SystemView};
-use ecds_workload::{Task, TaskId, TaskTypeId};
+use ecds_workload::{TaskId, TaskTypeId};
 
 /// Undersubscribed phase: a same-type burst was just dispatched to node
 /// 0's cores (identical executing task and queue, started together, so
@@ -80,20 +80,6 @@ fn divergent_fixture() -> (Scenario, Vec<CoreState>) {
         }
     }
     (scenario, cores)
-}
-
-/// One probe task per task type: each timed call maps the next one, so
-/// neither the evaluator nor the branch predictor replays one input.
-fn probe_tasks() -> Vec<Task> {
-    (0..10)
-        .map(|t| Task {
-            id: TaskId(50 + t),
-            type_id: TaskTypeId(t),
-            arrival: 500.0,
-            deadline: 3000.0,
-            quantile: 0.5,
-        })
-        .collect()
 }
 
 /// One fixture's rows. `classes` comes from a fresh evaluator's first

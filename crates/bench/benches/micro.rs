@@ -8,11 +8,11 @@ mod common;
 
 use std::hint::black_box;
 
-use common::Report;
+use common::{probe_tasks, Report};
 use ecds_core::{system_robustness, CandidateEvaluator, FilterVariant, LightestLoad, Scheduler};
 use ecds_pmf::{Gamma, Pmf, PmfScratch, ReductionPolicy, SeedDerive};
 use ecds_sim::{CoreState, ExecutingTask, QueuedTask, Scenario, Simulation, SystemView};
-use ecds_workload::{Task, TaskId, TaskTypeId};
+use ecds_workload::{TaskId, TaskTypeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -111,43 +111,49 @@ fn busy_view_fixture(depth: usize) -> (Scenario, Vec<CoreState>) {
     (scenario, cores)
 }
 
-fn probe_task() -> Task {
-    Task {
-        id: TaskId(50),
-        type_id: TaskTypeId(5),
-        arrival: 500.0,
-        deadline: 3000.0,
-        quantile: 0.5,
-    }
-}
-
 /// `evaluate_all` with every queue-prefix pmf served from the prefix cache
 /// ("warm": the warm-up batch primes it) against recomputing the prefixes
 /// on every call ("cold": `reset_cache` before each sweep). At depth 8 the
 /// prefix convolution chain dominates the sweep, which is the load the
-/// cache exists for.
+/// cache exists for. Each call maps the next of the ten probe tasks.
 fn evaluate_all(report: &mut Report) {
-    let task = probe_task();
+    let tasks = probe_tasks();
     for depth in [1usize, 8] {
         let (scenario, cores) = busy_view_fixture(depth);
         let view = SystemView::new(scenario.cluster(), scenario.table(), &cores, 500.0, 10, 60);
+        let fields = [("depth", depth)];
         let mut cold = CandidateEvaluator::default();
-        report.measure("evaluate_all", "cold", &[("depth", depth)], 100, || {
+        let mut next = tasks.iter().cycle();
+        report.measure("evaluate_all", "cold", &fields, 100, || {
             cold.reset_cache();
-            drop(black_box(cold.evaluate_all(&view, &task)));
+            drop(black_box(cold.evaluate_all(&view, next.next().unwrap())));
         });
         let mut warm = CandidateEvaluator::default();
-        report.measure("evaluate_all", "warm", &[("depth", depth)], 100, || {
-            drop(black_box(warm.evaluate_all(&view, &task)))
+        let mut next = tasks.iter().cycle();
+        report.measure("evaluate_all", "warm", &fields, 100, || {
+            drop(black_box(warm.evaluate_all(&view, next.next().unwrap())))
         });
     }
 }
 
+/// Distinct view times `system_robustness` cycles through: each shifts the
+/// truncation point of every executing task, so no two calls share input.
+const VIEWS: usize = 10;
+
 fn robustness_and_trace(report: &mut Report) {
     let (scenario, cores) = busy_view_fixture(1);
-    let view = SystemView::new(scenario.cluster(), scenario.table(), &cores, 500.0, 10, 60);
+    let views: Vec<SystemView<'_>> = (0..VIEWS)
+        .map(|k| {
+            let now = 500.0 + 25.0 * k as f64;
+            SystemView::new(scenario.cluster(), scenario.table(), &cores, now, 10, 60)
+        })
+        .collect();
+    let mut next = views.iter().cycle();
     report.measure("system_robustness", "depth_1", &[], 200, || {
-        black_box(system_robustness(&view, ReductionPolicy::default()));
+        black_box(system_robustness(
+            next.next().unwrap(),
+            ReductionPolicy::default(),
+        ));
     });
     let mut trial = 0u64;
     report.measure("trace", "generate_small", &[], 50, || {

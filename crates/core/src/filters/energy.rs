@@ -14,8 +14,7 @@
 use ecds_sim::SystemView;
 use ecds_workload::Task;
 
-use crate::candidate::EvaluatedCandidate;
-use crate::filters::{Filter, FilterCtx};
+use crate::filters::{retain_estimates, Filter, FilterCtx};
 use crate::shard::ClassCandidate;
 
 /// The queue-depth-adaptive ζ_mul schedule.
@@ -111,21 +110,6 @@ impl Filter for EnergyFilter {
         "en"
     }
 
-    fn retain(
-        &self,
-        _task: &Task,
-        view: &SystemView<'_>,
-        ctx: &FilterCtx,
-        candidates: &mut Vec<EvaluatedCandidate>,
-    ) {
-        let fair = self.fair_share(view, ctx);
-        candidates.retain(|c| c.est.eec <= fair);
-    }
-
-    fn supports_indexed(&self) -> bool {
-        true
-    }
-
     fn retain_indexed(
         &self,
         _task: &Task,
@@ -133,22 +117,15 @@ impl Filter for EnergyFilter {
         ctx: &FilterCtx,
         classes: &mut Vec<ClassCandidate>,
     ) {
-        // The same `eec <= fair` predicate on the same bits: every member
-        // of a class shares its estimates, so feasibility is per
-        // (class, P-state).
         let fair = self.fair_share(view, ctx);
-        for class in classes.iter_mut() {
-            for (pi, retained) in class.retained.iter_mut().enumerate() {
-                *retained = *retained && class.ests[pi].eec <= fair;
-            }
-        }
-        classes.retain(ClassCandidate::any_retained);
+        retain_estimates(classes, |est| est.eec <= fair);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::candidate::EvaluatedCandidate;
     use crate::estimate::AssignmentEstimate;
     use ecds_cluster::PState;
     use ecds_sim::{CoreState, Scenario, SystemView};

@@ -13,7 +13,8 @@ pub mod robustness;
 use ecds_sim::SystemView;
 use ecds_workload::Task;
 
-use crate::candidate::EvaluatedCandidate;
+use crate::candidate::{per_core_classes, retain_stream, EvaluatedCandidate};
+use crate::estimate::AssignmentEstimate;
 use crate::shard::ClassCandidate;
 
 /// Scheduler state a filter may consult.
@@ -32,38 +33,60 @@ pub trait Filter: Send {
     /// Short name used in figures ("en", "rob").
     fn name(&self) -> &'static str;
 
-    /// Removes infeasible candidates from `candidates` in place.
+    /// Narrows `classes` in place: clears the [`ClassCandidate::retained`]
+    /// flag of every infeasible (class, P-state) pair and drops classes
+    /// with no feasible P-state left ([`retain_estimates`] does both). The
+    /// classes are grouped or per-core (DESIGN.md §13), so the predicate
+    /// must hold for every member of a class alike: it may read the
+    /// estimates, `depth`, the task and shared scheduler state.
+    fn retain_indexed(
+        &self,
+        task: &Task,
+        view: &SystemView<'_>,
+        ctx: &FilterCtx,
+        classes: &mut Vec<ClassCandidate>,
+    );
+
+    /// Always `true`: every filter decides on classes. Exists only for
+    /// `perfbench`'s `TracedScheduler` until ROADMAP item 1(0) moves it
+    /// onto [`Scheduler`](crate::Scheduler).
+    fn supports_indexed(&self) -> bool {
+        true
+    }
+
+    /// [`Filter::retain_indexed`] on a candidate stream: converts it to
+    /// per-core classes, narrows them, and keeps the candidates whose
+    /// (class, P-state) pair survived. Exists only for `perfbench`'s
+    /// `TracedScheduler` until ROADMAP item 1(0) moves it onto
+    /// [`Scheduler`](crate::Scheduler).
     fn retain(
         &self,
         task: &Task,
         view: &SystemView<'_>,
         ctx: &FilterCtx,
         candidates: &mut Vec<EvaluatedCandidate>,
-    );
-
-    /// `true` when [`Filter::retain_indexed`] reproduces this filter's
-    /// feasibility decision on the equivalence-class form. Holds for any
-    /// filter whose predicate depends only on the candidate's estimates
-    /// and shared scheduler state (every member of a class carries
-    /// bit-identical estimates). Default: `false`.
-    fn supports_indexed(&self) -> bool {
-        false
-    }
-
-    /// Narrows per-class P-state feasibility in place — clearing
-    /// [`ClassCandidate::retained`] flags and dropping classes with no
-    /// feasible P-state left — bit-identical to what [`Filter::retain`]
-    /// keeps on the materialized stream. Only called when
-    /// [`Filter::supports_indexed`] returns `true`.
-    fn retain_indexed(
-        &self,
-        _task: &Task,
-        _view: &SystemView<'_>,
-        _ctx: &FilterCtx,
-        _classes: &mut Vec<ClassCandidate>,
     ) {
-        unreachable!("retain_indexed requires supports_indexed()")
+        let mut classes = Vec::new();
+        per_core_classes(view, candidates, &mut classes);
+        let before = classes.clone();
+        self.retain_indexed(task, view, ctx, &mut classes);
+        retain_stream(candidates, &before, &classes);
     }
+}
+
+/// Keeps the (class, P-state) pairs whose estimates satisfy `keep` and
+/// drops classes with none left — a per-assignment predicate applied to
+/// the class form.
+pub fn retain_estimates(
+    classes: &mut Vec<ClassCandidate>,
+    mut keep: impl FnMut(&AssignmentEstimate) -> bool,
+) {
+    for class in classes.iter_mut() {
+        for (retained, est) in class.retained.iter_mut().zip(&class.ests) {
+            *retained = *retained && keep(est);
+        }
+    }
+    classes.retain(ClassCandidate::any_retained);
 }
 
 #[cfg(test)]
@@ -74,26 +97,25 @@ mod tests {
     use ecds_pmf::ReductionPolicy;
     use ecds_sim::{Scenario, Simulation};
 
-    /// A filter that keeps nothing. It has no indexed form, so the
-    /// scheduler takes the full-scan path.
+    /// A filter that keeps nothing.
     struct RejectAll;
     impl Filter for RejectAll {
         fn name(&self) -> &'static str {
             "reject-all"
         }
-        fn retain(
+        fn retain_indexed(
             &self,
             _task: &Task,
             _view: &SystemView<'_>,
             _ctx: &FilterCtx,
-            candidates: &mut Vec<EvaluatedCandidate>,
+            classes: &mut Vec<ClassCandidate>,
         ) {
-            candidates.clear();
+            classes.clear();
         }
     }
 
     /// A boxed filter runs through a whole trial, and a chain that keeps
-    /// nothing discards every task (the full-scan discard path).
+    /// nothing discards every task.
     #[test]
     fn filters_are_object_safe() {
         let s = Scenario::small_for_tests(12);

@@ -11,8 +11,7 @@ use ecds_pmf::Prob;
 use ecds_sim::SystemView;
 use ecds_workload::Task;
 
-use crate::candidate::EvaluatedCandidate;
-use crate::filters::{Filter, FilterCtx};
+use crate::filters::{retain_estimates, Filter, FilterCtx};
 use crate::shard::ClassCandidate;
 
 /// The paper's robustness filter.
@@ -53,20 +52,6 @@ impl Filter for RobustnessFilter {
         "rob"
     }
 
-    fn retain(
-        &self,
-        _task: &Task,
-        _view: &SystemView<'_>,
-        _ctx: &FilterCtx,
-        candidates: &mut Vec<EvaluatedCandidate>,
-    ) {
-        candidates.retain(|c| c.est.rho >= self.threshold);
-    }
-
-    fn supports_indexed(&self) -> bool {
-        true
-    }
-
     fn retain_indexed(
         &self,
         _task: &Task,
@@ -74,18 +59,14 @@ impl Filter for RobustnessFilter {
         _ctx: &FilterCtx,
         classes: &mut Vec<ClassCandidate>,
     ) {
-        for class in classes.iter_mut() {
-            for (pi, retained) in class.retained.iter_mut().enumerate() {
-                *retained = *retained && class.ests[pi].rho >= self.threshold;
-            }
-        }
-        classes.retain(ClassCandidate::any_retained);
+        retain_estimates(classes, |est| est.rho >= self.threshold);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::candidate::EvaluatedCandidate;
     use crate::estimate::AssignmentEstimate;
     use ecds_cluster::PState;
     use ecds_sim::{CoreState, Scenario};

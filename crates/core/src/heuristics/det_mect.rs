@@ -10,11 +10,12 @@
 //! (whose ECT is the expectation of the true completion pmf) isolates the
 //! value of the stochastic model in allocation decisions.
 
+use ecds_cluster::PState;
 use ecds_sim::SystemView;
 use ecds_workload::Task;
 
-use crate::candidate::EvaluatedCandidate;
-use crate::heuristics::{argmin_by_key, Heuristic};
+use crate::heuristics::{argmin_indexed, Heuristic};
+use crate::shard::ClassCandidate;
 
 /// **det-MCT**: minimum completion time computed with scalar means.
 ///
@@ -25,6 +26,9 @@ use crate::heuristics::{argmin_by_key, Heuristic};
 /// run *longer* than its mean is predicted to finish "immediately",
 /// whereas conditioning the pmf on "still running" (truncate + renormalize)
 /// correctly pushes the prediction outward.
+///
+/// Ready times are per core and read no pmf, so det-MCT decides from
+/// per-core classes, keyed on each class's `min_core`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DeterministicMct;
 
@@ -50,17 +54,14 @@ impl Heuristic for DeterministicMct {
         "det-MCT"
     }
 
-    fn choose(
+    fn choose_indexed(
         &mut self,
         _task: &Task,
         view: &SystemView<'_>,
-        candidates: &[EvaluatedCandidate],
-    ) -> Option<usize> {
-        // Ready times depend only on the core; cache per flat index.
-        let mut ready: Vec<Option<f64>> = vec![None; view.cluster().total_cores()];
-        argmin_by_key(candidates, |c| {
-            let r = *ready[c.core].get_or_insert_with(|| deterministic_ready_time(view, c.core));
-            r + c.est.eet
+        classes: &[ClassCandidate],
+    ) -> Option<(usize, PState)> {
+        argmin_indexed(classes, |class, est| {
+            deterministic_ready_time(view, class.min_core) + est.eet
         })
     }
 }
@@ -69,7 +70,6 @@ impl Heuristic for DeterministicMct {
 mod tests {
     use super::*;
     use crate::heuristics::testutil::task;
-    use ecds_cluster::PState;
     use ecds_sim::{CoreState, ExecutingTask, QueuedTask, Scenario};
     use ecds_workload::{TaskId, TaskTypeId};
 

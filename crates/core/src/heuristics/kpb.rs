@@ -1,16 +1,20 @@
 //! K-Percent Best — the \[MaA99\] compromise between MET's heterogeneity
 //! exploitation and MCT's load awareness.
 
+use ecds_cluster::PState;
 use ecds_sim::SystemView;
 use ecds_workload::Task;
 
-use crate::candidate::EvaluatedCandidate;
-use crate::heuristics::Heuristic;
+use crate::heuristics::{retained_pairs, Heuristic};
+use crate::shard::ClassCandidate;
 
 /// **KPB**: restrict attention to the `k`% of candidates with the best
 /// (smallest) expected execution time for this task, then choose the
 /// minimum expected completion time among them (\[MaA99\]). `k = 100`
 /// degenerates to MECT; small `k` approaches MET.
+///
+/// The cut counts feasible (core, P-state) pairs and ranks ties by
+/// core-major order, so KPB decides from per-core classes.
 #[derive(Debug, Clone, Copy)]
 pub struct KPercentBest {
     k_percent: f64,
@@ -44,48 +48,35 @@ impl Heuristic for KPercentBest {
         "KPB"
     }
 
-    fn choose(
+    fn choose_indexed(
         &mut self,
         _task: &Task,
         _view: &SystemView<'_>,
-        candidates: &[EvaluatedCandidate],
-    ) -> Option<usize> {
-        if candidates.is_empty() {
+        classes: &[ClassCandidate],
+    ) -> Option<(usize, PState)> {
+        let pairs: Vec<(usize, PState)> = retained_pairs(classes).collect();
+        if pairs.is_empty() {
             return None;
         }
-        let keep = ((candidates.len() as f64 * self.k_percent / 100.0).ceil() as usize).max(1);
-        // Rank candidate indices by EET and keep the best `keep`.
-        let mut by_eet: Vec<usize> = (0..candidates.len()).collect();
-        by_eet.sort_by(|&a, &b| {
-            candidates[a]
-                .est
-                .eet
-                .total_cmp(&candidates[b].est.eet)
-                .then(a.cmp(&b))
-        });
-        let shortlist = &by_eet[..keep];
-        // Minimum ECT within the shortlist, ties by original order.
-        shortlist.iter().copied().min_by(|&a, &b| {
-            candidates[a]
-                .est
-                .ect
-                .total_cmp(&candidates[b].est.ect)
-                .then(a.cmp(&b))
-        })
+        let est = |i: usize| &classes[pairs[i].0].ests[pairs[i].1.index()];
+        let keep = ((pairs.len() as f64 * self.k_percent / 100.0).ceil() as usize).max(1);
+        // Rank pair indices by EET and keep the best `keep`.
+        let mut by_eet: Vec<usize> = (0..pairs.len()).collect();
+        by_eet.sort_by(|&a, &b| est(a).eet.total_cmp(&est(b).eet).then(a.cmp(&b)));
+        // Minimum ECT within the shortlist, ties by core-major order.
+        by_eet[..keep]
+            .iter()
+            .copied()
+            .min_by(|&a, &b| est(a).ect.total_cmp(&est(b).ect).then(a.cmp(&b)))
+            .map(|i| pairs[i])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::heuristics::argmin_by_key;
-
-    /// Plain MCT over everything — the k = 100% reference.
-    fn mect_index(candidates: &[EvaluatedCandidate]) -> Option<usize> {
-        argmin_by_key(candidates, |c| c.est.ect)
-    }
+    use crate::heuristics::mect::MinimumExpectedCompletionTime;
     use crate::heuristics::testutil::{cand, task};
-    use ecds_cluster::PState;
     use ecds_sim::{CoreState, Scenario};
 
     fn fixture() -> (Scenario, Vec<CoreState>) {
@@ -119,7 +110,8 @@ mod tests {
             cand(2, PState::P0, 90.0, 20.0, 0.0, 0.0),
         ];
         let mut h = KPercentBest::new(100.0);
-        assert_eq!(h.choose(&task(), &v, &cands), mect_index(&cands));
+        let mect = MinimumExpectedCompletionTime.choose(&task(), &v, &cands);
+        assert_eq!(h.choose(&task(), &v, &cands), mect);
     }
 
     #[test]

@@ -5,8 +5,8 @@ use ecds_cluster::PState;
 use ecds_sim::SystemView;
 use ecds_workload::Task;
 
-use crate::candidate::EvaluatedCandidate;
-use crate::heuristics::{argmin_by_key, argmin_indexed, Heuristic};
+use crate::estimate::AssignmentEstimate;
+use crate::heuristics::{argmin_indexed, Heuristic};
 use crate::shard::ClassCandidate;
 
 /// **LL**: define the *load* of an assignment as
@@ -23,23 +23,14 @@ use crate::shard::ClassCandidate;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LightestLoad;
 
-/// Eq. 5 for one candidate.
-pub fn load_value(candidate: &EvaluatedCandidate) -> f64 {
-    candidate.est.eec * (1.0 - candidate.est.rho)
+/// Eq. 5 for one assignment's estimates.
+pub fn load_value(est: &AssignmentEstimate) -> f64 {
+    est.eec * (1.0 - est.rho)
 }
 
 impl Heuristic for LightestLoad {
     fn name(&self) -> &'static str {
         "LL"
-    }
-
-    fn choose(
-        &mut self,
-        _task: &Task,
-        _view: &SystemView<'_>,
-        candidates: &[EvaluatedCandidate],
-    ) -> Option<usize> {
-        argmin_by_key(candidates, load_value)
     }
 
     fn supports_indexed(&self) -> bool {
@@ -52,9 +43,7 @@ impl Heuristic for LightestLoad {
         _view: &SystemView<'_>,
         classes: &[ClassCandidate],
     ) -> Option<(usize, PState)> {
-        // The exact expression of `load_value`, term for term — the keys
-        // must carry identical bits for the tie-break to be identical.
-        argmin_indexed(classes, |est| est.eec * (1.0 - est.rho))
+        argmin_indexed(classes, |_, est| load_value(est))
     }
 }
 
@@ -62,7 +51,6 @@ impl Heuristic for LightestLoad {
 mod tests {
     use super::*;
     use crate::heuristics::testutil::{cand, task};
-    use ecds_cluster::PState;
     use ecds_sim::{CoreState, Scenario};
 
     fn view<'a>(s: &'a Scenario, cores: &'a [CoreState]) -> ecds_sim::SystemView<'a> {
@@ -72,13 +60,13 @@ mod tests {
     #[test]
     fn load_is_eec_times_miss_probability() {
         let c = cand(0, PState::P0, 1.0, 1.0, 200.0, 0.75);
-        assert!((load_value(&c) - 50.0).abs() < 1e-12);
+        assert!((load_value(&c.est) - 50.0).abs() < 1e-12);
     }
 
     #[test]
     fn certain_hit_has_zero_load() {
         let c = cand(0, PState::P0, 1.0, 1.0, 500.0, 1.0);
-        assert_eq!(load_value(&c), 0.0);
+        assert_eq!(load_value(&c.est), 0.0);
     }
 
     #[test]

@@ -5,8 +5,7 @@ use ecds_cluster::PState;
 use ecds_sim::SystemView;
 use ecds_workload::Task;
 
-use crate::candidate::EvaluatedCandidate;
-use crate::heuristics::{argmin_by_key, argmin_indexed, Heuristic};
+use crate::heuristics::{argmin_indexed, Heuristic};
 use crate::shard::ClassCandidate;
 
 /// **MECT**: assign to the feasible (core, P-state) pair minimizing the
@@ -22,15 +21,6 @@ impl Heuristic for MinimumExpectedCompletionTime {
         "MECT"
     }
 
-    fn choose(
-        &mut self,
-        _task: &Task,
-        _view: &SystemView<'_>,
-        candidates: &[EvaluatedCandidate],
-    ) -> Option<usize> {
-        argmin_by_key(candidates, |c| c.est.ect)
-    }
-
     fn supports_indexed(&self) -> bool {
         true
     }
@@ -41,7 +31,7 @@ impl Heuristic for MinimumExpectedCompletionTime {
         _view: &SystemView<'_>,
         classes: &[ClassCandidate],
     ) -> Option<(usize, PState)> {
-        argmin_indexed(classes, |est| est.ect)
+        argmin_indexed(classes, |_, est| est.ect)
     }
 }
 
@@ -49,7 +39,6 @@ impl Heuristic for MinimumExpectedCompletionTime {
 mod tests {
     use super::*;
     use crate::heuristics::testutil::{cand, task};
-    use ecds_cluster::PState;
     use ecds_sim::{CoreState, Scenario};
 
     #[test]

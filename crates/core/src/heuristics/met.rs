@@ -1,10 +1,11 @@
 //! Minimum Execution Time — the second classic \[MaA99\] baseline.
 
+use ecds_cluster::PState;
 use ecds_sim::SystemView;
 use ecds_workload::Task;
 
-use crate::candidate::EvaluatedCandidate;
-use crate::heuristics::{argmin_by_key, Heuristic};
+use crate::heuristics::{argmin_indexed, Heuristic};
+use crate::shard::ClassCandidate;
 
 /// **MET**: assign the task to the (core, P-state) pair with the smallest
 /// expected *execution* time, ignoring queue state entirely (\[MaA99\]).
@@ -19,13 +20,17 @@ impl Heuristic for MinimumExecutionTime {
         "MET"
     }
 
-    fn choose(
+    fn supports_indexed(&self) -> bool {
+        true
+    }
+
+    fn choose_indexed(
         &mut self,
         _task: &Task,
         _view: &SystemView<'_>,
-        candidates: &[EvaluatedCandidate],
-    ) -> Option<usize> {
-        argmin_by_key(candidates, |c| c.est.eet)
+        classes: &[ClassCandidate],
+    ) -> Option<(usize, PState)> {
+        argmin_indexed(classes, |_, est| est.eet)
     }
 }
 
@@ -33,7 +38,6 @@ impl Heuristic for MinimumExecutionTime {
 mod tests {
     use super::*;
     use crate::heuristics::testutil::{cand, task};
-    use ecds_cluster::PState;
     use ecds_sim::{CoreState, Scenario};
 
     #[test]

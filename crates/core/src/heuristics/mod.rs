@@ -3,9 +3,11 @@
 //! Every heuristic operates in immediate mode: given the filtered feasible
 //! set of assignments for one arriving task, it picks exactly one (or
 //! abstains if the set is empty — the scheduler then discards the task).
-//! All heuristics are deterministic given their inputs ([`random`] carries
-//! its own seeded RNG), and all tie-breaking follows the candidate list's
-//! deterministic core-major order.
+//! The set arrives as [`ClassCandidate`]s: the shard index's equivalence
+//! classes for a heuristic that may decide from grouped classes, one class
+//! per core otherwise (DESIGN.md §13). All heuristics are deterministic
+//! given their inputs ([`random`] carries its own seeded RNG), and all
+//! tie-breaking follows the deterministic core-major order.
 
 pub mod det_mect;
 pub mod kpb;
@@ -21,7 +23,8 @@ use ecds_persist::{DecodeError, Decoder, Encoder};
 use ecds_sim::SystemView;
 use ecds_workload::Task;
 
-use crate::candidate::EvaluatedCandidate;
+use crate::candidate::{per_core_classes, stream_index, EvaluatedCandidate};
+use crate::estimate::AssignmentEstimate;
 use crate::shard::ClassCandidate;
 
 /// An immediate-mode assignment heuristic.
@@ -29,36 +32,39 @@ pub trait Heuristic: Send {
     /// Display name used in figures ("SQ", "MECT", "LL", "Random").
     fn name(&self) -> &'static str;
 
-    /// Chooses the index of one candidate, or `None` when `candidates` is
-    /// empty.
+    /// `true` when this heuristic may decide from grouped classes: its
+    /// choice among a class's bit-identical members is the one a
+    /// core-major scan makes first. Default `false`: the scheduler then
+    /// hands it per-core classes (one singleton class per core, in core
+    /// order), which a rule that reads core order needs — Random's draw,
+    /// KPB's percentile cut, det-MCT's per-core ready times.
+    fn supports_indexed(&self) -> bool {
+        false
+    }
+
+    /// Chooses `(class index, P-state)` among the retained pairs of
+    /// `classes`, or `None` when there are none.
+    fn choose_indexed(
+        &mut self,
+        task: &Task,
+        view: &SystemView<'_>,
+        classes: &[ClassCandidate],
+    ) -> Option<(usize, PState)>;
+
+    /// [`Heuristic::choose_indexed`] on a candidate stream: converts it to
+    /// per-core classes, chooses, and returns the chosen candidate's
+    /// index. Exists only for `perfbench`'s `TracedScheduler` until
+    /// ROADMAP item 1(0) moves it onto [`Scheduler`](crate::Scheduler).
     fn choose(
         &mut self,
         task: &Task,
         view: &SystemView<'_>,
         candidates: &[EvaluatedCandidate],
-    ) -> Option<usize>;
-
-    /// `true` when [`Heuristic::choose_indexed`] reproduces this
-    /// heuristic's selection from the equivalence-class form. Heuristics
-    /// whose choice depends on candidate *positions* (Random's RNG draw,
-    /// KPB's percentile cut over the materialized list) stay on the full
-    /// scan. Default: `false`.
-    fn supports_indexed(&self) -> bool {
-        false
-    }
-
-    /// Chooses `(class index, P-state)` from the indexed candidate form —
-    /// bit-identical (same core, same P-state) to what
-    /// [`Heuristic::choose`] would pick from the materialized core-major
-    /// stream, or `None` when `classes` is empty. Only called when
-    /// [`Heuristic::supports_indexed`] returns `true`.
-    fn choose_indexed(
-        &mut self,
-        _task: &Task,
-        _view: &SystemView<'_>,
-        _classes: &[ClassCandidate],
-    ) -> Option<(usize, PState)> {
-        unreachable!("choose_indexed requires supports_indexed()")
+    ) -> Option<usize> {
+        let mut classes = Vec::new();
+        per_core_classes(view, candidates, &mut classes);
+        let (class, pstate) = self.choose_indexed(task, view, &classes)?;
+        stream_index(candidates, class, pstate)
     }
 
     /// Resets per-trial internal state. Default: no-op.
@@ -74,57 +80,50 @@ pub trait Heuristic: Send {
     }
 }
 
-/// Selects the index minimizing `key`, breaking ties by list order
-/// (deterministic because candidates are generated core-major).
-pub(crate) fn argmin_by_key<F>(candidates: &[EvaluatedCandidate], mut key: F) -> Option<usize>
-where
-    F: FnMut(&EvaluatedCandidate) -> f64,
-{
-    let mut best: Option<(usize, f64)> = None;
-    for (idx, cand) in candidates.iter().enumerate() {
-        let k = key(cand);
-        debug_assert!(!k.is_nan(), "heuristic keys must not be NaN");
-        match best {
-            Some((_, bk)) if bk <= k => {}
-            _ => best = Some((idx, k)),
-        }
-    }
-    best.map(|(idx, _)| idx)
+/// Every retained `(class index, P-state)` pair, in class order then
+/// P-state order — on per-core classes, the core-major stream's order.
+pub(crate) fn retained_pairs(
+    classes: &[ClassCandidate],
+) -> impl Iterator<Item = (usize, PState)> + '_ {
+    classes.iter().enumerate().flat_map(|(ci, class)| {
+        PState::ALL
+            .into_iter()
+            .filter(move |p| class.retained[p.index()])
+            .map(move |p| (ci, p))
+    })
 }
 
-/// Selects the `(class index, P-state)` minimizing `key` over every
-/// retained (class, P-state) pair — breaking float-equal ties exactly like
-/// the full scan's first-wins argmin over the core-major stream: the
-/// lexicographically smallest `(min_core, P-state)` wins. (Every member of
-/// a class carries bit-identical estimates, so the first stream occurrence
+/// Selects the retained `(class index, P-state)` pair minimizing `key`,
+/// breaking ties exactly like a first-wins argmin over the core-major
+/// stream: the smallest `(min_core, P-state)` wins. (Every member of a
+/// class carries bit-identical estimates, so the first stream occurrence
 /// of a tied key sits at the smallest member core of the tied classes.)
-pub(crate) fn argmin_indexed<F>(classes: &[ClassCandidate], mut key: F) -> Option<(usize, PState)>
+pub(crate) fn argmin_indexed<K, F>(
+    classes: &[ClassCandidate],
+    mut key: F,
+) -> Option<(usize, PState)>
 where
-    F: FnMut(&crate::estimate::AssignmentEstimate) -> f64,
+    K: PartialOrd,
+    F: FnMut(&ClassCandidate, &AssignmentEstimate) -> K,
 {
-    let mut best: Option<(usize, PState, f64)> = None;
-    for (ci, class) in classes.iter().enumerate() {
-        for (pi, pstate) in PState::ALL.into_iter().enumerate() {
-            if !class.retained[pi] {
-                continue;
-            }
-            let k = key(&class.ests[pi]);
-            debug_assert!(!k.is_nan(), "heuristic keys must not be NaN");
-            let better = match best {
-                None => true,
-                Some((bci, bp, bk)) => {
-                    if k < bk {
-                        true
-                    } else if k > bk {
-                        false
-                    } else {
-                        (class.min_core, pstate.index()) < (classes[bci].min_core, bp.index())
-                    }
-                }
-            };
-            if better {
-                best = Some((ci, pstate, k));
-            }
+    let mut best: Option<(usize, PState, K)> = None;
+    for (ci, pstate) in retained_pairs(classes) {
+        let class = &classes[ci];
+        let k = key(class, &class.ests[pstate.index()]);
+        debug_assert!(
+            k.partial_cmp(&k).is_some(),
+            "heuristic keys must not be NaN"
+        );
+        let better = match &best {
+            None => true,
+            Some((bci, bp, bk)) => match k.partial_cmp(bk) {
+                Some(std::cmp::Ordering::Less) => true,
+                Some(std::cmp::Ordering::Greater) => false,
+                _ => (class.min_core, pstate.index()) < (classes[*bci].min_core, bp.index()),
+            },
+        };
+        if better {
+            best = Some((ci, pstate, k));
         }
     }
     best.map(|(ci, pstate, _)| (ci, pstate))
@@ -137,6 +136,7 @@ pub(crate) mod testutil {
 
     use crate::candidate::EvaluatedCandidate;
     use crate::estimate::AssignmentEstimate;
+    use crate::shard::{ClassCandidate, ZERO_ESTS};
 
     /// Builds a candidate with the given quantities.
     pub fn cand(
@@ -154,6 +154,22 @@ pub(crate) mod testutil {
         }
     }
 
+    /// A depth-0 singleton class over `min_core` with the given per-P-state
+    /// EETs, every P-state retained.
+    pub fn class(min_core: usize, eets: [f64; 5]) -> ClassCandidate {
+        let mut ests = ZERO_ESTS;
+        for (est, eet) in ests.iter_mut().zip(eets) {
+            est.eet = eet;
+        }
+        ClassCandidate {
+            min_core,
+            depth: 0,
+            members: 1,
+            ests,
+            retained: [true; 5],
+        }
+    }
+
     /// A throwaway task for heuristic tests.
     pub fn task() -> Task {
         Task {
@@ -168,31 +184,41 @@ pub(crate) mod testutil {
 
 #[cfg(test)]
 mod tests {
-    use super::testutil::cand;
+    use super::testutil::class;
     use super::*;
-    use ecds_cluster::PState;
 
     #[test]
     fn argmin_picks_smallest() {
-        let cands = vec![
-            cand(0, PState::P0, 3.0, 0.0, 0.0, 0.0),
-            cand(1, PState::P0, 1.0, 0.0, 0.0, 0.0),
-            cand(2, PState::P0, 2.0, 0.0, 0.0, 0.0),
+        let classes = [
+            class(0, [3.0; 5]),
+            class(1, [4.0, 1.0, 5.0, 5.0, 5.0]),
+            class(2, [2.0; 5]),
         ];
-        assert_eq!(argmin_by_key(&cands, |c| c.est.eet), Some(1));
+        assert_eq!(
+            argmin_indexed(&classes, |_, e| e.eet),
+            Some((1, PState::P1))
+        );
     }
 
     #[test]
     fn argmin_breaks_ties_by_order() {
-        let cands = vec![
-            cand(0, PState::P0, 1.0, 0.0, 0.0, 0.0),
-            cand(1, PState::P0, 1.0, 0.0, 0.0, 0.0),
-        ];
-        assert_eq!(argmin_by_key(&cands, |c| c.est.eet), Some(0));
+        // Grouped classes arrive in key order, not core order: the tie
+        // goes to the smallest (min_core, P-state), where a core-major
+        // scan meets the key first.
+        let mut late = class(5, [1.0; 5]);
+        late.retained[0] = false;
+        let classes = [late, class(2, [2.0, 1.0, 1.0, 1.0, 1.0])];
+        assert_eq!(
+            argmin_indexed(&classes, |_, e| e.eet),
+            Some((1, PState::P1))
+        );
     }
 
     #[test]
     fn argmin_empty_is_none() {
-        assert_eq!(argmin_by_key(&[], |c| c.est.eet), None);
+        assert_eq!(argmin_indexed(&[], |_, e| e.eet), None);
+        let mut none = class(0, [1.0; 5]);
+        none.retained = [false; 5];
+        assert_eq!(argmin_indexed(&[none], |_, e| e.eet), None);
     }
 }

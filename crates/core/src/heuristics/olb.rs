@@ -1,16 +1,17 @@
 //! Opportunistic Load Balancing — a classic immediate-mode baseline from
 //! the \[MaA99\] family the paper adapts its heuristics from.
 
+use ecds_cluster::PState;
 use ecds_sim::SystemView;
 use ecds_workload::Task;
 
-use crate::candidate::EvaluatedCandidate;
-use crate::heuristics::{argmin_by_key, Heuristic};
+use crate::heuristics::{argmin_indexed, Heuristic};
+use crate::shard::ClassCandidate;
 
 /// **OLB**: assign the task to the core that becomes ready soonest,
 /// ignoring the task's execution time entirely (\[MaA99\]). Ready time is
 /// recovered from the evaluated candidates as `ECT − EET` (the expected
-/// completion of the core's pending queue). Ties break by candidate order,
+/// completion of the core's pending queue). Ties break by core-major order,
 /// which lands on `P0` — like SQ and MECT, OLB is energy-oblivious and
 /// needs the filters to survive an energy constraint.
 ///
@@ -25,13 +26,17 @@ impl Heuristic for OpportunisticLoadBalancing {
         "OLB"
     }
 
-    fn choose(
+    fn supports_indexed(&self) -> bool {
+        true
+    }
+
+    fn choose_indexed(
         &mut self,
         _task: &Task,
         _view: &SystemView<'_>,
-        candidates: &[EvaluatedCandidate],
-    ) -> Option<usize> {
-        argmin_by_key(candidates, |c| c.est.ect - c.est.eet)
+        classes: &[ClassCandidate],
+    ) -> Option<(usize, PState)> {
+        argmin_indexed(classes, |_, est| est.ect - est.eet)
     }
 }
 
@@ -39,7 +44,6 @@ impl Heuristic for OpportunisticLoadBalancing {
 mod tests {
     use super::*;
     use crate::heuristics::testutil::{cand, task};
-    use ecds_cluster::PState;
     use ecds_sim::{CoreState, Scenario};
 
     fn view<'a>(s: &'a Scenario, cores: &'a [CoreState]) -> ecds_sim::SystemView<'a> {

@@ -1,18 +1,23 @@
 //! The Random baseline heuristic (paper Sec. V-E).
 
+use ecds_cluster::PState;
 use ecds_persist::{DecodeError, Decoder, Encoder, Persist};
 use ecds_sim::SystemView;
 use ecds_workload::Task;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::candidate::EvaluatedCandidate;
-use crate::heuristics::Heuristic;
+use crate::heuristics::{retained_pairs, Heuristic};
+use crate::shard::ClassCandidate;
 
 /// **Random**: pick uniformly at random among the feasible assignments —
 /// "conceptually one of the simplest techniques", used to contrast how much
 /// work the filters (rather than the heuristic) are doing. With "en+rob"
 /// filtering the paper finds Random lands within ~4% of LL.
+///
+/// The draw is `gen_range(0..n)` over the `n` retained pairs in core-major
+/// order, so Random decides from per-core classes: one uniform pick per
+/// feasible (core, P-state) assignment.
 ///
 /// Carries its own seeded RNG so whole experiment grids stay reproducible;
 /// [`Heuristic::reset`] rewinds the stream so repeated trials with one
@@ -38,17 +43,17 @@ impl Heuristic for RandomChoice {
         "Random"
     }
 
-    fn choose(
+    fn choose_indexed(
         &mut self,
         _task: &Task,
         _view: &SystemView<'_>,
-        candidates: &[EvaluatedCandidate],
-    ) -> Option<usize> {
-        if candidates.is_empty() {
-            None
-        } else {
-            Some(self.rng.gen_range(0..candidates.len()))
+        classes: &[ClassCandidate],
+    ) -> Option<(usize, PState)> {
+        let n = retained_pairs(classes).count();
+        if n == 0 {
+            return None;
         }
+        retained_pairs(classes).nth(self.rng.gen_range(0..n))
     }
 
     fn reset(&mut self) {
@@ -69,7 +74,6 @@ impl Heuristic for RandomChoice {
 mod tests {
     use super::*;
     use crate::heuristics::testutil::{cand, task};
-    use ecds_cluster::PState;
     use ecds_sim::{CoreState, Scenario};
 
     fn choices(h: &mut RandomChoice, n: usize) -> Vec<usize> {

@@ -4,8 +4,7 @@ use ecds_cluster::PState;
 use ecds_sim::SystemView;
 use ecds_workload::Task;
 
-use crate::candidate::EvaluatedCandidate;
-use crate::heuristics::{argmin_by_key, Heuristic};
+use crate::heuristics::{argmin_indexed, Heuristic};
 use crate::shard::ClassCandidate;
 
 /// **SQ**: assign to the feasible core with the fewest pending tasks
@@ -20,36 +19,6 @@ impl Heuristic for ShortestQueue {
         "SQ"
     }
 
-    fn choose(
-        &mut self,
-        _task: &Task,
-        view: &SystemView<'_>,
-        candidates: &[EvaluatedCandidate],
-    ) -> Option<usize> {
-        let min_depth = candidates
-            .iter()
-            .map(|c| view.core_state(c.core).depth())
-            .min()?;
-        // Lexicographic (depth, EET) via a composite key is fragile with
-        // floats; do it in two passes instead.
-        let mut best: Option<(usize, f64)> = None;
-        for (idx, cand) in candidates.iter().enumerate() {
-            if view.core_state(cand.core).depth() != min_depth {
-                continue;
-            }
-            match best {
-                Some((_, eet)) if eet <= cand.est.eet => {}
-                _ => best = Some((idx, cand.est.eet)),
-            }
-        }
-        debug_assert!(best.is_some());
-        best.map(|(idx, _)| idx).or_else(|| {
-            // Defensive: fall back to plain EET argmin (unreachable — the
-            // min_depth core always yields at least one candidate).
-            argmin_by_key(candidates, |c| c.est.eet)
-        })
-    }
-
     fn supports_indexed(&self) -> bool {
         true
     }
@@ -60,45 +29,9 @@ impl Heuristic for ShortestQueue {
         _view: &SystemView<'_>,
         classes: &[ClassCandidate],
     ) -> Option<(usize, PState)> {
-        // Queue depth is part of the class key, so the two-pass structure
-        // of `choose` maps directly: every member of a class shares one
-        // depth (and bit-identical estimates), making the first stream
-        // occurrence of a tied minimum EET the smallest `(min_core,
-        // P-state)` among min-depth classes.
-        let min_depth = classes
-            .iter()
-            .filter(|c| c.any_retained())
-            .map(|c| c.depth)
-            .min()?;
-        let mut best: Option<(usize, PState, f64)> = None;
-        for (ci, class) in classes.iter().enumerate() {
-            if class.depth != min_depth {
-                continue;
-            }
-            for (pi, pstate) in PState::ALL.into_iter().enumerate() {
-                if !class.retained[pi] {
-                    continue;
-                }
-                let eet = class.ests[pi].eet;
-                let better = match best {
-                    None => true,
-                    Some((bci, bp, bk)) => {
-                        if eet < bk {
-                            true
-                        } else if eet > bk {
-                            false
-                        } else {
-                            (class.min_core, pstate.index()) < (classes[bci].min_core, bp.index())
-                        }
-                    }
-                };
-                if better {
-                    best = Some((ci, pstate, eet));
-                }
-            }
-        }
-        debug_assert!(best.is_some());
-        best.map(|(ci, pstate, _)| (ci, pstate))
+        // Lexicographic (depth, EET): queue depth is part of the class
+        // key, so every member of a class shares it.
+        argmin_indexed(classes, |class, est| (class.depth, est.eet))
     }
 }
 
@@ -106,7 +39,6 @@ impl Heuristic for ShortestQueue {
 mod tests {
     use super::*;
     use crate::heuristics::testutil::{cand, task};
-    use ecds_cluster::PState;
     use ecds_sim::{CoreState, ExecutingTask, Scenario};
     use ecds_workload::{TaskId, TaskTypeId};
 

@@ -5,7 +5,7 @@ use ecds_pmf::ReductionPolicy;
 use ecds_sim::{Assignment, Mapper, MapperStats, SystemView};
 use ecds_workload::Task;
 
-use crate::candidate::EvaluatedCandidate;
+use crate::candidate::{per_core_classes, EvaluatedCandidate};
 use crate::estimate::CandidateEvaluator;
 use crate::filters::{Filter, FilterCtx};
 use crate::heuristics::Heuristic;
@@ -47,11 +47,12 @@ pub struct Scheduler {
     remaining: f64,
     record_predictions: bool,
     predictions: Vec<(ecds_workload::TaskId, f64)>,
-    /// Reused full-scan candidate buffer: one assignment allocates nothing
-    /// in the steady state.
+    /// Reused per-core candidate stream, converted into `classes` when the
+    /// decision runs on per-core classes.
     candidates: Vec<EvaluatedCandidate>,
-    /// Reused indexed (per-class) candidate buffer.
-    indexed: Vec<ClassCandidate>,
+    /// Reused class buffer the filters narrow and the heuristic chooses
+    /// from: one assignment allocates nothing in the steady state.
+    classes: Vec<ClassCandidate>,
 }
 
 impl std::fmt::Debug for Scheduler {
@@ -90,7 +91,7 @@ impl Scheduler {
             record_predictions: false,
             predictions: Vec::new(),
             candidates: Vec::new(),
-            indexed: Vec::new(),
+            classes: Vec::new(),
         }
     }
 
@@ -129,34 +130,6 @@ impl Scheduler {
     pub fn budget(&self) -> f64 {
         self.budget
     }
-
-    /// The selection path on the materialized `cores × P-states` candidate
-    /// stream: [`Filter::retain`] per filter, then [`Heuristic::choose`].
-    fn assign_full_scan(
-        &mut self,
-        task: &Task,
-        view: &SystemView<'_>,
-        ctx: &FilterCtx,
-    ) -> Option<Assignment> {
-        self.evaluator
-            .evaluate_all_into(view, task, &mut self.candidates);
-        for filter in &self.filters {
-            filter.retain(task, view, ctx, &mut self.candidates);
-            if self.candidates.is_empty() {
-                return None; // the task is discarded
-            }
-        }
-        let idx = self.heuristic.choose(task, view, &self.candidates)?;
-        let chosen = self.candidates[idx];
-        self.remaining -= chosen.est.eec;
-        if self.record_predictions {
-            self.predictions.push((task.id, chosen.est.rho));
-        }
-        Some(Assignment {
-            core: chosen.core,
-            pstate: chosen.pstate,
-        })
-    }
 }
 
 impl Mapper for Scheduler {
@@ -183,35 +156,35 @@ impl Mapper for Scheduler {
             remaining_energy: self.remaining,
             budget: self.budget,
         };
-        // Indexed top-k selection (DESIGN.md §13): when the whole pipeline
-        // can decide from the equivalence-class form, skip materializing
-        // the cores × P-states stream. Bit-identical to the full scan —
-        // same chosen core, P-state, ledger decrement, and prediction.
-        if self.heuristic.supports_indexed()
-            && self.filters.iter().all(|f| f.supports_indexed())
+        // One selection path over classes (DESIGN.md §13): the shard
+        // index's grouped classes when the heuristic may decide from them
+        // and the engine reports epoch bumps, else one class per core.
+        let grouped = self.heuristic.supports_indexed()
             && self
                 .evaluator
-                .evaluate_indexed_into(view, task, &mut self.indexed)
-        {
-            for filter in &self.filters {
-                filter.retain_indexed(task, view, &ctx, &mut self.indexed);
-                if self.indexed.is_empty() {
-                    return None; // the task is discarded
-                }
-            }
-            let (ci, pstate) = self.heuristic.choose_indexed(task, view, &self.indexed)?;
-            let class = self.indexed[ci];
-            let est = class.ests[pstate.index()];
-            self.remaining -= est.eec;
-            if self.record_predictions {
-                self.predictions.push((task.id, est.rho));
-            }
-            return Some(Assignment {
-                core: class.min_core,
-                pstate,
-            });
+                .evaluate_indexed_into(view, task, &mut self.classes);
+        if !grouped {
+            self.evaluator
+                .evaluate_all_into(view, task, &mut self.candidates);
+            per_core_classes(view, &self.candidates, &mut self.classes);
         }
-        self.assign_full_scan(task, view, &ctx)
+        for filter in &self.filters {
+            filter.retain_indexed(task, view, &ctx, &mut self.classes);
+            if self.classes.is_empty() {
+                return None; // the task is discarded
+            }
+        }
+        let (ci, pstate) = self.heuristic.choose_indexed(task, view, &self.classes)?;
+        let class = self.classes[ci];
+        let est = class.ests[pstate.index()];
+        self.remaining -= est.eec;
+        if self.record_predictions {
+            self.predictions.push((task.id, est.rho));
+        }
+        Some(Assignment {
+            core: class.min_core,
+            pstate,
+        })
     }
 
     fn save_state(&self, enc: &mut Encoder) {
@@ -369,39 +342,55 @@ mod tests {
         assert!(sched.predictions().is_empty());
     }
 
-    /// A scheduler pinned to the full-scan selection path.
-    struct FullScan(Scheduler);
+    /// A heuristic pinned to per-core classes: the wrapped rule, with
+    /// grouped classes declined.
+    struct PerCore(Box<dyn Heuristic>);
 
-    impl Mapper for FullScan {
-        fn on_trial_start(&mut self) {
-            self.0.on_trial_start();
+    impl Heuristic for PerCore {
+        fn name(&self) -> &'static str {
+            self.0.name()
         }
 
-        fn stats(&self) -> MapperStats {
-            self.0.stats()
+        fn choose_indexed(
+            &mut self,
+            task: &Task,
+            view: &SystemView<'_>,
+            classes: &[ClassCandidate],
+        ) -> Option<(usize, PState)> {
+            self.0.choose_indexed(task, view, classes)
         }
 
-        fn assign(&mut self, task: &Task, view: &SystemView<'_>) -> Option<Assignment> {
-            let ctx = FilterCtx {
-                remaining_energy: self.0.remaining,
-                budget: self.0.budget,
-            };
-            self.0.assign_full_scan(task, view, &ctx)
+        fn reset(&mut self) {
+            self.0.reset();
         }
     }
 
+    /// Grouped classes (the shard index) and per-core classes select the
+    /// same assignments, debit the same ledger and count the same work,
+    /// for every heuristic with and without the paper's filters.
     #[test]
     fn shard_indexed_selection_matches_full_scan_end_to_end() {
-        use crate::heuristics::ll::LightestLoad;
+        use crate::factory::{build_heuristic, HeuristicKind};
+        use crate::heuristics::{
+            det_mect::DeterministicMct, kpb::KPercentBest, met::MinimumExecutionTime,
+            olb::OpportunisticLoadBalancing,
+        };
         let s = Scenario::small_for_tests(12);
         let trace = s.trace(0);
         let budget = s.energy_budget().unwrap();
-        let heuristics: [fn() -> Box<dyn Heuristic>; 3] = [
-            || Box::new(ShortestQueue),
-            || Box::new(MinimumExpectedCompletionTime),
-            || Box::new(LightestLoad),
-        ];
-        for mk in heuristics {
+        let mut heuristics: Vec<Box<dyn Fn() -> Box<dyn Heuristic>>> = HeuristicKind::ALL
+            .into_iter()
+            .map(|kind| {
+                let s = s.clone();
+                Box::new(move || build_heuristic(kind, &s, 0)) as Box<dyn Fn() -> _>
+            })
+            .collect();
+        heuristics.push(Box::new(|| Box::new(MinimumExecutionTime)));
+        heuristics.push(Box::new(|| Box::new(OpportunisticLoadBalancing)));
+        heuristics.push(Box::new(|| Box::new(KPercentBest::new(20.0))));
+        heuristics.push(Box::new(|| Box::new(KPercentBest::new(50.0))));
+        heuristics.push(Box::new(|| Box::new(DeterministicMct)));
+        for mk in &heuristics {
             for filtered in [false, true] {
                 let filters = || -> Vec<Box<dyn Filter>> {
                     if filtered {
@@ -413,24 +402,25 @@ mod tests {
                         vec![]
                     }
                 };
-                let mut indexed =
+                let mut grouped =
                     Scheduler::new(mk(), filters(), budget, ReductionPolicy::default());
-                let mut full = FullScan(Scheduler::new(
-                    mk(),
+                let mut per_core = Scheduler::new(
+                    Box::new(PerCore(mk())),
                     filters(),
                     budget,
                     ReductionPolicy::default(),
-                ));
-                let a = Simulation::new(&s, &trace).run(&mut indexed);
-                let b = Simulation::new(&s, &trace).run(&mut full);
-                assert_eq!(
-                    a.outcomes(),
-                    b.outcomes(),
-                    "indexed selection diverged ({}, filtered={filtered})",
-                    indexed.label()
                 );
-                assert_eq!(indexed.remaining_energy(), full.0.remaining_energy());
-                assert_eq!(indexed.stats(), full.stats(), "{}", indexed.label());
+                let a = Simulation::new(&s, &trace).run(&mut grouped);
+                let b = Simulation::new(&s, &trace).run(&mut per_core);
+                let label = grouped.label();
+                assert!(a.completed() > 0, "{label}");
+                assert_eq!(a.outcomes(), b.outcomes(), "{label}: selection diverged");
+                assert_eq!(
+                    grouped.remaining_energy().to_bits(),
+                    per_core.remaining_energy().to_bits(),
+                    "{label}: ledger diverged"
+                );
+                assert_eq!(grouped.stats(), per_core.stats(), "{label}");
             }
         }
     }

@@ -5,13 +5,14 @@
 //! ([`ecds_core::reference`]) and exact in its counters against an
 //! evaluator that rebuilds the index on every call — both the materialized
 //! candidate stream (`candidates_bit_eq`) and the index-selected top choice
-//! for every indexed heuristic (SQ, MECT, LL) under every filter variant.
+//! for every heuristic that decides from grouped classes (SQ, MECT, LL,
+//! MET, OLB) under every filter variant.
 
 use ecds_cluster::{PState, NUM_PSTATES};
 use ecds_core::{
     candidates_bit_eq, reference, CandidateEvaluator, ClassCandidate, EnergyFilter,
-    EvaluatedCandidate, Filter, FilterCtx, Heuristic, LightestLoad, MinimumExpectedCompletionTime,
-    RobustnessFilter, ShortestQueue,
+    EvaluatedCandidate, Filter, FilterCtx, Heuristic, LightestLoad, MinimumExecutionTime,
+    MinimumExpectedCompletionTime, OpportunisticLoadBalancing, RobustnessFilter, ShortestQueue,
 };
 use ecds_pmf::ReductionPolicy;
 use ecds_sim::{CoreState, DirtyCores, ExecutingTask, QueuedTask, Scenario, SystemView};
@@ -112,8 +113,9 @@ fn probe_task(step: usize, deadline_slack: f64, now: f64) -> Task {
     }
 }
 
-/// The full-scan selection: filters applied with [`Filter::retain`] on the
-/// materialized stream, then [`Heuristic::choose`].
+/// The per-core selection: filters applied with [`Filter::retain`] on the
+/// materialized stream, then [`Heuristic::choose`] (both decide on the
+/// stream's per-core classes).
 fn full_scan_choice(
     h: &mut dyn Heuristic,
     filters: &[&dyn Filter],
@@ -235,10 +237,12 @@ proptest! {
             let rob = RobustnessFilter::paper();
             let variants: [&[&dyn Filter]; 3] =
                 [&[], &[&en], &[&en, &rob]];
-            let mut heuristics: [Box<dyn Heuristic>; 3] = [
+            let mut heuristics: [Box<dyn Heuristic>; 5] = [
                 Box::new(ShortestQueue),
                 Box::new(MinimumExpectedCompletionTime),
                 Box::new(LightestLoad),
+                Box::new(MinimumExecutionTime),
+                Box::new(OpportunisticLoadBalancing),
             ];
             for h in heuristics.iter_mut() {
                 prop_assert!(h.supports_indexed());

@@ -67,10 +67,10 @@ pub mod prelude {
     };
     pub use ecds_core::{
         build_scheduler, candidates_bit_eq, core_robustness, system_robustness, AssignmentEstimate,
-        CandidateEvaluator, DeterministicMct, EnergyFilter, EvaluatedCandidate, Filter, FilterCtx,
-        FilterVariant, Heuristic, HeuristicKind, KPercentBest, LightestLoad, MinimumExecutionTime,
-        MinimumExpectedCompletionTime, OpportunisticLoadBalancing, RandomChoice, RobustnessFilter,
-        Scheduler, ShortestQueue, ZetaMulPolicy,
+        CandidateEvaluator, ClassCandidate, DeterministicMct, EnergyFilter, EvaluatedCandidate,
+        Filter, FilterCtx, FilterVariant, Heuristic, HeuristicKind, KPercentBest, LightestLoad,
+        MinimumExecutionTime, MinimumExpectedCompletionTime, OpportunisticLoadBalancing,
+        RandomChoice, RobustnessFilter, Scheduler, ShortestQueue, ZetaMulPolicy,
     };
     pub use ecds_pmf::{Impulse, Pmf, ReductionPolicy, SeedDerive, Stream};
     pub use ecds_sim::{

@@ -8,7 +8,7 @@
 //! larger multiple of the fair energy share than low-priority ones, so
 //! under scarcity the scheduler starves low-priority tasks first.
 
-use ecds_core::{EnergyFilter, Filter, FilterCtx};
+use ecds_core::{retain_estimates, ClassCandidate, EnergyFilter, Filter, FilterCtx};
 use ecds_pmf::{SeedDerive, Stream};
 use ecds_sim::{SystemView, TrialResult};
 use ecds_workload::Task;
@@ -95,15 +95,15 @@ impl Filter for PriorityEnergyFilter {
         "prio-en"
     }
 
-    fn retain(
+    fn retain_indexed(
         &self,
         task: &Task,
         view: &SystemView<'_>,
         ctx: &FilterCtx,
-        candidates: &mut Vec<ecds_core::EvaluatedCandidate>,
+        classes: &mut Vec<ClassCandidate>,
     ) {
         let fair = self.inner.fair_share(view, ctx) * self.factor(task);
-        candidates.retain(|c| c.est.eec <= fair);
+        retain_estimates(classes, |est| est.eec <= fair);
     }
 }
 

@@ -282,43 +282,35 @@ impl EnergyAccountant {
         }
         out
     }
+}
 
-    /// The exact instant cumulative wall energy reaches `budget`, or `None`
-    /// if the budget outlasts the workload.
-    ///
-    /// Integrates the piecewise-constant
-    /// [`power_timeline`](EnergyAccountant::power_timeline) segment by
-    /// segment, so the crossing point is solved in closed form within the
-    /// segment where it occurs; the last segment runs to the workload end.
-    pub fn exhaustion_time(&self, cluster: &Cluster, budget: f64) -> Option<Time> {
-        assert!(budget >= 0.0, "budget must be non-negative");
-        let end_time = self
-            .logs
-            .iter()
-            .map(|log| {
-                log.end
-                    .expect("finalize the accountant before querying exhaustion")
-            })
-            .fold(f64::NEG_INFINITY, f64::max);
-        let timeline = self.power_timeline(cluster);
-        let &(first, _) = timeline.first()?;
-        if budget == 0.0 {
-            return Some(first);
-        }
-        let mut consumed = 0.0f64;
-        for (idx, &(start, watts)) in timeline.iter().enumerate() {
-            let until = timeline.get(idx + 1).map_or(end_time, |&(t, _)| t);
-            let dt = until - start;
-            if dt > 0.0 {
-                let segment = watts * dt;
-                if consumed + segment >= budget {
-                    return Some(start + (budget - consumed) / watts);
-                }
-                consumed += segment;
-            }
-        }
-        None
+/// The exact instant cumulative wall energy reaches `budget`, or `None` if
+/// the budget outlasts the workload.
+///
+/// Integrates a piecewise-constant
+/// [`power_timeline`](EnergyAccountant::power_timeline) segment by segment,
+/// so the crossing point is solved in closed form within the segment where
+/// it occurs; the last segment runs to `end`, the workload end the logs
+/// were finalized at.
+pub fn exhaustion_time(timeline: &[(Time, f64)], end: Time, budget: f64) -> Option<Time> {
+    assert!(budget >= 0.0, "budget must be non-negative");
+    let &(first, _) = timeline.first()?;
+    if budget == 0.0 {
+        return Some(first);
     }
+    let mut consumed = 0.0f64;
+    for (idx, &(start, watts)) in timeline.iter().enumerate() {
+        let until = timeline.get(idx + 1).map_or(end, |&(t, _)| t);
+        let dt = until - start;
+        if dt > 0.0 {
+            let segment = watts * dt;
+            if consumed + segment >= budget {
+                return Some(start + (budget - consumed) / watts);
+            }
+            consumed += segment;
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -451,6 +443,13 @@ mod tests {
         assert!((acc.total_energy(&cluster) - 800.0).abs() < 1e-9);
     }
 
+    /// [`exhaustion_time`] over `acc`'s timeline, to the end its logs
+    /// were finalized at.
+    fn exhausted(acc: &EnergyAccountant, cluster: &Cluster, budget: f64) -> Option<Time> {
+        let end = acc.log(0).end.expect("finalized");
+        exhaustion_time(&acc.power_timeline(cluster), end, budget)
+    }
+
     #[test]
     fn exhaustion_time_exact_single_core() {
         let cluster = one_core_cluster();
@@ -458,7 +457,7 @@ mod tests {
         acc.record(0, 10.0, PState::P0); // 100 W afterwards
         acc.finalize(20.0);
         // Energy: 200 by t=10, then 100 W. Budget 500 → t = 10 + 300/100 = 13.
-        let t = acc.exhaustion_time(&cluster, 500.0).unwrap();
+        let t = exhausted(&acc, &cluster, 500.0).unwrap();
         assert!((t - 13.0).abs() < 1e-9);
     }
 
@@ -467,7 +466,7 @@ mod tests {
         let cluster = one_core_cluster();
         let mut acc = EnergyAccountant::new(&cluster, 0.0, PState::P4); // 20 W
         acc.finalize(100.0);
-        let t = acc.exhaustion_time(&cluster, 1000.0).unwrap();
+        let t = exhausted(&acc, &cluster, 1000.0).unwrap();
         assert!((t - 50.0).abs() < 1e-9);
     }
 
@@ -476,7 +475,7 @@ mod tests {
         let cluster = one_core_cluster();
         let mut acc = EnergyAccountant::new(&cluster, 0.0, PState::P4);
         acc.finalize(10.0);
-        assert_eq!(acc.exhaustion_time(&cluster, 1e9), None);
+        assert_eq!(exhausted(&acc, &cluster, 1e9), None);
     }
 
     #[test]
@@ -485,7 +484,7 @@ mod tests {
         let mut acc = EnergyAccountant::new(&cluster, 0.0, PState::P4); // 20 W
         acc.finalize(10.0);
         // Total energy = 200 exactly.
-        let t = acc.exhaustion_time(&cluster, 200.0).unwrap();
+        let t = exhausted(&acc, &cluster, 200.0).unwrap();
         assert!((t - 10.0).abs() < 1e-9);
     }
 
@@ -494,7 +493,7 @@ mod tests {
         let cluster = one_core_cluster();
         let mut acc = EnergyAccountant::new(&cluster, 0.0, PState::P4);
         acc.finalize(10.0);
-        assert_eq!(acc.exhaustion_time(&cluster, 0.0), Some(0.0));
+        assert_eq!(exhausted(&acc, &cluster, 0.0), Some(0.0));
     }
 
     #[test]
@@ -542,8 +541,8 @@ mod tests {
         acc.record(0, 7.0, PState::P3);
         acc.finalize(12.0);
         let total = acc.total_energy(&cluster);
-        let t = acc.exhaustion_time(&cluster, total).unwrap();
+        let t = exhausted(&acc, &cluster, total).unwrap();
         assert!((t - 12.0).abs() < 1e-6);
-        assert_eq!(acc.exhaustion_time(&cluster, total * 1.001), None);
+        assert_eq!(exhausted(&acc, &cluster, total * 1.001), None);
     }
 }

@@ -72,7 +72,7 @@ pub mod view;
 pub use config::SimConfig;
 pub use dirty::{DirtyCores, DEFAULT_DIRTY_LIMIT};
 pub use discipline::{Discipline, EngineCtx, ImmediateDiscipline};
-pub use energy::{EnergyAccountant, TransitionLog};
+pub use energy::{exhaustion_time, EnergyAccountant, TransitionLog};
 pub use engine::Simulation;
 pub use event::{EventKind, EventQueue};
 pub use report::EnergyBreakdown;

@@ -40,7 +40,7 @@ use ecds_workload::{ArrivalSource, ExecTable};
 use crate::config::SimConfig;
 use crate::dirty::DirtyCores;
 use crate::discipline::{Discipline, EngineCtx};
-use crate::energy::{EnergyAccountant, TransitionLog};
+use crate::energy::{exhaustion_time, EnergyAccountant, TransitionLog};
 use crate::event::{EventKind, EventQueue};
 use crate::result::TrialResult;
 use crate::state::CoreState;
@@ -407,11 +407,11 @@ impl<'a> ServeSession<'a> {
         telemetry.mapper = discipline.stats();
         telemetry.power = self.ctx.accountant.power_timeline(self.ctx.cluster);
         let total_energy = self.ctx.accountant.total_energy(self.ctx.cluster);
-        let exhausted_at = self.ctx.cfg.energy_budget.and_then(|budget| {
-            self.ctx
-                .accountant
-                .exhaustion_time(self.ctx.cluster, budget)
-        });
+        let exhausted_at = self
+            .ctx
+            .cfg
+            .energy_budget
+            .and_then(|budget| exhaustion_time(&telemetry.power, self.end_time, budget));
         TrialResult::new(
             self.ctx.store.into_outcomes(),
             total_energy,

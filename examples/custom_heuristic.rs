@@ -24,25 +24,28 @@ impl Heuristic for MaxRho {
         "MaxRho"
     }
 
-    fn choose(
+    /// Decides on per-core classes (the default): one class per core in
+    /// core order, each retaining the P-states the filters left.
+    fn choose_indexed(
         &mut self,
         _task: &Task,
         _view: &SystemView<'_>,
-        candidates: &[EvaluatedCandidate],
-    ) -> Option<usize> {
-        candidates
+        classes: &[ClassCandidate],
+    ) -> Option<(usize, PState)> {
+        classes
             .iter()
             .enumerate()
+            .flat_map(|(ci, class)| {
+                PState::ALL
+                    .into_iter()
+                    .filter(|p| class.retained[p.index()])
+                    .map(move |p| (ci, p, class.ests[p.index()]))
+            })
             // Tie-break toward the cheaper assignment: deadlines are often
             // comfortably met by several P-states (all with rho ~= 1), and
             // the cheaper one banks energy.
-            .max_by(|(_, a), (_, b)| {
-                a.est
-                    .rho
-                    .total_cmp(&b.est.rho)
-                    .then(b.est.eec.total_cmp(&a.est.eec))
-            })
-            .map(|(idx, _)| idx)
+            .max_by(|(_, _, a), (_, _, b)| a.rho.total_cmp(&b.rho).then(b.eec.total_cmp(&a.eec)))
+            .map(|(ci, p, _)| (ci, p))
     }
 }
 
@@ -57,14 +60,16 @@ impl Filter for MaxDepthFilter {
         "depth"
     }
 
-    fn retain(
+    /// Every member of a class shares its queue depth, so the cap holds
+    /// for grouped and per-core classes alike.
+    fn retain_indexed(
         &self,
         _task: &Task,
-        view: &SystemView<'_>,
+        _view: &SystemView<'_>,
         _ctx: &FilterCtx,
-        candidates: &mut Vec<EvaluatedCandidate>,
+        classes: &mut Vec<ClassCandidate>,
     ) {
-        candidates.retain(|c| view.core_state(c.core).depth() <= self.max_depth);
+        classes.retain(|class| class.depth <= self.max_depth);
     }
 }
 

@@ -1,5 +1,8 @@
 //! End-to-end filter semantics across the whole stack.
 
+pub mod common;
+
+use common::{assert_bit_identical, PerCore};
 use ecds::prelude::*;
 
 fn scenario() -> Scenario {
@@ -82,26 +85,24 @@ fn robustness_filter_never_retains_below_threshold() {
         fn name(&self) -> &'static str {
             "asserting"
         }
-        fn choose(
+        fn choose_indexed(
             &mut self,
-            _task: &ecds::workload::Task,
-            _view: &SystemView<'_>,
-            candidates: &[EvaluatedCandidate],
-        ) -> Option<usize> {
-            for c in candidates {
-                assert!(
-                    c.est.rho >= self.threshold,
-                    "filter leaked rho {} below threshold {}",
-                    c.est.rho,
-                    self.threshold
-                );
+            task: &ecds::workload::Task,
+            view: &SystemView<'_>,
+            classes: &[ClassCandidate],
+        ) -> Option<(usize, PState)> {
+            for class in classes {
+                for (est, _) in class.ests.iter().zip(class.retained).filter(|(_, r)| *r) {
+                    assert!(
+                        est.rho >= self.threshold,
+                        "filter leaked rho {} below threshold {}",
+                        est.rho,
+                        self.threshold
+                    );
+                }
             }
             // Behave like MECT afterwards.
-            candidates
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| a.est.ect.total_cmp(&b.est.ect))
-                .map(|(i, _)| i)
+            MinimumExpectedCompletionTime.choose_indexed(task, view, classes)
         }
     }
     let s = scenario();
@@ -161,6 +162,36 @@ fn priority_filter_composes_with_paper_filters() {
     let report = PriorityReport::from_result(&result, &priorities);
     assert_eq!(report.high_total + report.low_total, trace.len());
     assert!(report.high_rate() >= report.low_rate());
+}
+
+/// `ecds-ext`'s filter decides on classes like the paper's: a chain with it
+/// selects, debits and counts the same on grouped classes as on per-core
+/// classes.
+#[test]
+fn priority_chain_grouped_equals_per_core() {
+    use ecds::ext::{assign_priorities, PriorityEnergyFilter};
+    let s = scenario().with_budget_factor(0.5);
+    let trace = s.trace(0);
+    let priorities = assign_priorities(trace.len(), 0.25, s.seeds(), 0);
+    let budget = s.energy_budget().unwrap();
+    let schedule = |heuristic: Box<dyn Heuristic>| {
+        let mut sched = Scheduler::new(
+            heuristic,
+            vec![
+                Box::new(PriorityEnergyFilter::new(priorities.clone(), 1.5, 0.6)),
+                Box::new(RobustnessFilter::paper()),
+            ],
+            budget,
+            ReductionPolicy::default(),
+        );
+        let result = Simulation::new(&s, &trace).run(&mut sched);
+        (result, sched.remaining_energy().to_bits())
+    };
+    let (grouped, grouped_ledger) = schedule(Box::new(LightestLoad));
+    let (per_core, per_core_ledger) = schedule(Box::new(PerCore(Box::new(LightestLoad))));
+    assert!(grouped.discarded() > 0 && grouped.completed() > 0);
+    assert_bit_identical(&grouped, &per_core, "LL/prio-en+rob");
+    assert_eq!(grouped_ledger, per_core_ledger);
 }
 
 #[test]

@@ -34,7 +34,9 @@ use common::assert_bit_identical;
 use ecds::ext::{run_batch, BatchEdf, BatchMaxRho, BatchPolicy, BatchView};
 use ecds::pmf::Time;
 use ecds::prelude::*;
-use ecds::sim::{CoreState, EnergyAccountant, EventKind, EventQueue, ExecutingTask, QueuedTask};
+use ecds::sim::{
+    exhaustion_time, CoreState, EnergyAccountant, EventKind, EventQueue, ExecutingTask, QueuedTask,
+};
 
 // ---------------------------------------------------------------------------
 // Reference engine 1: the pre-refactor immediate-mode loop, verbatim.
@@ -172,7 +174,7 @@ fn legacy_immediate(
     let total_energy = accountant.total_energy(cluster);
     let exhausted_at = cfg
         .energy_budget
-        .and_then(|budget| accountant.exhaustion_time(cluster, budget));
+        .and_then(|budget| exhaustion_time(&telemetry.power, end_time, budget));
 
     TrialResult::new_for_alternative_engines(
         outcomes,
@@ -327,7 +329,7 @@ fn legacy_batch(
     let total_energy = accountant.total_energy(cluster);
     let exhausted_at = cfg
         .energy_budget
-        .and_then(|b| accountant.exhaustion_time(cluster, b));
+        .and_then(|b| exhaustion_time(&telemetry.power, end_time, b));
     TrialResult::new_for_alternative_engines(
         outcomes,
         total_energy,

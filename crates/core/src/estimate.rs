@@ -2,15 +2,19 @@
 //! Sec. IV-B and the expectation operators of Sec. V-A.
 
 use std::cmp::Reverse;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use ecds_cluster::{PState, NUM_PSTATES};
 use ecds_persist::{DecodeError, Decoder, Encoder, Persist};
-use ecds_pmf::{Pmf, PmfScratch, Prob, ReductionPolicy, Time};
+use ecds_pmf::{Impulse, Pmf, PmfScratch, Prob, ReductionPolicy, Time};
 use ecds_sim::{DirtyCores, SystemView};
 use ecds_workload::Task;
 
 use crate::candidate::EvaluatedCandidate;
-use crate::shard::{ClassCandidate, ClassKey, Expiry, ShardIndex, CLASS_NONE, ZERO_ESTS};
+use crate::pool::{Batch, Job};
+use crate::shard::{
+    ClassCandidate, ClassKey, Expiry, ShardClass, ShardIndex, CLASS_NONE, ZERO_ESTS,
+};
 
 /// The four quantities Sec. V-A defines per assignment of task `z` to core
 /// `k` (of processor `j`, node `i`) in P-state `π` at time `t_l`.
@@ -100,19 +104,20 @@ fn build_prefix(
     (prefix, valid_until)
 }
 
-/// `pmf.shift(dt).expectation()` without materializing the shifted pmf:
-/// the sum runs over `(value + dt) * prob` in impulse order — exactly the
-/// `weighted_value` terms [`Pmf::expectation`] would add — so the result is
-/// bit-identical to the allocating form.
-fn shifted_expectation(pmf: &Pmf, dt: Time) -> f64 {
-    pmf.impulses().iter().map(|i| (i.value + dt) * i.prob).sum()
+/// `pmf.shift(dt).expectation()` of the pmf whose impulses are `pmf`,
+/// without materializing the shifted pmf: the sum runs over
+/// `(value + dt) * prob` in impulse order — exactly the `weighted_value`
+/// terms [`Pmf::expectation`] would add — so the result is bit-identical to
+/// the allocating form.
+fn shifted_expectation(pmf: &[Impulse], dt: Time) -> f64 {
+    pmf.iter().map(|i| (i.value + dt) * i.prob).sum()
 }
 
 /// `pmf.shift(dt).prob_le(x)` without materializing the shifted pmf — the
 /// same accumulate-and-break loop as [`Pmf::prob_le`] over `value + dt`.
-fn shifted_prob_le(pmf: &Pmf, dt: Time, x: Time) -> Prob {
+fn shifted_prob_le(pmf: &[Impulse], dt: Time, x: Time) -> Prob {
     let mut acc = 0.0;
-    for imp in pmf.impulses() {
+    for imp in pmf {
         if imp.value + dt <= x {
             acc += imp.prob;
         } else {
@@ -187,46 +192,217 @@ fn prefix_bit_eq(a: Option<&Pmf>, b: Option<&Pmf>) -> bool {
     }
 }
 
-/// The five per-P-state estimates of assigning `task` to `core`, whose
-/// queue prefix is `prefix`. The completion-time pmf is never
-/// materialized: the convolution lands in the scratch workspace and the two
-/// moments are read straight off the buffer (busy core), or computed
-/// shift-free from the execution-time pmf (idle core).
-fn evaluate_core(
-    scratch: &mut PmfScratch,
+/// An impulse range `[start, end)` of [`ClassBatch::impulses`].
+type Span = (u32, u32);
+
+/// Appends `src` to `buf` and returns where it landed.
+fn stash(buf: &mut Vec<Impulse>, src: &[Impulse]) -> Span {
+    let start = buf.len() as u32;
+    buf.extend_from_slice(src);
+    (start, buf.len() as u32)
+}
+
+/// One class representative's share of a decision: its inputs as spans of
+/// the batch's impulse buffer, and its `(ECT, ρ)` result slots.
+#[derive(Debug, Default)]
+struct ClassItem {
+    /// The representative core (its node gives EET and EEC).
+    core: u32,
+    /// Where the caller files the estimates: a position in the class list
+    /// or a shard class id.
+    slot: u32,
+    /// The representative's cached queue prefix; empty for an idle class.
+    prefix: Span,
+    /// The task's execution-time pmf on the class's template, per P-state.
+    exec: [Span; NUM_PSTATES],
+    /// `ECT` then `ρ` bits per P-state, written by whichever thread
+    /// computes the item.
+    ect_rho: [AtomicU64; 2 * NUM_PSTATES],
+}
+
+impl ClassItem {
+    /// The five per-P-state estimates, once the item is computed: `EET`
+    /// and `EEC` from the node, `ECT` and `ρ` from the result slots.
+    fn estimates(&self, view: &SystemView<'_>, task: &Task) -> [AssignmentEstimate; NUM_PSTATES] {
+        let cluster = view.cluster();
+        let core_id = cluster.core(self.core as usize);
+        let node = cluster.node_of(core_id);
+        let table = view.table();
+        let slot = |i: usize| f64::from_bits(self.ect_rho[i].load(Ordering::Relaxed));
+        PState::ALL.map(|pstate| {
+            let eet = table.eet(task.type_id, core_id.node, pstate);
+            AssignmentEstimate {
+                eet,
+                ect: slot(2 * pstate.index()),
+                eec: eet * node.power.watts(pstate) / node.efficiency,
+                rho: slot(2 * pstate.index() + 1),
+            }
+        })
+    }
+}
+
+/// One decision's per-class kernel work (DESIGN.md §13.5): every class
+/// representative's queue prefix, and the task's execution-time pmfs once
+/// per (node template, P-state), copied into one buffer that helper
+/// threads read while the evaluator's cache stays its own.
+#[derive(Debug, Default)]
+struct ClassBatch {
     policy: ReductionPolicy,
+    now: Time,
+    deadline: Time,
+    /// Items that run the fused kernel (busy representatives).
+    busy: usize,
+    /// The largest `n × m` kernel call packed so far (a high-water mark).
+    products: usize,
+    /// The template whose execution-time pmfs `exec` holds.
+    template: Option<usize>,
+    exec: [Span; NUM_PSTATES],
+    impulses: Vec<Impulse>,
+    items: Vec<ClassItem>,
+}
+
+impl ClassBatch {
+    /// Empties the batch for a decision on `task` at the view's time.
+    fn refill(&mut self, view: &SystemView<'_>, task: &Task, policy: ReductionPolicy) {
+        self.policy = policy;
+        self.now = view.time();
+        self.deadline = task.deadline;
+        self.busy = 0;
+        self.template = None;
+        self.impulses.clear();
+        self.items.clear();
+    }
+
+    /// Packs the class whose representative is `core`, with queue prefix
+    /// `prefix`; its estimates will be filed under `slot`. Classes arrive
+    /// template by template, so each template's execution-time pmfs are
+    /// copied once.
+    fn pack_class(
+        &mut self,
+        view: &SystemView<'_>,
+        task: &Task,
+        core: usize,
+        slot: usize,
+        prefix: Option<&Pmf>,
+    ) {
+        let node = view.cluster().core(core).node;
+        let table = view.table();
+        let template = table.template_of(node);
+        if self.template != Some(template) {
+            self.template = Some(template);
+            for pstate in PState::ALL {
+                let exec = table.pmf(task.type_id, node, pstate).impulses();
+                self.exec[pstate.index()] = stash(&mut self.impulses, exec);
+            }
+        }
+        let prefix = prefix.map_or((0, 0), |p| stash(&mut self.impulses, p.impulses()));
+        if prefix.0 != prefix.1 {
+            self.busy += 1;
+            for (start, end) in self.exec {
+                let products = (prefix.1 - prefix.0) as usize * (end - start) as usize;
+                self.products = self.products.max(products);
+            }
+        }
+        self.items.push(ClassItem {
+            core: core as u32,
+            slot: slot as u32,
+            prefix,
+            exec: self.exec,
+            ect_rho: Default::default(),
+        });
+    }
+
+    fn span(&self, (start, end): Span) -> &[Impulse] {
+        &self.impulses[start as usize..end as usize]
+    }
+}
+
+impl Batch for ClassBatch {
+    fn item_count(&self) -> usize {
+        self.items.len()
+    }
+
+    fn products(&self) -> usize {
+        self.products
+    }
+
+    /// `(ECT, ρ)` per P-state. The completion-time pmf is never
+    /// materialized: the convolution lands in `scratch` and the two
+    /// moments are read straight off the buffer (busy representative), or
+    /// computed shift-free from the execution-time pmf (idle one).
+    fn compute_item(&self, item: usize, scratch: &mut PmfScratch) {
+        let item = &self.items[item];
+        let prefix = self.span(item.prefix);
+        for (p, &exec) in item.exec.iter().enumerate() {
+            let exec = self.span(exec);
+            let (ect, rho) = if prefix.is_empty() {
+                (
+                    shifted_expectation(exec, self.now),
+                    shifted_prob_le(exec, self.now, self.deadline),
+                )
+            } else {
+                let completion = scratch.convolve_reduced_slices(prefix, exec, self.policy);
+                (completion.expectation(), completion.prob_le(self.deadline))
+            };
+            item.ect_rho[2 * p].store(ect.to_bits(), Ordering::Relaxed);
+            item.ect_rho[2 * p + 1].store(rho.to_bits(), Ordering::Relaxed);
+        }
+    }
+}
+
+/// Packs every live class of `shard` into `batch` for a decision on `task`,
+/// in class-key order (then chain order), which keeps each template's
+/// classes together. `slot_of(key, id, class, rep)` says where the
+/// estimates of class `id`, represented by its minimum member `rep`, are to
+/// be filed.
+fn pack_classes(
+    batch: &mut ClassBatch,
+    shard: &mut ShardIndex,
+    cache: &[Option<CachedPrefix>],
     view: &SystemView<'_>,
     task: &Task,
-    core: usize,
-    prefix: Option<&Pmf>,
-) -> [AssignmentEstimate; NUM_PSTATES] {
-    let cluster = view.cluster();
-    let core_id = cluster.core(core);
-    let node = cluster.node_of(core_id);
-    let table = view.table();
-    PState::ALL.map(|pstate| {
-        let eet = table.eet(task.type_id, core_id.node, pstate);
-        let exec_pmf = table.pmf(task.type_id, core_id.node, pstate);
-        let (ect, rho) = match prefix {
-            Some(p) => {
-                let completion = scratch.convolve_reduced(p, exec_pmf, policy);
-                (completion.expectation(), completion.prob_le(task.deadline))
-            }
-            None => {
-                let now = view.time();
-                (
-                    shifted_expectation(exec_pmf, now),
-                    shifted_prob_le(exec_pmf, now, task.deadline),
-                )
-            }
-        };
-        AssignmentEstimate {
-            eet,
-            ect,
-            eec: eet * node.power.watts(pstate) / node.efficiency,
-            rho,
+    policy: ReductionPolicy,
+    mut slot_of: impl FnMut(&ClassKey, u32, &ShardClass, usize) -> usize,
+) {
+    batch.refill(view, task, policy);
+    let ShardIndex {
+        by_key,
+        classes,
+        class_of,
+        ..
+    } = shard;
+    for (key, &head) in by_key.iter() {
+        let mut id = head;
+        while id != CLASS_NONE {
+            let class = &mut classes[id as usize];
+            let rep = class.min_member(id, class_of) as usize;
+            let slot = slot_of(key, id, class, rep);
+            let prefix = entry_of(cache, rep).prefix.as_ref();
+            batch.pack_class(view, task, rep, slot, prefix);
+            id = class.next;
         }
-    })
+    }
+}
+
+/// Computes every class packed into `job` — idle helper threads share the
+/// kernel calls — books the helpers' calls on `scratch`, and files each
+/// class's estimates through `file(slot, ests)` in packing order. Returns
+/// the number of classes.
+fn compute_classes(
+    job: &mut Job<ClassBatch>,
+    scratch: &mut PmfScratch,
+    view: &SystemView<'_>,
+    task: &Task,
+    mut file: impl FnMut(usize, [AssignmentEstimate; NUM_PSTATES]),
+) -> u64 {
+    let share = job.batch().busy > 1;
+    let helper_calls = job.execute(scratch, share);
+    scratch.set_kernel_calls(scratch.kernel_calls() + helper_calls);
+    let batch = job.batch();
+    for item in &batch.items {
+        file(item.slot as usize, item.estimates(view, task));
+    }
+    batch.items.len() as u64
 }
 
 /// Evaluates all candidate assignments for one arriving task.
@@ -250,17 +426,26 @@ fn evaluate_core(
 ///   the index is maintained incrementally; without one, every call
 ///   rebuilds it in full — same classes, estimates and counters.
 ///
+/// * *Shared kernel calls*: a decision's class representatives are packed
+///   into one job whose items the calling thread and any idle threads of
+///   the process-wide helper pool claim and compute, each in its own
+///   scratch, with results bit-identical to computing them alone
+///   (DESIGN.md §13.5).
+///
 /// The reference these are tested against is [`crate::reference`]: a
 /// per-core, uncached restatement of Sec. IV-B over the allocating
 /// [`Pmf`] operations. The evaluator owns its state outright: the only
 /// entries are the per-decision sweeps, which take `&mut self` (one
-/// evaluator per scheduler, one scheduler per thread).
+/// evaluator per scheduler). Any number of evaluators may run on as many
+/// threads; they share the helpers, never their state.
 #[derive(Debug)]
 pub struct CandidateEvaluator {
     policy: ReductionPolicy,
     cache: Vec<Option<CachedPrefix>>,
     scratch: PmfScratch,
     shard: ShardIndex,
+    /// The current decision's per-class kernel work.
+    job: Job<ClassBatch>,
     hits: u64,
     misses: u64,
     /// Equivalence classes summed over all mapping events.
@@ -279,6 +464,7 @@ impl CandidateEvaluator {
             cache: Vec::new(),
             scratch: PmfScratch::new(),
             shard: ShardIndex::default(),
+            job: Job::default(),
             hits: 0,
             misses: 0,
             dedup_classes: 0,
@@ -428,23 +614,23 @@ impl CandidateEvaluator {
             cache,
             scratch,
             shard,
+            job,
             ..
         } = self;
-        shard.stamp += 1;
-        shard.ests_stamp.resize(shard.classes.len(), 0);
         shard.ests.resize(shard.classes.len(), ZERO_ESTS);
-        let mut touched = 0u64;
+        pack_classes(
+            &mut job.batch_mut(),
+            shard,
+            cache,
+            view,
+            task,
+            *policy,
+            |_, id, _, _| id as usize,
+        );
+        let ests = &mut shard.ests;
+        let touched = compute_classes(job, scratch, view, task, |id, e| ests[id] = e);
         for core in 0..num_cores {
-            let id = shard.class_of[core] as usize;
-            if shard.ests_stamp[id] != shard.stamp {
-                // First member seen in ascending order == the class
-                // minimum, the representative.
-                shard.ests_stamp[id] = shard.stamp;
-                let prefix = entry_of(cache, core).prefix.as_ref();
-                shard.ests[id] = evaluate_core(scratch, *policy, view, task, core, prefix);
-                touched += 1;
-            }
-            let ests = shard.ests[id];
+            let ests = shard.ests[shard.class_of[core] as usize];
             for (idx, pstate) in PState::ALL.into_iter().enumerate() {
                 out.push(EvaluatedCandidate {
                     core,
@@ -593,36 +779,33 @@ impl CandidateEvaluator {
             cache,
             scratch,
             shard,
+            job,
             ..
         } = self;
-        let ShardIndex {
-            by_key,
-            classes,
-            class_of,
-            active,
-            ..
-        } = shard;
-        out.reserve(*active);
-        // BTreeMap key order, then chain order, is deterministic — though
-        // selection never depends on it: indexed tie-breaks anchor on
-        // `min_core`, reproducing the full scan's first-wins argmin.
-        for (&key, &head) in by_key.iter() {
-            let mut id = head;
-            while id != CLASS_NONE {
-                let class = &mut classes[id as usize];
-                let rep = class.min_member(id, class_of) as usize;
-                let prefix = entry_of(cache, rep).prefix.as_ref();
+        out.reserve(shard.active);
+        // Key order, then chain order, is deterministic — though selection
+        // never depends on it: indexed tie-breaks anchor on `min_core`,
+        // reproducing the full scan's first-wins argmin.
+        pack_classes(
+            &mut job.batch_mut(),
+            shard,
+            cache,
+            view,
+            task,
+            *policy,
+            |key, _, class, rep| {
                 out.push(ClassCandidate {
                     min_core: rep,
                     depth: key.depth as usize,
                     members: class.count as usize,
-                    ests: evaluate_core(scratch, *policy, view, task, rep, prefix),
+                    ests: ZERO_ESTS,
                     retained: [true; NUM_PSTATES],
                 });
-                id = class.next;
-            }
-        }
-        debug_assert_eq!(out.len(), *active);
+                out.len() - 1
+            },
+        );
+        compute_classes(job, scratch, view, task, |at, ests| out[at].ests = ests);
+        debug_assert_eq!(out.len(), shard.active);
         self.note_dedup_event(num_cores, out.len() as u64);
         true
     }
@@ -1300,6 +1483,119 @@ mod tests {
         // the buffer is left empty.
         assert!(!ev.evaluate_indexed_into(&bare, &task, &mut classes));
         assert!(classes.is_empty());
+    }
+
+    /// One mutation in the style of `tests/shard_properties.rs`: `op` 0
+    /// starts (or enqueues behind the executing task), 1 enqueues on a
+    /// busy core, 2 completes and starts the next queued task.
+    fn mutate(core: &mut CoreState, op: usize, type_id: usize, id: usize, now: f64) {
+        let type_id = TaskTypeId(type_id);
+        match op {
+            0 if core.executing().is_none() => core.start(ExecutingTask {
+                task: TaskId(id),
+                type_id,
+                pstate: PState::P1,
+                start: now,
+                deadline: now + 5_000.0,
+            }),
+            0 | 1 if core.executing().is_some() => core.enqueue(QueuedTask {
+                task: TaskId(id),
+                type_id,
+                pstate: PState::from_index(id % NUM_PSTATES),
+                deadline: now + 6_000.0,
+            }),
+            2 if core.executing().is_some() => {
+                if let (_, Some(q)) = core.complete() {
+                    core.start(ExecutingTask {
+                        task: q.task,
+                        type_id: q.type_id,
+                        pstate: q.pstate,
+                        start: now,
+                        deadline: q.deadline,
+                    });
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn classes_bit_eq(a: &[ClassCandidate], b: &[ClassCandidate]) -> bool {
+        a.len() == b.len()
+            && a.iter().zip(b).all(|(x, y)| {
+                x.min_core == y.min_core
+                    && x.depth == y.depth
+                    && x.members == y.members
+                    && x.retained == y.retained
+                    && x.ests.iter().zip(&y.ests).all(|(p, q)| p.bit_eq(q))
+            })
+    }
+
+    fn saved(ev: &CandidateEvaluator) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        ev.save_state(&mut enc);
+        enc.into_bytes()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
+
+        /// Over arbitrary mutation sequences, an evaluator whose decisions
+        /// may be shared with the helper pool and one whose every decision
+        /// runs on the caller alone emit bit-identical class lists and
+        /// candidate streams, count the same kernel calls, classes and
+        /// cache lookups, and checkpoint to the same bytes — on the
+        /// indexed path (mailbox view) and the per-core one (bare view).
+        #[test]
+        fn helpers_never_change_a_bit(
+            steps in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0usize..64, 0usize..3, 0usize..10), 0..8),
+                    0.1f64..300.0,
+                ),
+                1..10,
+            ),
+            slack in 100.0f64..4_000.0,
+        ) {
+            let s = scenario();
+            let n = s.cluster().total_cores();
+            let mut cores = busy_cores(&s);
+            let mut dirty = ecds_sim::DirtyCores::default();
+            let mut shared = CandidateEvaluator::default();
+            let mut alone = CandidateEvaluator::default();
+            let (mut shared_classes, mut alone_classes) = (Vec::new(), Vec::new());
+            let (mut shared_stream, mut alone_stream) = (Vec::new(), Vec::new());
+            let (mut now, mut id) = (0.0, 1_000);
+            for (step, (ops, dt)) in steps.iter().enumerate() {
+                now += dt;
+                for &(pick, op, type_id) in ops {
+                    mutate(&mut cores[pick % n], op, type_id, id, now);
+                    dirty.mark(pick % n);
+                    id += 1;
+                }
+                let view = view_at(&s, &cores, now, 1 + step).with_dirty(&dirty);
+                let bare = view_at(&s, &cores, now, 1 + step);
+                let task = Task {
+                    id: TaskId(step),
+                    type_id: TaskTypeId(step % 10),
+                    arrival: now,
+                    deadline: now + slack,
+                    quantile: 0.5,
+                };
+                proptest::prop_assert!(shared.evaluate_indexed_into(&view, &task, &mut shared_classes));
+                let indexed = crate::pool::without_helpers(|| {
+                    alone.evaluate_indexed_into(&view, &task, &mut alone_classes)
+                });
+                proptest::prop_assert!(indexed);
+                proptest::prop_assert!(classes_bit_eq(&shared_classes, &alone_classes));
+                shared.evaluate_all_into(&bare, &task, &mut shared_stream);
+                crate::pool::without_helpers(|| {
+                    alone.evaluate_all_into(&bare, &task, &mut alone_stream)
+                });
+                proptest::prop_assert!(candidates_bit_eq(&shared_stream, &alone_stream));
+                assert_counters_eq(&shared, &alone);
+                proptest::prop_assert_eq!(saved(&shared), saved(&alone));
+            }
+        }
     }
 
     #[test]

@@ -60,6 +60,7 @@ pub mod estimate;
 pub mod factory;
 pub mod filters;
 pub mod heuristics;
+mod pool;
 pub mod reference;
 pub mod robustness;
 pub mod scheduler;

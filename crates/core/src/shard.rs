@@ -188,11 +188,7 @@ pub(crate) struct ShardIndex {
     pub expiry: BinaryHeap<Reverse<Expiry>>,
     /// Per-sweep scratch: the cores whose membership must be revalidated.
     pub candidates: Vec<u32>,
-    /// Per-event stamp for the lazy estimate table below.
-    pub stamp: u64,
-    /// `ests[id]` is valid for this event iff `ests_stamp[id] == stamp`.
-    pub ests_stamp: Vec<u64>,
-    /// Per-class estimates computed at most once per mapping event.
+    /// Per-class estimates, computed once per mapping event.
     pub ests: Vec<[AssignmentEstimate; NUM_PSTATES]>,
 }
 
@@ -209,8 +205,6 @@ impl Default for ShardIndex {
             active: 0,
             expiry: BinaryHeap::new(),
             candidates: Vec::new(),
-            stamp: 0,
-            ests_stamp: Vec::new(),
             ests: Vec::new(),
         }
     }

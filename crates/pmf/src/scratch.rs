@@ -24,8 +24,8 @@
 //!    values, ties in original order), so any stable algorithm reproduces it
 //!    bit-for-bit. Each of the `n` product rows (one `small` impulse against
 //!    every `large` impulse) is already non-decreasing — float addition is
-//!    monotone — so a bottom-up merge of the `n` pre-sorted rows (adjacent
-//!    run pairs, ping-ponging between two buffers) is such a stable
+//!    monotone — so a merge sort of the `n` pre-sorted rows (halves split
+//!    recursively, ping-ponging between two buffers) is such a stable
 //!    algorithm, and it runs in `O(n·m·log n)` without allocating.
 //!
 //!    Each run pair is merged from both ends at once. A *front* chain takes
@@ -34,11 +34,10 @@
 //!    tie takes the right run, which the stable order puts last) and emits
 //!    the last `s`. With `s = min(|L|, |R|)` neither run runs dry within
 //!    `s` steps, and the two sets are disjoint because `2s ≤ |L| + |R|`; the
-//!    middle left between them (non-empty only for the unbalanced tail
-//!    merges of the bottom-up tree, such as 384 + 192 at 24 rows) goes
-//!    through the scalar merge. Where a pass's runs pair up at equal width,
-//!    two pairs merge in lockstep, so four independent chains are in
-//!    flight. Each step is a load → compare → index-update chain; a
+//!    middle left between them (non-empty only above an odd split, such as
+//!    1 + 2 rows) goes through the scalar merge. The two halves of an even
+//!    split are sorted side by side, so their merges run in lockstep and
+//!    four independent chains are in flight. Each step is a load → compare → index-update chain; a
 //!    one-directional merge runs one such chain (and mispredicts the branch
 //!    the data makes unpredictable), the bidirectional merge overlaps up to
 //!    four. The sort dominates the kernel, as the phases of kernel calls
@@ -166,7 +165,7 @@ impl<'a> PmfView<'a> {
 pub struct PmfScratch {
     /// The `n × m` products, row-major: row `r` holds `small[r] + large[·]`.
     products: Vec<Impulse>,
-    /// Ping-pong buffer for the bottom-up run merge over `products`.
+    /// Ping-pong buffer for the run merge over `products`.
     merge_buf: Vec<Impulse>,
     /// Sorted, coincidence-merged support of the convolution.
     merged: Vec<Impulse>,
@@ -239,6 +238,23 @@ impl PmfScratch {
     /// steady state).
     pub fn convolve_reduced_into(&mut self, a: &Pmf, b: &Pmf, policy: ReductionPolicy) -> Pmf {
         self.convolve_reduced(a, b, policy).to_pmf()
+    }
+
+    /// Grows every kernel buffer to hold a call of up to `products`
+    /// (`n × m`) products, so that no later call of that size allocates
+    /// whatever sizes came before it. A caller that deals one workload's
+    /// calls out to several scratches brings each to the workload's
+    /// high-water mark this way, instead of letting each grow on whichever
+    /// calls it happens to get.
+    pub fn reserve_products(&mut self, products: usize) {
+        for buf in [
+            &mut self.products,
+            &mut self.merge_buf,
+            &mut self.merged,
+            &mut self.out,
+        ] {
+            buf.reserve(products.saturating_sub(buf.len()));
+        }
     }
 
     // --- resident queue-prefix operations -------------------------------
@@ -399,51 +415,109 @@ fn fused_convolve_reduce(
 }
 
 /// Stable-sorts `rows` — consecutive runs of `width` impulses, each already
-/// non-decreasing by value — by bottom-up merging of adjacent run pairs,
-/// ping-ponging between `rows` and the equally long `buf`. Returns whichever
-/// of the two holds the sorted sequence: the order of a stable `sort_by` on
-/// `f64::partial_cmp` of the values (see the module docs).
+/// non-decreasing by value — by merging rows recursively: the rows split
+/// into halves (24 → 12 + 12 → 6 + 6 → 3 + 3 → 1 + 2 → 1 + 1), so every
+/// merge is balanced except the one above an odd split, and the two halves
+/// of an even split are sorted side by side. Each level ping-pongs between
+/// `rows` and the equally long `buf`; the rows at the deepest level are
+/// read in place, so only the shallower leaves of odd splits are copied.
+/// Returns whichever of the two holds the sorted sequence: the order of a
+/// stable `sort_by` on `f64::partial_cmp` of the values (see the module
+/// docs).
 fn merge_sort_rows<'a>(
-    mut rows: &'a mut [Impulse],
-    mut buf: &'a mut [Impulse],
-    mut width: usize,
+    rows: &'a mut [Impulse],
+    buf: &'a mut [Impulse],
+    width: usize,
 ) -> &'a mut [Impulse] {
     debug_assert_eq!(rows.len(), buf.len());
-    let total = rows.len();
-    while width < total {
-        let pair = 2 * width;
-        let mut start = 0;
-        // Two balanced pairs in lockstep: four independent chains.
-        while start + 2 * pair <= total {
-            let (src1, src2) = rows[start..start + 2 * pair].split_at(pair);
-            let (dst1, dst2) = buf[start..start + 2 * pair].split_at_mut(pair);
-            let (mut m1, mut m2) = (BiMerge::new(src1, width), BiMerge::new(src2, width));
-            let (lo1, hi1) = dst1.split_at_mut(width);
-            let (lo2, hi2) = dst2.split_at_mut(width);
-            let slots = lo1
-                .iter_mut()
-                .zip(hi1.iter_mut().rev())
-                .zip(lo2.iter_mut())
-                .zip(hi2.iter_mut().rev());
-            for (k, (((lo1, hi1), lo2), hi2)) in slots.enumerate() {
-                *lo1 = m1.front(k);
-                *lo2 = m2.front(k);
-                *hi1 = m1.back(k);
-                *hi2 = m2.back(k);
-            }
-            start += 2 * pair;
-        }
-        // The leftover pair: balanced, unbalanced, or a lone tail run.
-        while start < total {
-            let end = usize::min(start + pair, total);
-            let mid = usize::min(width, end - start);
-            BiMerge::new(&rows[start..end], mid).merge_into(&mut buf[start..end]);
-            start = end;
-        }
-        std::mem::swap(&mut rows, &mut buf);
-        width = pair;
+    let n = rows.len() / width;
+    if n <= 1 {
+        return rows;
     }
-    rows
+    // The deepest leaves sit `ceil(log2 n)` levels down; the result lands
+    // in `buf` exactly when that depth is odd.
+    let into_buf = n.next_power_of_two().trailing_zeros() % 2 == 1;
+    sort_rows(rows, buf, width, into_buf);
+    if into_buf {
+        buf
+    } else {
+        rows
+    }
+}
+
+/// Sorts one segment of whole rows into `buf` (`into_buf`) or back into
+/// `rows`, with `buf` as the other half of the ping-pong.
+fn sort_rows(rows: &mut [Impulse], buf: &mut [Impulse], width: usize, into_buf: bool) {
+    let n = rows.len() / width;
+    if n == 1 {
+        if into_buf {
+            buf.copy_from_slice(rows);
+        }
+        return;
+    }
+    let mid = n / 2 * width;
+    let balanced = 2 * mid == rows.len();
+    {
+        let (rows_l, rows_r) = rows.split_at_mut(mid);
+        let (buf_l, buf_r) = buf.split_at_mut(mid);
+        if balanced {
+            sort_rows_pair([rows_l, rows_r], [buf_l, buf_r], width, !into_buf);
+        } else {
+            sort_rows(rows_l, buf_l, width, !into_buf);
+            sort_rows(rows_r, buf_r, width, !into_buf);
+        }
+    }
+    let (src, dst) = if into_buf {
+        (&*rows, buf)
+    } else {
+        (&*buf, rows)
+    };
+    BiMerge::new(src, mid).merge_into(dst);
+}
+
+/// [`sort_rows`] for two segments of the same row count, level by level
+/// in lockstep, so their merges run as one four-chain loop.
+fn sort_rows_pair(
+    rows: [&mut [Impulse]; 2],
+    bufs: [&mut [Impulse]; 2],
+    width: usize,
+    into_buf: bool,
+) {
+    let n = rows[0].len() / width;
+    debug_assert_eq!(rows[1].len(), n * width);
+    let [rows_a, rows_b] = rows;
+    let [buf_a, buf_b] = bufs;
+    if n == 1 {
+        if into_buf {
+            buf_a.copy_from_slice(rows_a);
+            buf_b.copy_from_slice(rows_b);
+        }
+        return;
+    }
+    let mid = n / 2 * width;
+    {
+        let (rows_al, rows_ar) = rows_a.split_at_mut(mid);
+        let (rows_bl, rows_br) = rows_b.split_at_mut(mid);
+        let (buf_al, buf_ar) = buf_a.split_at_mut(mid);
+        let (buf_bl, buf_br) = buf_b.split_at_mut(mid);
+        sort_rows_pair([rows_al, rows_bl], [buf_al, buf_bl], width, !into_buf);
+        sort_rows_pair([rows_ar, rows_br], [buf_ar, buf_br], width, !into_buf);
+    }
+    if into_buf {
+        BiMerge::merge_pair_into(
+            BiMerge::new(rows_a, mid),
+            BiMerge::new(rows_b, mid),
+            buf_a,
+            buf_b,
+        );
+    } else {
+        BiMerge::merge_pair_into(
+            BiMerge::new(buf_a, mid),
+            BiMerge::new(buf_b, mid),
+            rows_a,
+            rows_b,
+        );
+    }
 }
 
 /// A stable merge of the runs `src[..mid]` (left) and `src[mid..]` (right),
@@ -507,20 +581,61 @@ impl<'a> BiMerge<'a> {
         }
     }
 
-    /// Runs all `s` steps of both chains into `out`, then merges the
-    /// middle they leave with the scalar [`merge_runs`].
-    fn merge_into(mut self, out: &mut [Impulse]) {
-        let len = self.src.len();
-        debug_assert_eq!(len, out.len());
-        let s = self.mid.min(len - self.mid);
+    /// Steps per chain: `s = min(|L|, |R|)`.
+    fn steps(&self) -> usize {
+        self.mid.min(self.src.len() - self.mid)
+    }
+
+    /// Splits `out` into the front chain's `s` slots, the middle, and the
+    /// back chain's `s` slots.
+    fn split_out<'o>(
+        &self,
+        out: &'o mut [Impulse],
+    ) -> (&'o mut [Impulse], &'o mut [Impulse], &'o mut [Impulse]) {
+        let (len, s) = (out.len(), self.steps());
+        debug_assert_eq!(self.src.len(), len);
         let (lo, rest) = out.split_at_mut(s);
         let (middle, hi) = rest.split_at_mut(len - 2 * s);
+        (lo, middle, hi)
+    }
+
+    /// After all `s` steps of both chains, merges the middle they leave
+    /// (empty for a balanced merge) with the scalar [`merge_runs`].
+    fn merge_middle(&self, middle: &mut [Impulse]) {
+        let (len, s) = (self.src.len(), self.steps());
+        let right = self.mid + s - self.front..len + self.mid - s - self.back;
+        merge_runs(&self.src[self.front..self.back], &self.src[right], middle);
+    }
+
+    /// Runs all `s` steps of both chains into `out`, then the middle.
+    fn merge_into(mut self, out: &mut [Impulse]) {
+        let (lo, middle, hi) = self.split_out(out);
         for (k, (lo, hi)) in lo.iter_mut().zip(hi.iter_mut().rev()).enumerate() {
             *lo = self.front(k);
             *hi = self.back(k);
         }
-        let right = self.mid + s - self.front..len + self.mid - s - self.back;
-        merge_runs(&self.src[self.front..self.back], &self.src[right], middle);
+        self.merge_middle(middle);
+    }
+
+    /// [`BiMerge::merge_into`] for two merges of the same shape, their
+    /// steps interleaved: four independent chains in flight.
+    fn merge_pair_into(mut a: Self, mut b: Self, out_a: &mut [Impulse], out_b: &mut [Impulse]) {
+        debug_assert!(a.src.len() == b.src.len() && a.mid == b.mid);
+        let (lo_a, middle_a, hi_a) = a.split_out(out_a);
+        let (lo_b, middle_b, hi_b) = b.split_out(out_b);
+        let slots = lo_a
+            .iter_mut()
+            .zip(hi_a.iter_mut().rev())
+            .zip(lo_b.iter_mut())
+            .zip(hi_b.iter_mut().rev());
+        for (k, (((lo_a, hi_a), lo_b), hi_b)) in slots.enumerate() {
+            *lo_a = a.front(k);
+            *lo_b = b.front(k);
+            *hi_a = a.back(k);
+            *hi_b = b.back(k);
+        }
+        a.merge_middle(middle_a);
+        b.merge_middle(middle_b);
     }
 }
 
@@ -772,6 +887,30 @@ mod tests {
         assert_eq!(scratch.kernel_calls(), 2);
         scratch.reset_kernel_calls();
         assert_eq!(scratch.kernel_calls(), 0);
+    }
+
+    #[test]
+    fn reserved_buffers_hold_every_call_up_to_the_reservation() {
+        let mut scratch = PmfScratch::new();
+        scratch.reserve_products(24 * 24);
+        // `merged` and `out` trade buffers, so compare the set of four.
+        let buffers = |s: &PmfScratch| {
+            let mut at =
+                [&s.products, &s.merge_buf, &s.merged, &s.out].map(|b| b.as_ptr() as usize);
+            at.sort_unstable();
+            at
+        };
+        let before = buffers(&scratch);
+        for (n, m) in [(24, 24), (1, 24), (5, 7), (24, 3), (1, 1), (12, 24)] {
+            for policy in [ReductionPolicy::default_cap(), ReductionPolicy::unlimited()] {
+                let (a, b) = (wide(n), wide(m));
+                assert_eq!(
+                    scratch.convolve_reduced_into(&a, &b, policy),
+                    convolve(&a, &b, policy)
+                );
+                assert_eq!(buffers(&scratch), before, "{n} × {m} moved a buffer");
+            }
+        }
     }
 
     #[test]

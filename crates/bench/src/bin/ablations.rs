@@ -1,5 +1,6 @@
 //! Ablation studies for the design choices DESIGN.md calls out, plus the
-//! paper's future-work extensions (implemented in `ecds-ext`).
+//! arrival-pattern variety the paper lists as future work (built from
+//! `ecds_workload::BurstPattern`).
 //!
 //! ```text
 //! ablations [zeta-mul|rho-thresh|impulse-cap|idle-downshift|arrivals|zoo|all]
@@ -44,9 +45,9 @@ fn parse_args() -> Args {
         match arg.as_str() {
             "zeta-mul" | "rho-thresh" | "impulse-cap" | "idle-downshift" | "arrivals" | "zoo"
             | "all" => args.command = arg,
-            "--trials" => args.trials = cli.value("--trials"),
+            "--trials" => args.trials = cli.count("--trials"),
             "--seed" => args.seed = cli.value("--seed"),
-            "--threads" => args.threads = cli.value("--threads"),
+            "--threads" => args.threads = cli.count("--threads"),
             "--small" => args.small = true,
             "--help" | "-h" => cli.help(),
             other => cli.fail(&format!("unknown argument: {other}")),

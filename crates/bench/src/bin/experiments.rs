@@ -45,9 +45,9 @@ fn parse_args() -> Args {
     while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
             "fig2" | "fig3" | "fig4" | "fig5" | "fig6" | "all" => args.command = arg,
-            "--trials" => args.trials = cli.value("--trials"),
+            "--trials" => args.trials = cli.count("--trials"),
             "--seed" => args.seed = cli.value("--seed"),
-            "--threads" => args.threads = cli.value("--threads"),
+            "--threads" => args.threads = cli.count("--threads"),
             "--out" => args.out = cli.value("--out"),
             "--small" => args.small = true,
             "--help" | "-h" => cli.help(),

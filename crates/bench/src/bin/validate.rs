@@ -38,7 +38,7 @@ fn parse_args() -> Args {
     let mut cli = Cli::from_env("usage: validate [--trials N] [--seed S] [--small]");
     while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
-            "--trials" => args.trials = cli.value("--trials"),
+            "--trials" => args.trials = cli.count("--trials"),
             "--seed" => args.seed = cli.value("--seed"),
             "--small" => args.small = true,
             "--help" | "-h" => cli.help(),

@@ -1,6 +1,7 @@
 //! Argument parsing shared by the `experiments`, `ablations` and
-//! `validate` binaries: a missing, malformed or unknown argument prints
-//! the binary's usage line and exits with code 2 instead of panicking.
+//! `validate` binaries: a missing, malformed, zero-count or unknown
+//! argument prints the binary's usage line and exits with code 2 instead
+//! of panicking.
 
 use std::process;
 use std::str::FromStr;
@@ -41,6 +42,16 @@ impl Cli {
             Ok(value) => value,
             Err(_) => self.fail(&format!("{flag}: invalid value {raw:?}")),
         }
+    }
+
+    /// [`Cli::value`] for a count that must be at least 1 (`--trials`,
+    /// `--threads`): zero exits through [`Cli::fail`].
+    pub fn count<T: FromStr + PartialEq + From<u8>>(&mut self, flag: &str) -> T {
+        let count = self.value(flag);
+        if count == T::from(0) {
+            self.fail(&format!("{flag} must be at least 1"))
+        }
+        count
     }
 
     /// Prints the usage line and exits successfully (`--help`).

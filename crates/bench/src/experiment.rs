@@ -102,13 +102,6 @@ pub struct ExperimentGrid {
 }
 
 impl ExperimentGrid {
-    /// Runs the grid on the paper scenario derived from
-    /// `config.master_seed`.
-    pub fn run_paper(config: ExperimentConfig) -> Self {
-        let scenario = Scenario::paper(config.master_seed);
-        Self::run(config, &scenario)
-    }
-
     /// Runs the grid on an explicit scenario.
     ///
     /// Every cell shares the same `config.trials` traces (paired

@@ -1,5 +1,6 @@
-//! A malformed, missing or unknown argument to any experiment binary is a
-//! usage error: exit code 2 and the usage line on stderr, never a panic.
+//! A malformed, missing, zero-count or unknown argument to any experiment
+//! binary is a usage error: exit code 2 and the usage line on stderr, never
+//! a panic.
 
 use std::process::{Command, Output};
 
@@ -11,6 +12,15 @@ const BINARIES: [&str; 3] = [
 
 fn run(bin: &str, args: &[&str]) -> Output {
     Command::new(bin).args(args).output().expect("spawn binary")
+}
+
+fn assert_usage_error(bin: &str, args: &[&str], expected: &str) {
+    let out = run(bin, args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+    assert!(stderr.contains(expected), "{bin} {args:?}: {stderr}");
+    assert!(stderr.contains("\nusage: "), "{bin} {args:?}: {stderr}");
 }
 
 #[test]
@@ -25,13 +35,22 @@ fn bad_arguments_are_usage_errors() {
     ];
     for bin in BINARIES {
         for (args, expected) in cases {
-            let out = run(bin, args);
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
-            assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
-            assert!(stderr.contains(expected), "{bin} {args:?}: {stderr}");
-            assert!(stderr.contains("\nusage: "), "{bin} {args:?}: {stderr}");
+            assert_usage_error(bin, args, expected);
         }
+    }
+}
+
+#[test]
+fn zero_counts_are_usage_errors() {
+    // `--small` follows the zero so a missed check would run (and panic
+    // or print an empty table) instead of exiting at parse time.
+    for bin in BINARIES {
+        let args = ["--trials", "0", "--small"];
+        assert_usage_error(bin, &args, "error: --trials must be at least 1");
+    }
+    for bin in &BINARIES[..2] {
+        let args = ["--threads", "0", "--trials", "1", "--small"];
+        assert_usage_error(bin, &args, "error: --threads must be at least 1");
     }
 }
 

@@ -34,8 +34,8 @@ impl VoltageRange {
 /// Per-node, per-P-state average power draw `μ(i, π)` in watts.
 ///
 /// The paper approximates within-state power variation by a scalar average
-/// (Sec. III-A); its future-work section suggests full power distributions,
-/// which `ecds-ext::power_pmf` provides.
+/// (Sec. III-A), as does this type; full power distributions are left to
+/// the paper's future work (Sec. VIII).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerProfile {
     watts: [f64; NUM_PSTATES],
@@ -106,12 +106,6 @@ impl PowerProfile {
     pub fn deepest_watts(&self) -> f64 {
         self.watts[NUM_PSTATES - 1]
     }
-
-    /// Mean power over all P-states of this node — the inner term of the
-    /// paper's Eq. 8.
-    pub fn mean_watts(&self) -> f64 {
-        self.watts.iter().sum::<f64>() / NUM_PSTATES as f64
-    }
 }
 
 #[cfg(test)]
@@ -145,12 +139,6 @@ mod tests {
         let p = PowerProfile::from_cmos(130.0, 1.475, 1.075, &ladder());
         let ratio = p.deepest_watts() / p.peak_watts();
         assert!((0.18..0.35).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn mean_watts_averages_states() {
-        let p = PowerProfile::from_watts([100.0, 80.0, 60.0, 40.0, 20.0]);
-        assert!((p.mean_watts() - 60.0).abs() < 1e-12);
     }
 
     #[test]

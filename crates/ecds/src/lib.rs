@@ -20,7 +20,7 @@
 //! | [`sim`] | `ecds-sim` | discrete-event engine, energy accounting, trial results |
 //! | [`core`] | `ecds-core` | robustness, heuristics, filters, the scheduler |
 //! | [`stats`] | `ecds-stats` | box-plot summaries, ASCII figures, tables, CSV |
-//! | [`ext`] | `ecds-ext` | future-work extensions: priorities, cancellation, stochastic power, arrival variety |
+//! | [`ext`] | `ecds-ext` | future-work extensions: task priorities, batch-mode rescheduling |
 //!
 //! # Quickstart
 //!

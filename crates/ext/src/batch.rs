@@ -22,7 +22,7 @@
 
 use ecds_cluster::{Cluster, PState};
 use ecds_persist::{DecodeError, Decoder, Encoder, Persist};
-use ecds_pmf::{truncate::truncate_below_or_floor, Pmf, Time};
+use ecds_pmf::Time;
 use ecds_sim::{Discipline, EngineCtx, Scenario, Simulation, TrialResult};
 use ecds_workload::{ExecTable, Task, TaskId, WorkloadTrace};
 
@@ -334,20 +334,6 @@ pub fn run_batch(
     Simulation::new(scenario, trace).run_with(&mut BatchDiscipline::new(policy))
 }
 
-/// The completion-time pmf of a batch-dispatched task (exposed for tests
-/// and analyses): on an idle core this is simply the execution pmf shifted
-/// to the dispatch time, truncated below `now` for consistency with the
-/// immediate-mode machinery.
-pub fn batch_completion_pmf(
-    table: &ExecTable,
-    task: &Task,
-    node: usize,
-    pstate: PState,
-    now: Time,
-) -> Pmf {
-    truncate_below_or_floor(&table.pmf(task.type_id, node, pstate).shift(now), now)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -455,15 +441,6 @@ mod tests {
             batch.missed(),
             immediate.missed()
         );
-    }
-
-    #[test]
-    fn completion_pmf_shifts_to_dispatch_time() {
-        let s = scenario();
-        let trace = s.trace(0);
-        let task = trace.tasks()[0];
-        let pmf = batch_completion_pmf(s.table(), &task, 0, PState::P1, 500.0);
-        assert!(pmf.min_value() >= 500.0);
     }
 
     #[test]

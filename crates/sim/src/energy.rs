@@ -121,11 +121,6 @@ impl TransitionLog {
         self.end.is_some()
     }
 
-    /// The workload-end time, once finalized.
-    pub fn end_time(&self) -> Option<Time> {
-        self.end
-    }
-
     /// Eq. 1: this core's internal (pre-supply-loss) energy, given its
     /// node's per-state power `watts`.
     ///
@@ -228,11 +223,6 @@ impl EnergyAccountant {
         for log in &mut self.logs {
             log.finalize(end);
         }
-    }
-
-    /// Access to a core's log.
-    pub fn log(&self, core: usize) -> &TransitionLog {
-        &self.logs[core]
     }
 
     /// Eq. 2: total wall energy `ζ` of the cluster (supply losses applied
@@ -446,7 +436,7 @@ mod tests {
     /// [`exhaustion_time`] over `acc`'s timeline, to the end its logs
     /// were finalized at.
     fn exhausted(acc: &EnergyAccountant, cluster: &Cluster, budget: f64) -> Option<Time> {
-        let end = acc.log(0).end.expect("finalized");
+        let end = acc.logs[0].end.expect("finalized");
         exhaustion_time(&acc.power_timeline(cluster), end, budget)
     }
 

@@ -14,41 +14,6 @@ pub fn improvement_pct(baseline: f64, new: f64) -> Option<f64> {
     }
 }
 
-/// A labeled baseline-vs-variant comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Comparison {
-    /// Label of the baseline series.
-    pub baseline_label: String,
-    /// Label of the compared series.
-    pub variant_label: String,
-    /// Baseline metric value.
-    pub baseline: f64,
-    /// Variant metric value.
-    pub variant: f64,
-}
-
-impl Comparison {
-    /// The improvement percentage (see [`improvement_pct`]).
-    pub fn improvement(&self) -> Option<f64> {
-        improvement_pct(self.baseline, self.variant)
-    }
-
-    /// One-line report, e.g.
-    /// `"LL/en+rob vs LL/none: 226.0 vs 381.0 (+40.7%)"`.
-    pub fn render(&self) -> String {
-        match self.improvement() {
-            Some(pct) => format!(
-                "{} vs {}: {:.1} vs {:.1} ({:+.1}%)",
-                self.variant_label, self.baseline_label, self.variant, self.baseline, pct
-            ),
-            None => format!(
-                "{} vs {}: {:.1} vs {:.1} (baseline is zero)",
-                self.variant_label, self.baseline_label, self.variant, self.baseline
-            ),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,31 +36,5 @@ mod tests {
     #[test]
     fn zero_baseline_is_none() {
         assert_eq!(improvement_pct(0.0, 5.0), None);
-    }
-
-    #[test]
-    fn comparison_render_contains_labels_and_pct() {
-        let c = Comparison {
-            baseline_label: "LL/none".into(),
-            variant_label: "LL/en+rob".into(),
-            baseline: 381.0,
-            variant: 226.0,
-        };
-        let s = c.render();
-        assert!(s.contains("LL/en+rob"));
-        assert!(s.contains("LL/none"));
-        assert!(s.contains('%'));
-        assert!((c.improvement().unwrap() - 40.68).abs() < 0.01);
-    }
-
-    #[test]
-    fn zero_baseline_render_does_not_panic() {
-        let c = Comparison {
-            baseline_label: "a".into(),
-            variant_label: "b".into(),
-            baseline: 0.0,
-            variant: 5.0,
-        };
-        assert!(c.render().contains("baseline is zero"));
     }
 }

@@ -30,7 +30,7 @@ pub mod summary;
 pub mod table;
 
 pub use boxplot::render_boxplots;
-pub use compare::{improvement_pct, Comparison};
+pub use compare::improvement_pct;
 pub use csv::CsvWriter;
 pub use mannwhitney::{mann_whitney_u, MannWhitney};
 pub use sparkline::{sparkline, sparkline_row};

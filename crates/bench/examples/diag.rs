@@ -6,9 +6,9 @@
 //! ```text
 //! cargo run --release -p ecds-bench --example diag -- <seed> <trials>
 //! ```
-use ecds_bench::parallel::run_parallel;
 use ecds_core::{build_scheduler, FilterVariant, HeuristicKind};
 use ecds_sim::{Scenario, Simulation};
+use ecds_workload::run_parallel;
 
 fn main() {
     let seed: u64 = std::env::args()

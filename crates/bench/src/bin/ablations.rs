@@ -10,7 +10,6 @@
 //! Each study prints a markdown table of median missed deadlines.
 
 use ecds_bench::cli::Cli;
-use ecds_bench::parallel::{default_threads, run_parallel};
 use ecds_core::{
     DeterministicMct, EnergyFilter, Filter, FilterVariant, Heuristic, HeuristicKind, KPercentBest,
     MinimumExecutionTime, MinimumExpectedCompletionTime, OpportunisticLoadBalancing,
@@ -19,7 +18,7 @@ use ecds_core::{
 use ecds_pmf::ReductionPolicy;
 use ecds_sim::{Scenario, Simulation};
 use ecds_stats::{BoxStats, MarkdownTable};
-use ecds_workload::{BurstPattern, WorkloadConfig};
+use ecds_workload::{default_threads, run_parallel, BurstPattern, WorkloadConfig};
 
 struct Args {
     command: String,

@@ -34,7 +34,7 @@ fn parse_args() -> Args {
         command: "all".to_string(),
         trials: 50,
         seed: 1353, // default draw; chosen because its cluster reproduces the paper's operating point (see EXPERIMENTS.md)
-        threads: ecds_bench::parallel::default_threads(),
+        threads: ecds_workload::default_threads(),
         out: PathBuf::from("results"),
         small: false,
     };

@@ -3,9 +3,7 @@
 use ecds_core::{build_scheduler, FilterVariant, HeuristicKind};
 use ecds_sim::{MapperStats, Scenario, Simulation};
 use ecds_stats::BoxStats;
-use ecds_workload::WorkloadTrace;
-
-use crate::parallel::{default_threads, run_parallel};
+use ecds_workload::{default_threads, run_parallel, WorkloadTrace};
 
 /// Configuration of a grid run.
 #[derive(Debug, Clone)]

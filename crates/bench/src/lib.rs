@@ -23,8 +23,6 @@
 
 pub mod cli;
 pub mod experiment;
-pub mod parallel;
 pub mod report;
 
 pub use experiment::{CellResult, ExperimentConfig, ExperimentGrid};
-pub use parallel::{default_threads, run_parallel};

@@ -196,9 +196,9 @@ fn prefix_bit_eq(a: Option<&Pmf>, b: Option<&Pmf>) -> bool {
 type Span = (u32, u32);
 
 /// Appends `src` to `buf` and returns where it landed.
-fn stash(buf: &mut Vec<Impulse>, src: &[Impulse]) -> Span {
+fn stash(buf: &mut Vec<Impulse>, src: impl IntoIterator<Item = Impulse>) -> Span {
     let start = buf.len() as u32;
-    buf.extend_from_slice(src);
+    buf.extend(src);
     (start, buf.len() as u32)
 }
 
@@ -276,7 +276,7 @@ impl ClassBatch {
     /// Packs the class whose representative is `core`, with queue prefix
     /// `prefix`; its estimates will be filed under `slot`. Classes arrive
     /// template by template, so each template's execution-time pmfs are
-    /// copied once.
+    /// scaled into the buffer once.
     fn pack_class(
         &mut self,
         view: &SystemView<'_>,
@@ -291,11 +291,13 @@ impl ClassBatch {
         if self.template != Some(template) {
             self.template = Some(template);
             for pstate in PState::ALL {
-                let exec = table.pmf(task.type_id, node, pstate).impulses();
+                let exec = table.pmf(task.type_id, node, pstate).iter();
                 self.exec[pstate.index()] = stash(&mut self.impulses, exec);
             }
         }
-        let prefix = prefix.map_or((0, 0), |p| stash(&mut self.impulses, p.impulses()));
+        let prefix = prefix.map_or((0, 0), |p| {
+            stash(&mut self.impulses, p.impulses().iter().copied())
+        });
         if prefix.0 != prefix.1 {
             self.busy += 1;
             for (start, end) in self.exec {

@@ -36,14 +36,17 @@ pub fn pending_completion_pmf(
     let table = view.table();
     let now = view.time();
     let mut acc: Option<Pmf> = state.executing().map(|exec| {
-        let mut completion = table.pmf(exec.type_id, node, exec.pstate).shift(exec.start);
+        let mut completion = table
+            .pmf(exec.type_id, node, exec.pstate)
+            .to_pmf()
+            .shift(exec.start);
         completion.truncate_below_or_floor_in_place(now);
         completion
     });
     for queued in state.queued() {
-        let exec_pmf = table.pmf(queued.type_id, node, queued.pstate);
+        let exec_pmf = table.pmf(queued.type_id, node, queued.pstate).to_pmf();
         acc = Some(match acc {
-            Some(prefix) => prefix.convolve(exec_pmf, policy),
+            Some(prefix) => prefix.convolve(&exec_pmf, policy),
             // Unreachable with the bundled engine (it starts tasks on idle
             // cores immediately), but kept correct for custom engines.
             None => exec_pmf.shift(now),
@@ -70,9 +73,9 @@ pub fn evaluate_all(
         let core_id = cluster.core(core);
         let node = cluster.node_of(core_id);
         for pstate in PState::ALL {
-            let exec_pmf = table.pmf(task.type_id, core_id.node, pstate);
+            let exec_pmf = table.pmf(task.type_id, core_id.node, pstate).to_pmf();
             let completion = match &prefix {
-                Some(p) => p.convolve(exec_pmf, policy),
+                Some(p) => p.convolve(&exec_pmf, policy),
                 None => exec_pmf.shift(view.time()),
             };
             let eet = table.eet(task.type_id, core_id.node, pstate);

@@ -30,7 +30,10 @@ pub fn core_robustness(view: &SystemView<'_>, core: usize, policy: ReductionPoli
     let mut prefix = match state.executing() {
         Some(exec) => {
             let completion = truncate_below_or_floor(
-                &table.pmf(exec.type_id, node, exec.pstate).shift(exec.start),
+                &table
+                    .pmf(exec.type_id, node, exec.pstate)
+                    .to_pmf()
+                    .shift(exec.start),
                 now,
             );
             total += completion.prob_le(exec.deadline);
@@ -39,9 +42,9 @@ pub fn core_robustness(view: &SystemView<'_>, core: usize, policy: ReductionPoli
         None => None,
     };
     for queued in state.queued() {
-        let exec_pmf = table.pmf(queued.type_id, node, queued.pstate);
+        let exec_pmf = table.pmf(queued.type_id, node, queued.pstate).to_pmf();
         let completion = match prefix {
-            Some(p) => p.convolve(exec_pmf, policy),
+            Some(p) => p.convolve(&exec_pmf, policy),
             None => exec_pmf.shift(now),
         };
         total += completion.prob_le(queued.deadline);

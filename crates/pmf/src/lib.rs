@@ -54,6 +54,7 @@ pub mod impulse;
 pub mod pmf;
 pub mod reduce;
 pub mod sample;
+pub mod scaled;
 pub mod scratch;
 pub mod seed;
 pub mod truncate;
@@ -63,7 +64,8 @@ pub use error::PmfError;
 pub use impulse::Impulse;
 pub use pmf::Pmf;
 pub use reduce::ReductionPolicy;
-pub use sample::{empirical_pmf, SamplePmfConfig};
+pub use sample::{empirical_pmf, empirical_pmf_into, SamplePmfConfig};
+pub use scaled::ScaledPmf;
 pub use scratch::{PmfScratch, PmfView};
 pub use seed::{SeedDerive, Stream};
 

@@ -193,18 +193,7 @@ impl Pmf {
     /// selects, so a task is intrinsically "fast" or "slow" across
     /// heuristics within a trial.
     pub fn quantile(&self, u: Prob) -> Result<Time, PmfError> {
-        if !(0.0..=1.0).contains(&u) || u.is_nan() {
-            return Err(PmfError::InvalidQuantile { u });
-        }
-        let mut acc = 0.0;
-        for imp in &self.impulses {
-            acc += imp.prob;
-            if acc >= u - MASS_EPSILON {
-                return Ok(imp.value);
-            }
-        }
-        // Numerically the accumulated mass can fall a hair short of 1.
-        Ok(self.max_value())
+        Ok(self.impulses[quantile_index(&self.impulses, u)?].value)
     }
 
     /// Shifts every support value by `dt` (e.g. turning an execution-time
@@ -237,21 +226,6 @@ impl Pmf {
     /// Bit-identical to the allocating function.
     pub fn truncate_below_or_floor_in_place(&mut self, cutoff: Time) {
         crate::truncate::truncate_below_or_floor_in_place(self, cutoff);
-    }
-
-    /// Multiplies every support value by `factor > 0` (e.g. applying a
-    /// P-state execution-time multiplier to a base-state pmf).
-    pub fn scale_values(&self, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "scale factor must be finite and positive"
-        );
-        let impulses = self
-            .impulses
-            .iter()
-            .map(|i| Impulse::new(i.value * factor, i.prob))
-            .collect();
-        Self::from_invariant_impulses(impulses)
     }
 
     /// Convolution with `other` (sum of independent random variables),
@@ -306,20 +280,56 @@ impl Pmf {
     }
 }
 
+/// The index of the impulse [`Pmf::quantile`] returns: the first whose
+/// cumulative mass reaches `u` (within [`MASS_EPSILON`]), or the last one
+/// when the accumulated mass falls a hair short of 1.
+pub(crate) fn quantile_index(impulses: &[Impulse], u: Prob) -> Result<usize, PmfError> {
+    if !(0.0..=1.0).contains(&u) || u.is_nan() {
+        return Err(PmfError::InvalidQuantile { u });
+    }
+    let mut acc = 0.0;
+    for (idx, imp) in impulses.iter().enumerate() {
+        acc += imp.prob;
+        if acc >= u - MASS_EPSILON {
+            return Ok(idx);
+        }
+    }
+    Ok(impulses.len() - 1)
+}
+
 /// Sorts impulses by value and merges (sums the probability of) support
 /// points that coincide within [`VALUE_MERGE_EPSILON`] relative tolerance.
 pub(crate) fn sort_and_merge(impulses: &mut Vec<Impulse>) {
-    impulses.sort_by(|a, b| a.value.total_cmp(&b.value));
-    let mut out: Vec<Impulse> = Vec::with_capacity(impulses.len());
-    for imp in impulses.drain(..) {
-        match out.last_mut() {
-            Some(last) if values_coincide(last.value, imp.value) => {
-                last.prob += imp.prob;
-            }
-            _ => out.push(imp),
+    let kept = sort_and_merge_in_place(impulses);
+    impulses.truncate(kept);
+}
+
+/// [`sort_and_merge`] within the slice: the merged impulses move to the
+/// front, and their count is returned.
+pub(crate) fn sort_and_merge_in_place(xs: &mut [Impulse]) -> usize {
+    xs.sort_by(|a, b| a.value.total_cmp(&b.value));
+    merge_coincident_in_place(xs)
+}
+
+/// The coincidence merge of [`sort_and_merge`] on a sorted slice, in
+/// place: each run of coinciding values compacts into its first element,
+/// probabilities summed in order. Returns the merged count; the slice's
+/// tail past it is left over.
+pub(crate) fn merge_coincident_in_place(xs: &mut [Impulse]) -> usize {
+    if xs.is_empty() {
+        return 0;
+    }
+    let mut w = 0;
+    for r in 1..xs.len() {
+        if values_coincide(xs[w].value, xs[r].value) {
+            let prob = xs[r].prob;
+            xs[w].prob += prob;
+        } else {
+            w += 1;
+            xs[w] = xs[r];
         }
     }
-    *impulses = out;
+    w + 1
 }
 
 #[inline]
@@ -459,22 +469,6 @@ mod tests {
     fn shift_by_negative_is_allowed() {
         let p = pmf_half_half().shift(-10.0);
         assert_eq!(p.min_value(), 0.0);
-    }
-
-    #[test]
-    fn scale_values_stretches_support() {
-        let p = pmf_half_half().scale_values(2.0);
-        assert_eq!(p.min_value(), 20.0);
-        assert_eq!(p.max_value(), 40.0);
-        assert_eq!(p.expectation(), 30.0);
-        // Variance scales by factor^2.
-        assert_eq!(p.variance(), 100.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn scale_values_rejects_zero() {
-        let _ = pmf_half_half().scale_values(0.0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use rand::Rng;
 
 use crate::impulse::Impulse;
-use crate::pmf::{sort_and_merge, Pmf};
+use crate::pmf::{sort_and_merge_in_place, Pmf};
 
 /// Configuration for empirical-pmf construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,36 +49,61 @@ impl Default for SamplePmfConfig {
 /// equal-probability-mass pmf with at most `cfg.max_impulses` impulses, each
 /// impulse placed at the mean of its bin (so the pmf mean equals the sample
 /// mean exactly).
-pub fn empirical_pmf<R, F>(rng: &mut R, cfg: SamplePmfConfig, mut draw: F) -> Pmf
+pub fn empirical_pmf<R, F>(rng: &mut R, cfg: SamplePmfConfig, draw: F) -> Pmf
 where
     R: Rng + ?Sized,
     F: FnMut(&mut R) -> f64,
 {
-    let mut samples: Vec<f64> = (0..cfg.samples).map(|_| draw(rng)).collect();
+    let mut impulses = vec![Impulse::new(0.0, 0.0); cfg.max_impulses];
+    let len = empirical_pmf_into(rng, cfg, draw, &mut Vec::new(), &mut impulses);
+    impulses.truncate(len);
+    Pmf::from_invariant_impulses(impulses)
+}
+
+/// [`empirical_pmf`] over caller-owned buffers: writes the pmf's impulses
+/// to the front of `out` and returns how many there are (at most
+/// `cfg.max_impulses`, which `out` must hold), using `samples` as the draw
+/// buffer. A caller building many pmfs into one arena allocates nothing
+/// per pmf this way.
+pub fn empirical_pmf_into<R, F>(
+    rng: &mut R,
+    cfg: SamplePmfConfig,
+    mut draw: F,
+    samples: &mut Vec<f64>,
+    out: &mut [Impulse],
+) -> usize
+where
+    R: Rng + ?Sized,
+    F: FnMut(&mut R) -> f64,
+{
+    samples.clear();
+    samples.extend((0..cfg.samples).map(|_| draw(rng)));
     samples.retain(|x| x.is_finite());
     assert!(!samples.is_empty(), "sampler produced no finite values");
-    samples.sort_by(|a, b| a.total_cmp(b));
+    // Keys that compare equal under `total_cmp` have equal bits, so the
+    // unstable sort's order of ties cannot show.
+    samples.sort_unstable_by(f64::total_cmp);
 
     let n = samples.len();
     let k = cfg.max_impulses.min(n);
     let prob = 1.0 / n as f64;
-    let mut impulses: Vec<Impulse> = Vec::with_capacity(k);
     // Split the sorted samples into k nearly-equal-count bins.
-    for bin in 0..k {
+    for (bin, imp) in out[..k].iter_mut().enumerate() {
         let start = bin * n / k;
         let end = ((bin + 1) * n / k).max(start + 1);
         let slice = &samples[start..end.min(n)];
         let mass = prob * slice.len() as f64;
         let centroid = slice.iter().sum::<f64>() / slice.len() as f64;
-        impulses.push(Impulse::new(centroid, mass));
+        *imp = Impulse::new(centroid, mass);
     }
-    sort_and_merge(&mut impulses);
+    let len = sort_and_merge_in_place(&mut out[..k]);
+    let pmf = &mut out[..len];
     // Renormalize defensively against floating-point drift.
-    let total: f64 = impulses.iter().map(|i| i.prob).sum();
-    for imp in &mut impulses {
+    let total: f64 = pmf.iter().map(|i| i.prob).sum();
+    for imp in pmf.iter_mut() {
         imp.prob /= total;
     }
-    Pmf::from_invariant_impulses(impulses)
+    len
 }
 
 #[cfg(test)]
@@ -147,6 +172,23 @@ mod tests {
     #[should_panic(expected = "more impulses than samples")]
     fn cap_cannot_exceed_samples() {
         let _ = SamplePmfConfig::new(4, 8);
+    }
+
+    #[test]
+    fn into_writes_the_same_pmf_to_the_front_of_the_buffer() {
+        let g = Gamma::from_mean_cv(80.0, 0.3);
+        let alone = empirical_pmf(&mut rng(), SamplePmfConfig::default(), |r| g.sample(r));
+        let mut out = [Impulse::new(1.0, 1.0); 30];
+        let mut samples = vec![f64::NAN; 3];
+        let len = empirical_pmf_into(
+            &mut rng(),
+            SamplePmfConfig::default(),
+            |r| g.sample(r),
+            &mut samples,
+            &mut out,
+        );
+        assert!(Pmf::new(out[..len].to_vec()).unwrap().bit_eq(&alone));
+        assert_eq!(out[29], Impulse::new(1.0, 1.0));
     }
 
     #[test]

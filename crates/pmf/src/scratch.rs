@@ -68,8 +68,9 @@
 //! arbitrary pmfs, policies, and chained convolutions.
 
 use crate::impulse::Impulse;
-use crate::pmf::{values_coincide, Pmf};
+use crate::pmf::{merge_coincident_in_place, values_coincide, Pmf};
 use crate::reduce::ReductionPolicy;
+use crate::scaled::ScaledPmf;
 use crate::{Prob, Time};
 
 /// A borrowed view of a valid impulse sequence (sorted, merged, positive,
@@ -173,6 +174,8 @@ pub struct PmfScratch {
     out: Vec<Impulse>,
     /// The resident queue-prefix pmf (empty = no prefix loaded).
     prefix: Vec<Impulse>,
+    /// The scaled operand of [`PmfScratch::convolve_prefix_with`].
+    operand: Vec<Impulse>,
     /// Fused kernel invocations since construction or the last
     /// [`PmfScratch::reset_kernel_calls`].
     kernel_calls: u64,
@@ -281,13 +284,13 @@ impl PmfScratch {
     }
 
     /// Loads `pmf.shift(dt)` as the resident prefix without allocating —
-    /// the buffer-reuse equivalent of [`Pmf::shift`], value arithmetic
-    /// identical (`value + dt` per impulse).
-    pub fn load_prefix_shifted(&mut self, pmf: &Pmf, dt: Time) {
+    /// the buffer-reuse equivalent of [`Pmf::shift`] on the materialized
+    /// pmf, value arithmetic identical (`value + dt` per scaled impulse).
+    pub fn load_prefix_shifted<'p>(&mut self, pmf: impl Into<ScaledPmf<'p>>, dt: Time) {
         assert!(dt.is_finite(), "shift must be finite");
         self.prefix.clear();
         self.prefix.extend(
-            pmf.impulses()
+            pmf.into()
                 .iter()
                 .map(|i| Impulse::new(i.value + dt, i.prob)),
         );
@@ -320,8 +323,13 @@ impl PmfScratch {
 
     /// Replaces the resident prefix with `prefix ⊛ b` (reduced per
     /// `policy`) via the fused kernel — the zero-allocation equivalent of
-    /// `prefix = prefix.convolve(b, policy)`.
-    pub fn convolve_prefix_with(&mut self, b: &Pmf, policy: ReductionPolicy) {
+    /// `prefix = prefix.convolve(&b.to_pmf(), policy)`: `b`'s scaled
+    /// impulses land in a reused operand buffer first.
+    pub fn convolve_prefix_with<'p>(
+        &mut self,
+        b: impl Into<ScaledPmf<'p>>,
+        policy: ReductionPolicy,
+    ) {
         debug_assert!(self.has_prefix(), "no prefix loaded");
         let Self {
             products,
@@ -329,17 +337,12 @@ impl PmfScratch {
             merged,
             out,
             prefix,
+            operand,
             kernel_calls,
         } = self;
-        fused_convolve_reduce(
-            prefix,
-            b.impulses(),
-            policy,
-            products,
-            merge_buf,
-            merged,
-            out,
-        );
+        operand.clear();
+        operand.extend(b.into().iter());
+        fused_convolve_reduce(prefix, operand, policy, products, merge_buf, merged, out);
         *kernel_calls += 1;
         std::mem::swap(prefix, out);
     }
@@ -709,7 +712,8 @@ fn reduce_into(src: &[Impulse], cap: usize, out: &mut Vec<Impulse>) {
     // centroids are already sorted in all but pathological rounding cases)
     // and an in-place coincidence merge (same accumulation order).
     insertion_sort_stable(out);
-    merge_coincident_in_place(out);
+    let kept = merge_coincident_in_place(out);
+    out.truncate(kept);
 }
 
 /// Stable in-place insertion sort by value in the legacy `total_cmp`
@@ -723,26 +727,6 @@ fn insertion_sort_stable(xs: &mut [Impulse]) {
             j -= 1;
         }
     }
-}
-
-/// In-place arm of [`crate::pmf::sort_and_merge`]'s coincidence merge:
-/// compacts runs of coinciding values into their first element, summing
-/// probabilities in the legacy order.
-fn merge_coincident_in_place(xs: &mut Vec<Impulse>) {
-    if xs.is_empty() {
-        return;
-    }
-    let mut w = 0usize;
-    for r in 1..xs.len() {
-        if values_coincide(xs[w].value, xs[r].value) {
-            let prob = xs[r].prob;
-            xs[w].prob += prob;
-        } else {
-            w += 1;
-            xs[w] = xs[r];
-        }
-    }
-    xs.truncate(w + 1);
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Property-based tests of the pmf algebra invariants that the robustness
 //! machinery depends on.
 
-use ecds_pmf::{Impulse, Pmf, ReductionPolicy};
+use ecds_pmf::{Impulse, Pmf, ReductionPolicy, ScaledPmf};
 use proptest::prelude::*;
 
 /// Strategy producing a valid pmf with 1..=12 impulses, values in
@@ -120,9 +120,10 @@ proptest! {
     }
 
     #[test]
-    fn scale_values_scales_moments(p in arb_pmf(), f in 0.1f64..4.0) {
-        let s = p.scale_values(f);
+    fn scaled_view_scales_moments(p in arb_pmf(), f in 0.1f64..4.0) {
+        let s = ScaledPmf::new(p.impulses(), f);
         prop_assert!((s.expectation() - f * p.expectation()).abs() < 1e-6 * p.expectation().max(1.0));
+        prop_assert_eq!(s.expectation().to_bits(), s.to_pmf().expectation().to_bits());
     }
 }
 

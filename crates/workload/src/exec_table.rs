@@ -8,23 +8,37 @@
 //! node's execution-time multiplier (DVFS slows the clock; the paper's
 //! clock-speed profile "scale\[s\] the execution time distributions").
 
+use std::sync::{Mutex, PoisonError};
+
 use ecds_cluster::{Cluster, PState, NUM_PSTATES};
-use ecds_pmf::{empirical_pmf, Gamma, Pmf, Prob, SeedDerive, Stream, Time};
+use ecds_pmf::{empirical_pmf_into, Gamma, Impulse, Prob, ScaledPmf, SeedDerive, Stream, Time};
 
 use crate::config::WorkloadConfig;
 use crate::etc::EtcMatrix;
+use crate::parallel::{default_threads, run_parallel};
 use crate::task::TaskTypeId;
+
+/// Cells one work item of the parallel build draws: enough to amortize a
+/// claim, few enough that two workers share even a small table.
+const CELLS_PER_ITEM: usize = 16;
 
 /// Immutable per-scenario table of execution-time pmfs and cached
 /// expectations.
 ///
-/// Pmfs are stored once per *node template* (see
-/// [`Cluster::with_templates`]): nodes stamped from the same template have
-/// identical specs, hence identical execution-time distributions, so a
-/// 10⁴-node templated cluster stores as few pmfs as its template count.
-/// For clusters built with [`Cluster::new`] every node is its own template
-/// and the layout (and every byte of every pmf) is exactly what the
-/// per-node storage produced.
+/// Only the base-state pmf of each (type, *node template*) cell is stored
+/// (see [`Cluster::with_templates`]: nodes stamped from the same template
+/// have identical specs, hence identical execution-time distributions), all
+/// of them back to back in one impulse arena. The deeper P-states are
+/// derived on read: [`ExecTable::pmf`] returns a [`ScaledPmf`] that
+/// multiplies each base value by the template's clock multiplier — the
+/// same product a stored copy would hold, so every support value,
+/// probability and cached expectation is bit-identical to storing all
+/// five. The base state reads the base values unmultiplied. For clusters
+/// built with [`Cluster::new`] every node is its own template.
+///
+/// The cells are drawn in parallel ([`run_parallel`]), each from its own
+/// [`Stream::ExecPmf`] stream, so the table does not depend on the worker
+/// count.
 #[derive(Debug, Clone)]
 pub struct ExecTable {
     num_types: usize,
@@ -32,9 +46,15 @@ pub struct ExecTable {
     num_templates: usize,
     /// Node → template, copied from the cluster at build time.
     node_template: Vec<u32>,
-    /// `[type * num_templates + template]` → per-P-state pmfs.
-    pmfs: Vec<[Pmf; NUM_PSTATES]>,
-    /// Cached expectations, same layout.
+    /// Every cell's base-state impulses, cell after cell.
+    impulses: Vec<Impulse>,
+    /// Cell `[type * num_templates + template]` spans
+    /// `impulses[offsets[cell]..offsets[cell + 1]]`.
+    offsets: Vec<usize>,
+    /// Per template: the execution-time multiplier of each P-state, the
+    /// base state's pinned to exactly `1.0`.
+    multipliers: Vec<[f64; NUM_PSTATES]>,
+    /// Cached expectations per cell and P-state.
     eets: Vec<[Time; NUM_PSTATES]>,
     /// Cached per-type average execution time over all templates and
     /// P-states (the deadline formula's per-type term; identical to the
@@ -43,6 +63,14 @@ pub struct ExecTable {
     /// `t_avg`: grand average over types, templates, and P-states (the
     /// deadline load factor and the energy-budget time scale).
     t_avg: Time,
+}
+
+/// One work item of the parallel build: its cells' impulse slots, and
+/// where each writes its impulse count and expectations.
+struct CellItem<'a> {
+    slots: &'a mut [Impulse],
+    lens: &'a mut [usize],
+    eets: &'a mut [[Time; NUM_PSTATES]],
 }
 
 impl ExecTable {
@@ -70,6 +98,18 @@ impl ExecTable {
         etc: &EtcMatrix,
         seeds: &SeedDerive,
     ) -> Self {
+        Self::from_etc_with_threads(cfg, cluster, etc, seeds, default_threads())
+    }
+
+    /// [`ExecTable::from_etc`] on `threads` workers; the table is the same
+    /// for every count.
+    pub fn from_etc_with_threads(
+        cfg: &WorkloadConfig,
+        cluster: &Cluster,
+        etc: &EtcMatrix,
+        seeds: &SeedDerive,
+        threads: usize,
+    ) -> Self {
         assert_eq!(
             etc.num_nodes(),
             cluster.num_templates(),
@@ -84,30 +124,67 @@ impl ExecTable {
         for n in (0..cluster.num_nodes()).rev() {
             rep[cluster.template_of(n)] = n;
         }
-        let mut pmfs = Vec::with_capacity(num_types * num_templates);
-        let mut eets = Vec::with_capacity(num_types * num_templates);
-        for t in 0..num_types {
-            for (tpl, &rep_node) in rep.iter().enumerate() {
-                let mean = etc.mean(TaskTypeId(t), tpl);
-                let gamma = Gamma::from_mean_cv(mean, cfg.pmf_cv);
-                let mut rng = seeds.rng(Stream::ExecPmf, t as u64, tpl as u64);
-                let base = empirical_pmf(&mut rng, cfg.pmf_sampling, |r| gamma.sample(r));
-                let node = cluster.node(rep_node);
-                let per_state: [Pmf; NUM_PSTATES] = std::array::from_fn(|s| {
+        let multipliers: Vec<[f64; NUM_PSTATES]> = rep
+            .iter()
+            .map(|&node| {
+                std::array::from_fn(|s| {
                     let state = PState::from_index(s);
-                    let mult = node.exec_time_multiplier(state);
                     if state.is_base() {
-                        base.clone()
+                        1.0
                     } else {
-                        base.scale_values(mult)
+                        cluster.node(node).exec_time_multiplier(state)
                     }
+                })
+            })
+            .collect();
+
+        // Every cell gets a slot of `cap` impulses; the workers fill their
+        // items' slots in place, and the slots are compacted afterwards.
+        // The mutexes only hand each item's slices to the one worker that
+        // claims it: each is locked once, so never contended or poisoned.
+        let cells = num_types * num_templates;
+        let cap = cfg.pmf_sampling.max_impulses;
+        let mut impulses = vec![Impulse::new(0.0, 0.0); cells * cap];
+        let mut lens = vec![0; cells];
+        let mut eets = vec![[0.0; NUM_PSTATES]; cells];
+        let items: Vec<Mutex<CellItem<'_>>> = impulses
+            .chunks_mut(CELLS_PER_ITEM * cap)
+            .zip(lens.chunks_mut(CELLS_PER_ITEM))
+            .zip(eets.chunks_mut(CELLS_PER_ITEM))
+            .map(|((slots, lens), eets)| Mutex::new(CellItem { slots, lens, eets }))
+            .collect();
+        run_parallel(items.len(), threads, |item| {
+            let mut guard = items[item].lock().unwrap_or_else(PoisonError::into_inner);
+            let CellItem { slots, lens, eets } = &mut *guard;
+            let mut samples = Vec::with_capacity(cfg.pmf_sampling.samples);
+            for (i, slot) in slots.chunks_mut(cap).enumerate() {
+                let cell = item * CELLS_PER_ITEM + i;
+                let (t, tpl) = (cell / num_templates, cell % num_templates);
+                let gamma = Gamma::from_mean_cv(etc.mean(TaskTypeId(t), tpl), cfg.pmf_cv);
+                let mut rng = seeds.rng(Stream::ExecPmf, t as u64, tpl as u64);
+                let len = empirical_pmf_into(
+                    &mut rng,
+                    cfg.pmf_sampling,
+                    |r| gamma.sample(r),
+                    &mut samples,
+                    slot,
+                );
+                lens[i] = len;
+                eets[i] = std::array::from_fn(|s| {
+                    ScaledPmf::new(&slot[..len], multipliers[tpl][s]).expectation()
                 });
-                let per_eet: [Time; NUM_PSTATES] =
-                    std::array::from_fn(|s| per_state[s].expectation());
-                pmfs.push(per_state);
-                eets.push(per_eet);
             }
+        });
+        drop(items);
+        let mut offsets = Vec::with_capacity(cells + 1);
+        offsets.push(0);
+        for (cell, &len) in lens.iter().enumerate() {
+            let start = offsets[cell];
+            impulses.copy_within(cell * cap..cell * cap + len, start);
+            offsets.push(start + len);
         }
+        impulses.truncate(offsets[cells]);
+        impulses.shrink_to_fit();
         let type_avgs: Vec<Time> = (0..num_types)
             .map(|t| {
                 let sum: f64 = (0..num_templates)
@@ -122,7 +199,9 @@ impl ExecTable {
             num_nodes: cluster.num_nodes(),
             num_templates,
             node_template: cluster.templates().to_vec(),
-            pmfs,
+            impulses,
+            offsets,
+            multipliers,
             eets,
             type_avgs,
             t_avg,
@@ -154,19 +233,29 @@ impl ExecTable {
         self.node_template[node] as usize
     }
 
-    /// Execution-time pmf of `task_type` on one core of `node` in `state`.
+    /// The storage cell of (`task_type`, `node`'s template).
     #[inline]
-    pub fn pmf(&self, task_type: TaskTypeId, node: usize, state: PState) -> &Pmf {
-        let tpl = self.node_template[node] as usize;
-        &self.pmfs[task_type.0 * self.num_templates + tpl][state.index()]
+    fn cell(&self, task_type: TaskTypeId, node: usize) -> usize {
+        task_type.0 * self.num_templates + self.template_of(node)
+    }
+
+    /// Execution-time pmf of `task_type` on one core of `node` in `state`:
+    /// the stored base-state pmf, its values scaled by the P-state's
+    /// multiplier on read.
+    #[inline]
+    pub fn pmf(&self, task_type: TaskTypeId, node: usize, state: PState) -> ScaledPmf<'_> {
+        let cell = self.cell(task_type, node);
+        ScaledPmf::new(
+            &self.impulses[self.offsets[cell]..self.offsets[cell + 1]],
+            self.multipliers[self.template_of(node)][state.index()],
+        )
     }
 
     /// Expected execution time — the heuristics' `EET(i, j, k, π, z)`
     /// (cores within a node are identical, so only the node matters).
     #[inline]
     pub fn eet(&self, task_type: TaskTypeId, node: usize, state: PState) -> Time {
-        let tpl = self.node_template[node] as usize;
-        self.eets[task_type.0 * self.num_templates + tpl][state.index()]
+        self.eets[self.cell(task_type, node)][state.index()]
     }
 
     /// Per-type average execution time over all nodes and P-states (the
@@ -315,8 +404,8 @@ mod tests {
         let b = ExecTable::generate(&cfg, &cluster, &seeds);
         assert_eq!(a.t_avg(), b.t_avg());
         assert_eq!(
-            a.pmf(TaskTypeId(0), 0, PState::P2),
-            b.pmf(TaskTypeId(0), 0, PState::P2)
+            a.pmf(TaskTypeId(0), 0, PState::P2).to_pmf(),
+            b.pmf(TaskTypeId(0), 0, PState::P2).to_pmf()
         );
     }
 
@@ -342,11 +431,8 @@ mod tests {
         for n in 0..cluster.num_nodes() {
             let tpl = t.template_of(n);
             assert_eq!(tpl, cluster.template_of(n));
-            // Same template ⇒ the very same pmf allocation, not a copy.
-            assert!(std::ptr::eq(
-                t.pmf(ty, n, PState::P2),
-                t.pmf(ty, tpl, PState::P2)
-            ));
+            // Same template ⇒ the very same stored cell, not a copy.
+            assert_eq!(t.cell(ty, n), t.cell(ty, tpl));
             assert_eq!(
                 t.eet(ty, n, PState::P3).to_bits(),
                 t.eet(ty, tpl, PState::P3).to_bits()

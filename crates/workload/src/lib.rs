@@ -10,11 +10,15 @@
 //!   \[AlS00\] producing the matrix of mean execution times per
 //!   (task type, node) — `μ_task = 750`, `V_task = V_mach = 0.25` in the
 //!   paper,
-//! * the execution-time pmf table per (task type, node, P-state),
+//! * the execution-time pmf table per (task type, node, P-state): one
+//!   base-state pmf per (type, node template), the deeper P-states derived
+//!   on read,
 //! * the bursty Poisson arrival process (`λ_fast = 1/8` for the first and
 //!   last 200 tasks, `λ_slow = 1/48` for the 600 between),
 //! * deadline assignment `δ(z) = arrival + avg-exec-of-type + t_avg`,
-//! * per-trial trace generation with pre-drawn actual-time quantiles.
+//! * per-trial trace generation with pre-drawn actual-time quantiles,
+//! * [`run_parallel`], the workspace's one thread-spawning map, which the
+//!   table build and the experiment harness share.
 //!
 //! # Example
 //!
@@ -38,6 +42,7 @@ pub mod arrivals;
 pub mod config;
 pub mod etc;
 pub mod exec_table;
+pub mod parallel;
 pub mod source;
 pub mod task;
 pub mod trace;
@@ -46,6 +51,7 @@ pub use arrivals::{ArrivalPhase, BurstPattern, PAPER_REFERENCE_CORES};
 pub use config::WorkloadConfig;
 pub use etc::EtcMatrix;
 pub use exec_table::ExecTable;
+pub use parallel::{default_threads, run_parallel};
 pub use source::{ArrivalSource, BurstyArrivalSource, TraceArrivalSource};
 pub use task::{Task, TaskId, TaskTypeId};
 pub use trace::WorkloadTrace;

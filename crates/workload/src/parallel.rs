@@ -1,16 +1,19 @@
-//! A tiny work-stealing-free parallel map over an index range.
+//! A tiny work-stealing-free parallel map over an index range — the
+//! workspace's one thread-spawning map.
 //!
 //! Simulation trials are embarrassingly parallel and read-only over the
-//! scenario, so `std::thread::scope` plus an atomic work index is all the
-//! machinery needed (no extra runtime dependencies; see the workspace
-//! dependency policy in DESIGN.md §6). Workers claim indices in small
-//! contiguous chunks — one atomic RMW per chunk instead of per item — and
-//! results are returned in index order regardless of scheduling, so output
-//! is deterministic.
+//! scenario, and so are the cells of the execution-time table
+//! ([`crate::ExecTable`]), each drawn from its own seed stream. So
+//! `std::thread::scope` plus an atomic work index is all the machinery
+//! needed (no extra runtime dependencies; see the workspace dependency
+//! policy in DESIGN.md §6). Workers claim indices in small contiguous
+//! chunks — one atomic RMW per chunk instead of per item — and results are
+//! returned in index order regardless of scheduling, so output is
+//! deterministic.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Applies `work` to every index in `0..count` across `threads` OS threads
 /// and returns the results in index order.
@@ -55,7 +58,7 @@ where
                         match catch_unwind(AssertUnwindSafe(|| work(idx))) {
                             Ok(value) => local.push((idx, value)),
                             Err(payload) => {
-                                let mut slot = panic.lock().expect("panic slot");
+                                let mut slot = panic.lock().unwrap_or_else(PoisonError::into_inner);
                                 if slot.is_none() {
                                     *slot = Some(payload);
                                 }
@@ -67,17 +70,20 @@ where
                         }
                     }
                 }
+                // No lock is held across `work`, whose panics are caught,
+                // so neither mutex can be poisoned; recovering the guard
+                // keeps that true without a panic site.
                 results
                     .lock()
-                    .expect("worker panicked while holding results")
+                    .unwrap_or_else(PoisonError::into_inner)
                     .extend(local);
             });
         }
     });
-    if let Some(payload) = panic.into_inner().expect("panic slot") {
+    if let Some(payload) = panic.into_inner().unwrap_or_else(PoisonError::into_inner) {
         resume_unwind(payload);
     }
-    let mut collected = results.into_inner().expect("no poisoned lock after scope");
+    let mut collected = results.into_inner().unwrap_or_else(PoisonError::into_inner);
     collected.sort_by_key(|(idx, _)| *idx);
     debug_assert_eq!(collected.len(), count);
     collected.into_iter().map(|(_, v)| v).collect()

@@ -79,7 +79,7 @@ fn parallel_trials_are_deterministic_across_thread_counts() {
     // parallelism. Schedulers (with the prefix cache enabled — the factory
     // default) are built per work item, so per-trial results must be
     // bit-identical no matter how work lands on threads.
-    use ecds_bench::{default_threads, run_parallel};
+    use ecds_workload::{default_threads, run_parallel};
 
     let scenario = Scenario::small_for_tests(23);
     let traces: Vec<_> = (0..6u64).map(|t| scenario.trace(t)).collect();

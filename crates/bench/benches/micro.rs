@@ -58,14 +58,16 @@ fn kernel(report: &mut Report) {
         let mut next = pairs.iter().cycle();
         report.measure("pmf_kernel", "fused_warm", &fields, 2000, || {
             let (a, b) = next.next().unwrap();
-            let out = scratch.convolve_reduced(black_box(a), black_box(b), policy);
+            let out =
+                scratch.convolve_reduced(black_box(a.impulses()), black_box(b.impulses()), policy);
             black_box(out.expectation());
         });
         let mut next = pairs.iter().cycle();
         report.measure("pmf_kernel", "fused_cold", &fields, 2000, || {
             let (a, b) = next.next().unwrap();
             let mut fresh = PmfScratch::new();
-            let out = fresh.convolve_reduced(black_box(a), black_box(b), policy);
+            let out =
+                fresh.convolve_reduced(black_box(a.impulses()), black_box(b.impulses()), policy);
             black_box(out.expectation());
         });
     }

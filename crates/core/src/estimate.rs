@@ -343,7 +343,7 @@ impl Batch for ClassBatch {
                     shifted_prob_le(exec, self.now, self.deadline),
                 )
             } else {
-                let completion = scratch.convolve_reduced_slices(prefix, exec, self.policy);
+                let completion = scratch.convolve_reduced(prefix, exec, self.policy);
                 (completion.expectation(), completion.prob_le(self.deadline))
             };
             item.ect_rho[2 * p].store(ect.to_bits(), Ordering::Relaxed);

@@ -294,11 +294,11 @@ static POOL: Pool = Pool {
 };
 
 impl Pool {
-    /// Helper threads this process runs: one fewer than the CPUs it may
-    /// use, started on first call.
+    /// Helper threads this process runs ([`helpers_wanted`]), started on
+    /// first call.
     fn helpers(&'static self) -> usize {
         *HELPERS.get_or_init(|| {
-            let want = std::thread::available_parallelism().map_or(1, |n| n.get()) - 1;
+            let want = helpers_wanted();
             // A helper the OS refuses is one fewer helper, never an error:
             // callers never depend on one joining.
             let started = (0..want)
@@ -398,6 +398,19 @@ impl Pool {
     }
 }
 
+/// Helper threads to start: one fewer than the CPUs the process may use.
+#[cfg(not(test))]
+fn helpers_wanted() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get()) - 1
+}
+
+/// The unit-test build starts a full job's worth of helpers whatever the
+/// CPU count, so its tests cover jobs with several helpers on any host.
+#[cfg(test)]
+fn helpers_wanted() -> usize {
+    MAX_HELPERS_PER_JOB
+}
+
 #[cfg(not(test))]
 fn helpers_allowed() -> bool {
     true
@@ -426,22 +439,24 @@ pub(crate) fn without_helpers<R>(f: impl FnOnce() -> R) -> R {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::AtomicU32;
     use std::thread::ThreadId;
     use std::time::Duration;
 
     /// Items that record who computed them; item `panic_at` panics.
-    #[derive(Default)]
     struct Probe {
         done: Vec<AtomicU64>,
         by: Vec<Mutex<Option<ThreadId>>>,
         panic_at: Option<usize>,
-        /// When set, item 0 waits until some other item was computed by a
-        /// different thread (or 200 ms pass).
-        wait_for_helper: bool,
-        helper_seen: AtomicBool,
+        /// Every item waits until this many helpers have computed an item,
+        /// or until the participants have slept `patience` ms in all.
+        wait_for_helpers: usize,
+        patience: AtomicU32,
+        /// The helpers (threads other than the caller) that computed an
+        /// item.
+        helpers: Mutex<Vec<ThreadId>>,
         /// The thread that executes the job.
-        caller: Option<ThreadId>,
+        caller: ThreadId,
     }
 
     impl Probe {
@@ -449,9 +464,22 @@ mod tests {
             Self {
                 done: (0..n).map(|_| AtomicU64::new(0)).collect(),
                 by: (0..n).map(|_| Mutex::new(None)).collect(),
-                caller: Some(std::thread::current().id()),
-                ..Self::default()
+                panic_at: None,
+                wait_for_helpers: 0,
+                helpers: Mutex::new(Vec::new()),
+                patience: AtomicU32::new(200),
+                caller: std::thread::current().id(),
             }
+        }
+
+        fn helpers_seen(&self) -> usize {
+            lock(&self.helpers).len()
+        }
+    }
+
+    impl Default for Probe {
+        fn default() -> Self {
+            Self::new(0)
         }
     }
 
@@ -468,17 +496,19 @@ mod tests {
             assert!(self.panic_at != Some(item), "item {item} exploded");
             let me = std::thread::current().id();
             *lock(&self.by[item]) = Some(me);
-            if Some(me) != self.caller {
-                self.helper_seen.store(true, Ordering::SeqCst);
+            let mut helpers = lock(&self.helpers);
+            if me != self.caller && !helpers.contains(&me) {
+                helpers.push(me);
             }
-            if self.wait_for_helper && item == 0 {
-                // Up to 200 ms for a parked helper to wake and claim one.
-                for _ in 0..200 {
-                    if self.helper_seen.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
+            drop(helpers);
+            // Parked helpers need a moment to wake and claim an item.
+            while self.helpers_seen() < self.wait_for_helpers
+                && self
+                    .patience
+                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |p| p.checked_sub(1))
+                    .is_ok()
+            {
+                std::thread::sleep(Duration::from_millis(1));
             }
             self.done[item].fetch_add(1, Ordering::SeqCst);
         }
@@ -501,7 +531,7 @@ mod tests {
                 assert_eq!(d.load(Ordering::SeqCst), round, "item {i}");
             }
         }
-        assert!(POOL.helpers() < std::thread::available_parallelism().map_or(1, |n| n.get()));
+        assert_eq!(POOL.helpers(), MAX_HELPERS_PER_JOB);
     }
 
     #[test]
@@ -512,26 +542,35 @@ mod tests {
         let me = std::thread::current().id();
         let batch = job.batch();
         assert!(batch.by.iter().all(|t| *lock(t) == Some(me)));
-        assert!(!batch.helper_seen.load(Ordering::SeqCst));
+        assert_eq!(batch.helpers_seen(), 0);
     }
 
-    #[test]
-    fn idle_helpers_join_a_posted_job() {
-        if POOL.helpers() == 0 {
-            return;
-        }
-        // Concurrent tests are callers too and may fill every CPU, which
-        // seats no helper; some attempt finds one free.
-        let joined = (0..100).any(|_| {
+    /// Runs 64-item jobs whose items wait for `helpers` helpers until one
+    /// job has that many. Concurrent tests are callers too and may fill
+    /// seats or keep helpers busy, so some attempt finds them free.
+    fn some_job_seats(helpers: usize) -> bool {
+        (0..100).any(|_| {
             let mut probe = Probe::new(64);
-            probe.wait_for_helper = true;
+            probe.wait_for_helpers = helpers;
             let mut job = job_of(probe);
             job.execute(&mut PmfScratch::new(), true);
             let batch = job.batch();
             assert!(batch.done.iter().all(|d| d.load(Ordering::SeqCst) == 1));
-            batch.helper_seen.load(Ordering::SeqCst)
-        });
-        assert!(joined, "no helper computed an item in 100 jobs");
+            batch.helpers_seen() >= helpers
+        })
+    }
+
+    #[test]
+    fn idle_helpers_join_a_posted_job() {
+        assert!(some_job_seats(1), "no helper computed an item in 100 jobs");
+    }
+
+    #[test]
+    fn several_helpers_share_one_job() {
+        assert!(
+            some_job_seats(2),
+            "no job had two helpers computing items in 100 jobs"
+        );
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //!
 //! It evaluates every core independently, keeps no cache, and builds every
 //! completion-time pmf with the allocating [`Pmf`] operations
-//! ([`Pmf::shift`], [`Pmf::convolve`], [`Pmf::expectation`],
-//! [`Pmf::prob_le`]). No production path calls it. It exists so that
-//! [`CandidateEvaluator`](crate::CandidateEvaluator) — prefix cache, fused
-//! kernel and shard index — can be tested bit for bit against something
-//! obviously correct.
+//! ([`Pmf::shift`], [`Pmf::truncate_below_or_floor`], [`Pmf::convolve`],
+//! [`Pmf::expectation`], [`Pmf::prob_le`]). No production path calls it.
+//! It exists so that [`CandidateEvaluator`](crate::CandidateEvaluator) —
+//! prefix cache, fused kernel and shard index — can be tested bit for bit
+//! against something obviously correct.
 
 use ecds_cluster::PState;
 use ecds_pmf::{Pmf, ReductionPolicy};
@@ -36,12 +36,11 @@ pub fn pending_completion_pmf(
     let table = view.table();
     let now = view.time();
     let mut acc: Option<Pmf> = state.executing().map(|exec| {
-        let mut completion = table
+        table
             .pmf(exec.type_id, node, exec.pstate)
             .to_pmf()
-            .shift(exec.start);
-        completion.truncate_below_or_floor_in_place(now);
-        completion
+            .shift(exec.start)
+            .truncate_below_or_floor(now)
     });
     for queued in state.queued() {
         let exec_pmf = table.pmf(queued.type_id, node, queued.pstate).to_pmf();

@@ -11,7 +11,7 @@
 //! contribution (a)): integration tests check that ρ(t_l) computed mid-run
 //! predicts the realized on-time completions.
 
-use ecds_pmf::{truncate::truncate_below_or_floor, Prob, ReductionPolicy};
+use ecds_pmf::{Prob, ReductionPolicy};
 use ecds_sim::SystemView;
 
 /// Eq. 3: `ρ(i,j,k,t_l)` — the expected number of on-time completions among
@@ -29,13 +29,11 @@ pub fn core_robustness(view: &SystemView<'_>, core: usize, policy: ReductionPoli
     let mut total = 0.0;
     let mut prefix = match state.executing() {
         Some(exec) => {
-            let completion = truncate_below_or_floor(
-                &table
-                    .pmf(exec.type_id, node, exec.pstate)
-                    .to_pmf()
-                    .shift(exec.start),
-                now,
-            );
+            let completion = table
+                .pmf(exec.type_id, node, exec.pstate)
+                .to_pmf()
+                .shift(exec.start)
+                .truncate_below_or_floor(now);
             total += completion.prob_le(exec.deadline);
             Some(completion)
         }

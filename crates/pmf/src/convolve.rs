@@ -13,44 +13,30 @@ use crate::impulse::Impulse;
 use crate::pmf::{sort_and_merge, Pmf};
 use crate::reduce::ReductionPolicy;
 
-/// Convolves two pmfs: the distribution of `X + Y` for independent `X ~ a`,
-/// `Y ~ b`. The result is reduced to `policy.max_impulses` support points.
-pub fn convolve(a: &Pmf, b: &Pmf, policy: ReductionPolicy) -> Pmf {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let mut impulses = Vec::with_capacity(small.len() * large.len());
-    for ia in small.impulses() {
-        for ib in large.impulses() {
-            impulses.push(Impulse::new(ia.value + ib.value, ia.prob * ib.prob));
+impl Pmf {
+    /// Convolution with `other`: the distribution of `X + Y` for
+    /// independent `X ~ self`, `Y ~ other`. The result is reduced to
+    /// `policy.max_impulses` support points.
+    pub fn convolve(&self, other: &Pmf, policy: ReductionPolicy) -> Pmf {
+        let (small, large) = if self.len() <= other.len() {
+            (self, other)
+        } else {
+            (other, self)
+        };
+        let mut impulses = Vec::with_capacity(small.len() * large.len());
+        for ia in small.impulses() {
+            for ib in large.impulses() {
+                impulses.push(Impulse::new(ia.value + ib.value, ia.prob * ib.prob));
+            }
         }
+        sort_and_merge(&mut impulses);
+        Pmf::from_invariant_impulses(impulses).reduce(policy)
     }
-    sort_and_merge(&mut impulses);
-    let out = Pmf::from_invariant_impulses(impulses);
-    out.reduce(policy)
-}
-
-/// Convolves a sequence of pmfs left-to-right, reducing after every step.
-///
-/// Returns `None` when the iterator is empty (the caller decides what the
-/// identity is — for completion times it is a singleton at the ready time).
-pub fn convolve_all<'a, I>(pmfs: I, policy: ReductionPolicy) -> Option<Pmf>
-where
-    I: IntoIterator<Item = &'a Pmf>,
-{
-    let mut iter = pmfs.into_iter();
-    let first = iter.next()?;
-    // Fold over a borrowed accumulator so the first pmf is cloned only in
-    // the single-element case (where the clone is the return value).
-    let Some(second) = iter.next() else {
-        return Some(first.clone());
-    };
-    let seed = convolve(first, second, policy);
-    Some(iter.fold(seed, |acc, next| convolve(&acc, next, policy)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Pmf;
 
     fn coin(lo: f64, hi: f64) -> Pmf {
         Pmf::from_pairs(&[(lo, 0.5), (hi, 0.5)]).unwrap()
@@ -60,18 +46,14 @@ mod tests {
     fn convolve_singletons_adds_values() {
         let a = Pmf::singleton(3.0);
         let b = Pmf::singleton(4.0);
-        let c = convolve(&a, &b, ReductionPolicy::unlimited());
+        let c = a.convolve(&b, ReductionPolicy::unlimited());
         assert_eq!(c.len(), 1);
         assert_eq!(c.expectation(), 7.0);
     }
 
     #[test]
     fn convolve_coins_gives_binomial_support() {
-        let c = convolve(
-            &coin(0.0, 1.0),
-            &coin(0.0, 1.0),
-            ReductionPolicy::unlimited(),
-        );
+        let c = coin(0.0, 1.0).convolve(&coin(0.0, 1.0), ReductionPolicy::unlimited());
         assert_eq!(c.len(), 3);
         let probs: Vec<f64> = c.impulses().iter().map(|i| i.prob).collect();
         assert!((probs[0] - 0.25).abs() < 1e-12);
@@ -83,7 +65,7 @@ mod tests {
     fn convolution_mean_is_sum_of_means() {
         let a = Pmf::from_pairs(&[(1.0, 0.2), (5.0, 0.8)]).unwrap();
         let b = Pmf::from_pairs(&[(10.0, 0.6), (30.0, 0.4)]).unwrap();
-        let c = convolve(&a, &b, ReductionPolicy::unlimited());
+        let c = a.convolve(&b, ReductionPolicy::unlimited());
         assert!((c.expectation() - (a.expectation() + b.expectation())).abs() < 1e-12);
     }
 
@@ -91,7 +73,7 @@ mod tests {
     fn convolution_variance_is_sum_of_variances() {
         let a = coin(0.0, 2.0);
         let b = coin(0.0, 6.0);
-        let c = convolve(&a, &b, ReductionPolicy::unlimited());
+        let c = a.convolve(&b, ReductionPolicy::unlimited());
         assert!((c.variance() - (a.variance() + b.variance())).abs() < 1e-9);
     }
 
@@ -99,8 +81,8 @@ mod tests {
     fn convolution_is_commutative() {
         let a = Pmf::from_pairs(&[(1.0, 0.3), (2.0, 0.7)]).unwrap();
         let b = Pmf::from_pairs(&[(0.5, 0.5), (4.0, 0.25), (8.0, 0.25)]).unwrap();
-        let ab = convolve(&a, &b, ReductionPolicy::unlimited());
-        let ba = convolve(&b, &a, ReductionPolicy::unlimited());
+        let ab = a.convolve(&b, ReductionPolicy::unlimited());
+        let ba = b.convolve(&a, ReductionPolicy::unlimited());
         assert_eq!(ab.len(), ba.len());
         for (x, y) in ab.impulses().iter().zip(ba.impulses()) {
             assert!((x.value - y.value).abs() < 1e-12);
@@ -112,34 +94,18 @@ mod tests {
     fn convolution_respects_reduction_cap() {
         let a = Pmf::from_pairs(&(0..20).map(|i| (i as f64, 1.0)).collect::<Vec<_>>()).unwrap();
         let b = a.clone();
-        let c = convolve(&a, &b, ReductionPolicy::new(8));
+        let c = a.convolve(&b, ReductionPolicy::new(8));
         assert!(c.len() <= 8);
         // Mean preserved by mean-preserving reduction.
         assert!((c.expectation() - 2.0 * a.expectation()).abs() < 1e-9);
     }
 
     #[test]
-    fn convolve_all_folds_left() {
-        let pmfs = [
-            Pmf::singleton(1.0),
-            Pmf::singleton(2.0),
-            Pmf::singleton(3.0),
-        ];
-        let c = convolve_all(pmfs.iter(), ReductionPolicy::unlimited()).unwrap();
+    fn convolution_chains_fold_left() {
+        let c = [2.0, 3.0].into_iter().fold(Pmf::singleton(1.0), |acc, v| {
+            acc.convolve(&Pmf::singleton(v), ReductionPolicy::unlimited())
+        });
         assert_eq!(c.expectation(), 6.0);
-    }
-
-    #[test]
-    fn convolve_all_empty_is_none() {
-        let pmfs: Vec<Pmf> = Vec::new();
-        assert!(convolve_all(pmfs.iter(), ReductionPolicy::unlimited()).is_none());
-    }
-
-    #[test]
-    fn convolve_all_single_is_identity() {
-        let p = coin(1.0, 3.0);
-        let c = convolve_all(std::iter::once(&p), ReductionPolicy::unlimited()).unwrap();
-        assert_eq!(c, p);
     }
 
     #[test]
@@ -147,7 +113,7 @@ mod tests {
         // 1+4 == 2+3 == 5: the merged support must carry combined mass.
         let a = Pmf::from_pairs(&[(1.0, 0.5), (2.0, 0.5)]).unwrap();
         let b = Pmf::from_pairs(&[(3.0, 0.5), (4.0, 0.5)]).unwrap();
-        let c = convolve(&a, &b, ReductionPolicy::unlimited());
+        let c = a.convolve(&b, ReductionPolicy::unlimited());
         assert_eq!(c.len(), 3); // 4, 5, 6
         assert!((c.prob_le(5.0) - 0.75).abs() < 1e-12);
         let mid = c.impulses().iter().find(|i| i.value == 5.0).unwrap();

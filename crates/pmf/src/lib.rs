@@ -66,7 +66,7 @@ pub use pmf::Pmf;
 pub use reduce::ReductionPolicy;
 pub use sample::{empirical_pmf, empirical_pmf_into, SamplePmfConfig};
 pub use scaled::ScaledPmf;
-pub use scratch::{PmfScratch, PmfView};
+pub use scratch::PmfScratch;
 pub use seed::{SeedDerive, Stream};
 
 /// Probability type used throughout the workspace.

@@ -1,9 +1,13 @@
 //! The discrete probability mass function type at the heart of the
 //! completion-time and robustness machinery.
+//!
+//! Its transforms that need more than a pass over the impulses —
+//! [convolution](crate::convolve), [truncation](crate::truncate) and
+//! [reduction](crate::reduce) — are `Pmf` methods defined in their own
+//! modules.
 
 use crate::error::PmfError;
 use crate::impulse::Impulse;
-use crate::reduce::ReductionPolicy;
 use crate::{Prob, Time, MASS_EPSILON, VALUE_MERGE_EPSILON};
 
 /// A discrete probability mass function over finite time values.
@@ -98,14 +102,6 @@ impl Pmf {
         &self.impulses
     }
 
-    /// Mutable access to the impulse buffer for the crate's in-place
-    /// transforms. Callers must restore the invariants before the pmf is
-    /// observed again.
-    #[inline]
-    pub(crate) fn impulses_mut(&mut self) -> &mut Vec<Impulse> {
-        &mut self.impulses
-    }
-
     /// Number of support points.
     #[inline]
     pub fn len(&self) -> usize {
@@ -172,19 +168,6 @@ impl Pmf {
         acc.min(1.0)
     }
 
-    /// `P(X < x)` (strict).
-    pub fn prob_lt(&self, x: Time) -> Prob {
-        let mut acc = 0.0;
-        for imp in &self.impulses {
-            if imp.value < x {
-                acc += imp.prob;
-            } else {
-                break;
-            }
-        }
-        acc.min(1.0)
-    }
-
     /// The generalized inverse CDF: the smallest support value `v` such that
     /// `P(X <= v) >= u`.
     ///
@@ -206,49 +189,6 @@ impl Pmf {
             .map(|i| Impulse::new(i.value + dt, i.prob))
             .collect();
         Self::from_invariant_impulses(impulses)
-    }
-
-    /// In-place variant of [`Pmf::shift`]: moves the support without
-    /// allocating a new impulse vector. The per-impulse arithmetic is
-    /// identical (`value + dt`), so the result is bit-identical to
-    /// `*self = self.shift(dt)`.
-    pub fn shift_in_place(&mut self, dt: Time) {
-        assert!(dt.is_finite(), "shift must be finite");
-        for imp in &mut self.impulses {
-            imp.value += dt;
-        }
-    }
-
-    /// In-place variant of
-    /// [`crate::truncate::truncate_below_or_floor`]: conditions the pmf on
-    /// `X >= cutoff` reusing the existing buffer, degenerating to a
-    /// singleton at `cutoff` when every outcome is in the past.
-    /// Bit-identical to the allocating function.
-    pub fn truncate_below_or_floor_in_place(&mut self, cutoff: Time) {
-        crate::truncate::truncate_below_or_floor_in_place(self, cutoff);
-    }
-
-    /// Convolution with `other` (sum of independent random variables),
-    /// reducing the result per `policy`. See [`crate::convolve`].
-    pub fn convolve(&self, other: &Pmf, policy: ReductionPolicy) -> Pmf {
-        crate::convolve::convolve(self, other, policy)
-    }
-
-    /// Removes impulses with `value < cutoff` and renormalizes — the
-    /// Sec. IV-B operation on a currently-executing task's completion-time
-    /// pmf ("removing the past impulses ... and re-normalizing").
-    ///
-    /// Returns [`PmfError::AllMassTruncated`] when every outcome is in the
-    /// past; callers model that case as "completes immediately" (see
-    /// [`crate::truncate::truncate_below_or_floor`]).
-    pub fn truncate_below(&self, cutoff: Time) -> Result<Pmf, PmfError> {
-        crate::truncate::truncate_below(self, cutoff)
-    }
-
-    /// Reduces the support to at most `policy.max_impulses` points,
-    /// merging adjacent impulses while preserving total mass and the mean.
-    pub fn reduce(&self, policy: ReductionPolicy) -> Pmf {
-        crate::reduce::reduce(self, policy)
     }
 
     /// Total probability mass (1 within [`MASS_EPSILON`]; exposed for tests
@@ -403,7 +343,6 @@ mod tests {
         assert_eq!(p.expectation(), 42.0);
         assert_eq!(p.variance(), 0.0);
         assert_eq!(p.prob_le(42.0), 1.0);
-        assert_eq!(p.prob_lt(42.0), 0.0);
     }
 
     #[test]
@@ -428,15 +367,6 @@ mod tests {
         assert_eq!(p.prob_le(15.0), 0.5);
         assert_eq!(p.prob_le(20.0), 1.0);
         assert_eq!(p.prob_le(25.0), 1.0);
-    }
-
-    #[test]
-    fn prob_lt_is_strict() {
-        let p = pmf_half_half();
-        assert_eq!(p.prob_lt(10.0), 0.0);
-        assert_eq!(p.prob_lt(10.5), 0.5);
-        assert_eq!(p.prob_lt(20.0), 0.5);
-        assert_eq!(p.prob_lt(20.5), 1.0);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! A borrowed pmf whose support is multiplied by a factor on read.
+//! The borrowed pmf: an impulse slice whose support is multiplied by a
+//! factor on read.
 //!
 //! The paper derives each deeper P-state's execution-time pmf by scaling
 //! the base-state pmf with the node's clock multiplier (Sec. III-B). A
@@ -6,6 +7,11 @@
 //! the base impulses and yields `Impulse::new(value * factor, prob)`, the
 //! same product a materialized copy would hold, so every query through it
 //! is bit-identical to the same query on [`ScaledPmf::to_pmf`].
+//!
+//! At factor `1.0` it is a plain borrowed pmf: [`crate::PmfScratch`]
+//! returns its kernel output and its resident queue prefix this way.
+//! `x * 1.0 == x` for every finite `f64`, `-0.0` included, so a unit
+//! factor reads the slice bit for bit.
 
 use crate::error::PmfError;
 use crate::impulse::Impulse;
@@ -18,7 +24,9 @@ use crate::{Prob, Time};
 /// Multiplying by a positive factor keeps the support sorted and the
 /// probabilities untouched, so the view satisfies the [`Pmf`] invariants
 /// whenever its base does. A factor of exactly `1.0` reads the base
-/// values bit for bit.
+/// values bit for bit; that is how an execution-time table's base state,
+/// an owned [`Pmf`] (`From<&Pmf>`) and the fused kernel's buffers are
+/// read.
 #[derive(Debug, Clone, Copy)]
 pub struct ScaledPmf<'a> {
     base: &'a [Impulse],
@@ -41,6 +49,13 @@ impl<'a> ScaledPmf<'a> {
         debug_assert!(base.windows(2).all(|w| w[0].value < w[1].value));
         debug_assert!(base.iter().all(Impulse::is_valid));
         Self { base, factor }
+    }
+
+    /// `base` read unscaled. No factor check: `1.0` passes it. `base`
+    /// must satisfy the [`Pmf`] invariants.
+    pub(crate) fn unit(base: &'a [Impulse]) -> Self {
+        debug_assert!(!base.is_empty(), "a pmf has at least one impulse");
+        Self { base, factor: 1.0 }
     }
 
     /// The scaled impulses, ascending by value.
@@ -102,7 +117,8 @@ impl<'a> ScaledPmf<'a> {
         Ok(self.base[quantile_index(self.base, u)?].value * self.factor)
     }
 
-    /// Materializes the view as an owned [`Pmf`] (one allocation).
+    /// Materializes the view as an owned [`Pmf`] (one allocation; use the
+    /// queries when the distribution is consumed immediately).
     pub fn to_pmf(&self) -> Pmf {
         Pmf::from_invariant_impulses(self.iter().collect())
     }
@@ -111,13 +127,14 @@ impl<'a> ScaledPmf<'a> {
 impl<'a> From<&'a Pmf> for ScaledPmf<'a> {
     /// `pmf` itself, read unscaled.
     fn from(pmf: &'a Pmf) -> Self {
-        Self::new(pmf.impulses(), 1.0)
+        Self::unit(pmf.impulses())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::strategy::Strategy;
 
     fn pmf_half_half() -> Pmf {
         Pmf::from_pairs(&[(10.0, 0.5), (20.0, 0.5)]).unwrap()
@@ -165,5 +182,55 @@ mod tests {
     fn unit_factor_reads_the_base_bits() {
         let p = Pmf::from_pairs(&[(0.1 + 0.2, 0.25), (7.0, 0.75)]).unwrap();
         assert!(ScaledPmf::from(&p).to_pmf().bit_eq(&p));
+    }
+
+    /// Valid impulse sequences as owned pmfs: values in [-1000, 1000) with
+    /// `-0.0` and `0.0` drawn often (they merge into one `-0.0` impulse),
+    /// unshifted, shifted by `-0.0` (which keeps `-0.0`) or by up to ±500.
+    fn arb_pmf() -> impl Strategy<Value = Pmf> {
+        let impulse = (0u32..8, -1000.0f64..1000.0, 0.01f64..1.0);
+        (
+            proptest::collection::vec(impulse, 1..=24),
+            0u32..3,
+            -500.0f64..500.0,
+        )
+            .prop_map(|(draws, shift, dt)| {
+                let pairs: Vec<(f64, f64)> = draws
+                    .into_iter()
+                    .map(|(zero, v, w)| match zero {
+                        0 => (-0.0, w),
+                        1 => (0.0, w),
+                        _ => (v, w),
+                    })
+                    .collect();
+                let p = Pmf::from_pairs(&pairs).expect("valid pairs");
+                match shift {
+                    0 => p,
+                    1 => p.shift(-0.0),
+                    _ => p.shift(dt),
+                }
+            })
+    }
+
+    proptest::proptest! {
+        /// The fact the kernel output and the resident prefix rest on: a
+        /// unit-factor view reads its slice exactly as the [`Pmf`] holding
+        /// that slice does.
+        #[test]
+        fn unit_factor_reads_the_raw_slice_bit_for_bit(
+            p in arb_pmf(),
+            x in -1500.0f64..1500.0,
+        ) {
+            let unit = ScaledPmf::unit(p.impulses());
+            let bits = |i: &Impulse| (i.value.to_bits(), i.prob.to_bits());
+            assert!(unit.iter().map(|i| bits(&i)).eq(p.impulses().iter().map(bits)));
+            assert_eq!(unit.min_value().to_bits(), p.min_value().to_bits());
+            assert_eq!(unit.max_value().to_bits(), p.max_value().to_bits());
+            assert_eq!(unit.expectation().to_bits(), p.expectation().to_bits());
+            for x in [x, p.min_value(), p.max_value(), 0.0, -0.0] {
+                assert_eq!(unit.prob_le(x).to_bits(), p.prob_le(x).to_bits());
+            }
+            assert!(unit.to_pmf().bit_eq(&p));
+        }
     }
 }

@@ -3,12 +3,14 @@
 //! The mapper hot path (Sec. IV-B) convolves a queue-prefix pmf with an
 //! execution-time pmf for *every* (core, P-state) candidate of every
 //! mapping event — millions of times per experiment grid. The legacy
-//! pipeline ([`crate::convolve::convolve`] → [`crate::reduce::reduce`])
-//! allocates an `n × m` impulse buffer, stable-sorts it (another hidden
-//! allocation), constructs an intermediate [`Pmf`], and then `reduce`
-//! allocates (or clones) once more. [`PmfScratch`] fuses the pipeline into
-//! passes over buffers that are reused across calls, so the steady-state
-//! cost is arithmetic only.
+//! pipeline ([`Pmf::convolve`] → [`Pmf::reduce`]) allocates an `n × m`
+//! impulse buffer, stable-sorts it (another hidden allocation), constructs
+//! an intermediate [`Pmf`], and then `reduce` allocates (or clones) once
+//! more. [`PmfScratch`] fuses the pipeline into passes over buffers that
+//! are reused across calls, so the steady-state cost is arithmetic only.
+//! Results come back as a unit-factor [`ScaledPmf`] borrowing the
+//! workspace, so ECT and ρ are read off the buffer in the same summation
+//! order as on a materialized [`Pmf`].
 //!
 //! # Bit-identity contract
 //!
@@ -56,7 +58,7 @@
 //! 2. **Summation order.** Coincident-value merging accumulates
 //!    probabilities in emission order, exactly as
 //!    `sort_and_merge` (in `crate::pmf`) does; the reduction pass replays
-//!    [`crate::reduce::reduce`]'s bucket walk (including its running
+//!    [`Pmf::reduce`]'s bucket walk (including its running
 //!    emitted-mass accumulator) operation for operation.
 //! 3. **Post-reduction normalization.** `reduce` stable-sorts and
 //!    coincidence-merges its bucket centroids; the kernel does the same
@@ -68,91 +70,12 @@
 //! arbitrary pmfs, policies, and chained convolutions.
 
 use crate::impulse::Impulse;
-use crate::pmf::{merge_coincident_in_place, values_coincide, Pmf};
+#[cfg(doc)]
+use crate::pmf::Pmf;
+use crate::pmf::{merge_coincident_in_place, values_coincide};
 use crate::reduce::ReductionPolicy;
 use crate::scaled::ScaledPmf;
-use crate::{Prob, Time};
-
-/// A borrowed view of a valid impulse sequence (sorted, merged, positive,
-/// unit mass) living in a [`PmfScratch`] buffer.
-///
-/// Mirrors the read-only query API of [`Pmf`] with the *same* floating-point
-/// evaluation order, so moments and tail probabilities computed through a
-/// view are bit-identical to materializing a `Pmf` first.
-#[derive(Debug, Clone, Copy)]
-pub struct PmfView<'a> {
-    impulses: &'a [Impulse],
-}
-
-impl<'a> PmfView<'a> {
-    fn new(impulses: &'a [Impulse]) -> Self {
-        debug_assert!(!impulses.is_empty(), "views require at least one impulse");
-        Self { impulses }
-    }
-
-    /// The impulses, sorted ascending by value.
-    #[inline]
-    pub fn impulses(&self) -> &'a [Impulse] {
-        self.impulses
-    }
-
-    /// Number of support points.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.impulses.len()
-    }
-
-    /// `true` for an empty view (unconstructible; API completeness).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.impulses.is_empty()
-    }
-
-    /// Smallest support value.
-    #[inline]
-    pub fn min_value(&self) -> Time {
-        self.impulses[0].value
-    }
-
-    /// Largest support value.
-    #[inline]
-    pub fn max_value(&self) -> Time {
-        self.impulses[self.impulses.len() - 1].value
-    }
-
-    /// The expectation `E[X]` — same summation order as
-    /// [`Pmf::expectation`].
-    pub fn expectation(&self) -> f64 {
-        self.impulses.iter().map(Impulse::weighted_value).sum()
-    }
-
-    /// `P(X <= x)` — same accumulation order as [`Pmf::prob_le`].
-    pub fn prob_le(&self, x: Time) -> Prob {
-        let mut acc = 0.0;
-        for imp in self.impulses {
-            if imp.value <= x {
-                acc += imp.prob;
-            } else {
-                break;
-            }
-        }
-        acc.min(1.0)
-    }
-
-    /// Materializes the view as an owned [`Pmf`] (the view's one
-    /// allocation; use the slice queries when the distribution is
-    /// consumed immediately).
-    pub fn to_pmf(&self) -> Pmf {
-        Pmf::from_invariant_impulses(self.impulses.to_vec())
-    }
-
-    /// Deterministic 64-bit fingerprint of the viewed impulses' exact bit
-    /// pattern — same hash as [`Pmf::fingerprint`], so a view and its
-    /// materialized pmf always agree.
-    pub fn fingerprint(&self) -> u64 {
-        crate::impulse::fingerprint_impulses(self.impulses)
-    }
-}
+use crate::Time;
 
 /// Reusable workspace for the fused convolve→merge→reduce kernel and for a
 /// resident queue-prefix pmf built without intermediate allocations.
@@ -206,23 +129,18 @@ impl PmfScratch {
         self.kernel_calls = calls;
     }
 
-    /// Fused equivalent of `a.convolve(b, policy)`: convolves and reduces
-    /// entirely inside the workspace and returns a view of the result,
+    /// Fused equivalent of `a.convolve(b, policy)` over raw impulse slices
+    /// (both must satisfy the [`Pmf`] invariants): convolves and reduces
+    /// entirely inside the workspace and returns the result unscaled,
     /// valid until the next call that touches the workspace.
     ///
     /// Bit-identical to the legacy pipeline (see the module docs).
-    pub fn convolve_reduced(&mut self, a: &Pmf, b: &Pmf, policy: ReductionPolicy) -> PmfView<'_> {
-        self.convolve_reduced_slices(a.impulses(), b.impulses(), policy)
-    }
-
-    /// [`PmfScratch::convolve_reduced`] over raw impulse slices (both must
-    /// satisfy the [`Pmf`] invariants).
-    pub fn convolve_reduced_slices(
+    pub fn convolve_reduced(
         &mut self,
         a: &[Impulse],
         b: &[Impulse],
         policy: ReductionPolicy,
-    ) -> PmfView<'_> {
+    ) -> ScaledPmf<'_> {
         let Self {
             products,
             merge_buf,
@@ -233,14 +151,7 @@ impl PmfScratch {
         } = self;
         fused_convolve_reduce(a, b, policy, products, merge_buf, merged, out);
         *kernel_calls += 1;
-        PmfView::new(out)
-    }
-
-    /// Fused convolution returning an owned [`Pmf`] (one allocation for the
-    /// returned impulse vector — the workspace itself allocates nothing in
-    /// steady state).
-    pub fn convolve_reduced_into(&mut self, a: &Pmf, b: &Pmf, policy: ReductionPolicy) -> Pmf {
-        self.convolve_reduced(a, b, policy).to_pmf()
+        ScaledPmf::unit(out)
     }
 
     /// Grows every kernel buffer to hold a call of up to `products`
@@ -273,14 +184,14 @@ impl PmfScratch {
         !self.prefix.is_empty()
     }
 
-    /// A view of the resident prefix.
+    /// The resident prefix, unscaled.
     ///
     /// # Panics
     ///
-    /// Panics (via the view's debug assertion) if no prefix is loaded;
-    /// check [`PmfScratch::has_prefix`] first.
-    pub fn prefix(&self) -> PmfView<'_> {
-        PmfView::new(&self.prefix)
+    /// Panics (in debug builds at once, else on the first read) if no
+    /// prefix is loaded; check [`PmfScratch::has_prefix`] first.
+    pub fn prefix(&self) -> ScaledPmf<'_> {
+        ScaledPmf::unit(&self.prefix)
     }
 
     /// Loads `pmf.shift(dt)` as the resident prefix without allocating —
@@ -296,10 +207,10 @@ impl PmfScratch {
         );
     }
 
-    /// In-place [`crate::truncate::truncate_below_or_floor`] on the
-    /// resident prefix: drops impulses below `cutoff` and renormalizes with
-    /// the same summation order as the legacy function; if every impulse is
-    /// in the past the prefix degenerates to a singleton at `cutoff`.
+    /// In-place [`Pmf::truncate_below_or_floor`] on the resident prefix:
+    /// drops impulses below `cutoff` and renormalizes with the same
+    /// summation order as the allocating method; if every impulse is in the
+    /// past the prefix degenerates to a singleton at `cutoff`.
     pub fn truncate_prefix_below_or_floor(&mut self, cutoff: Time) {
         assert!(cutoff.is_finite(), "cutoff must be finite");
         debug_assert!(self.has_prefix(), "no prefix loaded");
@@ -675,7 +586,7 @@ fn push_merged(merged: &mut Vec<Impulse>, imp: Impulse) {
     }
 }
 
-/// The equal-mass bucket pass of [`crate::reduce::reduce`], writing into a
+/// The equal-mass bucket pass of [`Pmf::reduce`], writing into a
 /// reused buffer. Operation-for-operation identical to the legacy function
 /// (including the running emitted-mass accumulator and the trailing
 /// stable-sort + coincidence-merge), minus its allocations.
@@ -732,9 +643,15 @@ fn insertion_sort_stable(xs: &mut [Impulse]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convolve::convolve;
-    use crate::truncate::truncate_below_or_floor;
+    use crate::Pmf;
     use std::cmp::Ordering;
+
+    /// The kernel's result for `a ⊛ b`, materialized.
+    fn fused_pmf(scratch: &mut PmfScratch, a: &Pmf, b: &Pmf, policy: ReductionPolicy) -> Pmf {
+        scratch
+            .convolve_reduced(a.impulses(), b.impulses(), policy)
+            .to_pmf()
+    }
 
     fn pmf(pairs: &[(f64, f64)]) -> Pmf {
         Pmf::from_pairs(pairs).unwrap()
@@ -756,8 +673,8 @@ mod tests {
             ReductionPolicy::new(3),
             ReductionPolicy::default_cap(),
         ] {
-            let legacy = convolve(&a, &b, policy);
-            let fused = scratch.convolve_reduced_into(&a, &b, policy);
+            let legacy = a.convolve(&b, policy);
+            let fused = fused_pmf(&mut scratch, &a, &b, policy);
             assert_eq!(fused, legacy);
         }
     }
@@ -768,8 +685,8 @@ mod tests {
         let a = pmf(&[(1.0, 0.5), (2.0, 0.5)]);
         let b = pmf(&[(3.0, 0.5), (4.0, 0.5)]);
         let mut scratch = PmfScratch::new();
-        let legacy = convolve(&a, &b, ReductionPolicy::unlimited());
-        let fused = scratch.convolve_reduced_into(&a, &b, ReductionPolicy::unlimited());
+        let legacy = a.convolve(&b, ReductionPolicy::unlimited());
+        let fused = fused_pmf(&mut scratch, &a, &b, ReductionPolicy::unlimited());
         assert_eq!(fused, legacy);
         assert_eq!(fused.len(), 3);
     }
@@ -782,8 +699,8 @@ mod tests {
         for cap in [1, 2, 5, 8, 24] {
             let policy = ReductionPolicy::new(cap);
             assert_eq!(
-                scratch.convolve_reduced_into(&a, &b, policy),
-                convolve(&a, &b, policy),
+                fused_pmf(&mut scratch, &a, &b, policy),
+                a.convolve(&b, policy),
                 "cap {cap}"
             );
         }
@@ -797,16 +714,16 @@ mod tests {
         let policy = ReductionPolicy::new(8);
         // Big → small → big again: buffers must not carry stale state.
         assert_eq!(
-            scratch.convolve_reduced_into(&big, &big, policy),
-            convolve(&big, &big, policy)
+            fused_pmf(&mut scratch, &big, &big, policy),
+            big.convolve(&big, policy)
         );
         assert_eq!(
-            scratch.convolve_reduced_into(&small, &small, policy),
-            convolve(&small, &small, policy)
+            fused_pmf(&mut scratch, &small, &small, policy),
+            small.convolve(&small, policy)
         );
         assert_eq!(
-            scratch.convolve_reduced_into(&big, &small, policy),
-            convolve(&big, &small, policy)
+            fused_pmf(&mut scratch, &big, &small, policy),
+            big.convolve(&small, policy)
         );
     }
 
@@ -816,15 +733,17 @@ mod tests {
         let b = wide(9);
         let policy = ReductionPolicy::new(6);
         let mut scratch = PmfScratch::new();
-        let legacy = convolve(&a, &b, policy);
-        let view = scratch.convolve_reduced(&a, &b, policy);
-        assert_eq!(view.expectation(), legacy.expectation());
-        assert_eq!(view.min_value(), legacy.min_value());
-        assert_eq!(view.max_value(), legacy.max_value());
+        let legacy = a.convolve(&b, policy);
+        let view = scratch.convolve_reduced(a.impulses(), b.impulses(), policy);
+        let bits = |x: f64| x.to_bits();
+        assert_eq!(bits(view.expectation()), bits(legacy.expectation()));
+        assert_eq!(bits(view.min_value()), bits(legacy.min_value()));
+        assert_eq!(bits(view.max_value()), bits(legacy.max_value()));
         assert_eq!(view.len(), legacy.len());
         for x in [0.0, 3.0, 17.5, 80.0] {
-            assert_eq!(view.prob_le(x), legacy.prob_le(x));
+            assert_eq!(bits(view.prob_le(x)), bits(legacy.prob_le(x)));
         }
+        assert!(view.to_pmf().bit_eq(&legacy));
     }
 
     #[test]
@@ -835,7 +754,7 @@ mod tests {
         let (start, now) = (12.5, 20.0);
 
         // Legacy: shift → truncate-or-floor → fold convolutions.
-        let mut legacy = truncate_below_or_floor(&exec.shift(start), now);
+        let mut legacy = exec.shift(start).truncate_below_or_floor(now);
         for q in &queued {
             legacy = legacy.convolve(q, policy);
         }
@@ -854,10 +773,7 @@ mod tests {
         let mut scratch = PmfScratch::new();
         scratch.load_prefix_shifted(&wide(6), 0.0);
         scratch.truncate_prefix_below_or_floor(1e9);
-        let view = scratch.prefix();
-        assert_eq!(view.len(), 1);
-        assert_eq!(view.min_value(), 1e9);
-        assert_eq!(view.impulses()[0].prob, 1.0);
+        assert!(scratch.prefix().to_pmf().bit_eq(&Pmf::singleton(1e9)));
     }
 
     #[test]
@@ -865,7 +781,8 @@ mod tests {
         let mut scratch = PmfScratch::new();
         let a = wide(4);
         assert_eq!(scratch.kernel_calls(), 0);
-        let _ = scratch.convolve_reduced(&a, &a, ReductionPolicy::default_cap());
+        let _ =
+            scratch.convolve_reduced(a.impulses(), a.impulses(), ReductionPolicy::default_cap());
         scratch.load_prefix_shifted(&a, 0.0);
         scratch.convolve_prefix_with(&a, ReductionPolicy::default_cap());
         assert_eq!(scratch.kernel_calls(), 2);
@@ -889,8 +806,8 @@ mod tests {
             for policy in [ReductionPolicy::default_cap(), ReductionPolicy::unlimited()] {
                 let (a, b) = (wide(n), wide(m));
                 assert_eq!(
-                    scratch.convolve_reduced_into(&a, &b, policy),
-                    convolve(&a, &b, policy)
+                    fused_pmf(&mut scratch, &a, &b, policy),
+                    a.convolve(&b, policy)
                 );
                 assert_eq!(buffers(&scratch), before, "{n} × {m} moved a buffer");
             }
@@ -915,8 +832,8 @@ mod tests {
         let b = pmf(&[(-0.0, 0.25), (1.0, 0.75)]);
         let mut scratch = PmfScratch::new();
         for policy in [ReductionPolicy::unlimited(), ReductionPolicy::new(2)] {
-            let legacy = convolve(&a, &b, policy);
-            let fused = scratch.convolve_reduced_into(&a, &b, policy);
+            let legacy = a.convolve(&b, policy);
+            let fused = fused_pmf(&mut scratch, &a, &b, policy);
             assert!(fused.bit_eq(&legacy), "{fused:?} vs {legacy:?}");
         }
     }

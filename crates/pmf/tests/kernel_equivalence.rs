@@ -6,8 +6,6 @@
 //! bit-for-bit, so the fused and legacy paths must be interchangeable at
 //! the bit level across every policy.
 
-use ecds_pmf::convolve::convolve_all;
-use ecds_pmf::truncate::truncate_below_or_floor;
 use ecds_pmf::{Pmf, PmfScratch, ReductionPolicy};
 use proptest::prelude::*;
 
@@ -43,11 +41,17 @@ fn arb_policy() -> impl Strategy<Value = ReductionPolicy> {
     })
 }
 
+/// One fused kernel call on `a ⊛ b` in `scratch`, materialized.
+fn fused_pmf(scratch: &mut PmfScratch, a: &Pmf, b: &Pmf, policy: ReductionPolicy) -> Pmf {
+    scratch
+        .convolve_reduced(a.impulses(), b.impulses(), policy)
+        .to_pmf()
+}
+
 /// One fused kernel call against the legacy pipeline, bit for bit.
 fn assert_fused_equals_legacy(a: &Pmf, b: &Pmf, policy: ReductionPolicy) {
     let legacy = a.convolve(b, policy);
-    let mut scratch = PmfScratch::new();
-    let fused = scratch.convolve_reduced_into(a, b, policy);
+    let fused = fused_pmf(&mut PmfScratch::new(), a, b, policy);
     // `bit_eq` compares every value's and probability's bits: identity,
     // not tolerance (it also tells `-0.0` from `0.0`).
     prop_assert!(
@@ -60,20 +64,16 @@ fn assert_fused_equals_legacy(a: &Pmf, b: &Pmf, policy: ReductionPolicy) {
 /// fold, compared at every step.
 fn assert_chain_equals_legacy(pmfs: &[Pmf], policy: ReductionPolicy) {
     // Chains compound any divergence: one ULP in step 1 changes the
-    // reduction bucketing of step 2. Fold both pipelines and compare at
-    // the end — and at every intermediate step via the prefix API.
-    let legacy = convolve_all(pmfs.iter(), policy).expect("non-empty");
+    // reduction bucketing of step 2. Fold both pipelines left and compare
+    // at every step via the prefix API.
+    let mut legacy = pmfs[0].clone();
     let mut scratch = PmfScratch::new();
     scratch.load_prefix_shifted(&pmfs[0], 0.0);
     for (step, next) in pmfs[1..].iter().enumerate() {
+        legacy = legacy.convolve(next, policy);
         scratch.convolve_prefix_with(next, policy);
-        let legacy_step = convolve_all(pmfs[..step + 2].iter(), policy).unwrap();
-        prop_assert!(
-            scratch.prefix().to_pmf().bit_eq(&legacy_step),
-            "step {step}"
-        );
+        prop_assert!(scratch.prefix().to_pmf().bit_eq(&legacy), "step {step}");
     }
-    prop_assert!(scratch.prefix().to_pmf().bit_eq(&legacy));
 }
 
 proptest! {
@@ -102,11 +102,11 @@ proptest! {
     ) {
         let legacy = a.convolve(&b, policy);
         let mut scratch = PmfScratch::new();
-        let view = scratch.convolve_reduced(&a, &b, policy);
-        prop_assert_eq!(view.expectation(), legacy.expectation());
-        prop_assert_eq!(view.prob_le(x), legacy.prob_le(x));
-        prop_assert_eq!(view.min_value(), legacy.min_value());
-        prop_assert_eq!(view.max_value(), legacy.max_value());
+        let view = scratch.convolve_reduced(a.impulses(), b.impulses(), policy);
+        prop_assert_eq!(view.expectation().to_bits(), legacy.expectation().to_bits());
+        prop_assert_eq!(view.prob_le(x).to_bits(), legacy.prob_le(x).to_bits());
+        prop_assert_eq!(view.min_value().to_bits(), legacy.min_value().to_bits());
+        prop_assert_eq!(view.max_value().to_bits(), legacy.max_value().to_bits());
     }
 
     #[test]
@@ -138,29 +138,25 @@ proptest! {
         // a fresh legacy computation — stale buffer contents must be
         // invisible.
         let mut scratch = PmfScratch::new();
-        let first = scratch.convolve_reduced_into(&a, &b, p1);
-        let second = scratch.convolve_reduced_into(&c, &d, p2);
+        let first = fused_pmf(&mut scratch, &a, &b, p1);
+        let second = fused_pmf(&mut scratch, &c, &d, p2);
         prop_assert_eq!(first, a.convolve(&b, p1));
         prop_assert_eq!(second, c.convolve(&d, p2));
     }
 
     #[test]
-    fn in_place_shift_equals_allocating_shift(p in arb_pmf(), dt in -500.0f64..500.0) {
-        let legacy = p.shift(dt);
-        let mut in_place = p.clone();
-        in_place.shift_in_place(dt);
-        prop_assert_eq!(in_place, legacy);
-    }
-
-    #[test]
-    fn in_place_truncate_equals_allocating_truncate(
+    fn scratch_truncate_equals_allocating_truncate(
         p in arb_pmf(),
+        start in -100.0f64..100.0,
         cutoff in 0.0f64..1200.0,
     ) {
-        let legacy = truncate_below_or_floor(&p, cutoff);
-        let mut in_place = p.clone();
-        in_place.truncate_below_or_floor_in_place(cutoff);
-        prop_assert_eq!(in_place, legacy);
+        // The reference oracle truncates with the allocating method; the
+        // evaluator truncates the resident prefix in place.
+        let legacy = p.shift(start).truncate_below_or_floor(cutoff);
+        let mut scratch = PmfScratch::new();
+        scratch.load_prefix_shifted(&p, start);
+        scratch.truncate_prefix_below_or_floor(cutoff);
+        prop_assert!(scratch.prefix().to_pmf().bit_eq(&legacy));
     }
 
     #[test]
@@ -176,7 +172,7 @@ proptest! {
         // convolve the queued pmfs on in FIFO order.
         let now = start + dt;
         let legacy = {
-            let mut acc = truncate_below_or_floor(&exec.shift(start), now);
+            let mut acc = exec.shift(start).truncate_below_or_floor(now);
             for q in &queued {
                 acc = acc.convolve(q, policy);
             }

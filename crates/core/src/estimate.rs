@@ -1,20 +1,17 @@
 //! Per-assignment estimation: the stochastic completion-time computation of
 //! Sec. IV-B and the expectation operators of Sec. V-A.
 
-use std::cmp::Reverse;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ecds_cluster::{PState, NUM_PSTATES};
 use ecds_persist::{DecodeError, Decoder, Encoder, Persist};
 use ecds_pmf::{Impulse, Pmf, PmfScratch, Prob, ReductionPolicy, Time};
-use ecds_sim::{DirtyCores, SystemView};
+use ecds_sim::SystemView;
 use ecds_workload::Task;
 
 use crate::candidate::EvaluatedCandidate;
 use crate::pool::{Batch, Job};
-use crate::shard::{
-    ClassCandidate, ClassKey, Expiry, ShardClass, ShardIndex, CLASS_NONE, ZERO_ESTS,
-};
+use crate::shard::{ClassCandidate, ClassKey, ShardClass, ShardIndex, CLASS_NONE, ZERO_ESTS};
 
 /// The four quantities Sec. V-A defines per assignment of task `z` to core
 /// `k` (of processor `j`, node `i`) in P-state `π` at time `t_l`.
@@ -174,6 +171,16 @@ impl Persist for CachedPrefix {
             fingerprint: Option::decode(dec)?,
         })
     }
+}
+
+/// The prefix cache's one freshness predicate: `core`'s entry exists, was
+/// computed at the core's current `epoch`, and `now` lies inside its
+/// exact-validity window.
+fn is_fresh(entries: &[Option<CachedPrefix>], core: usize, epoch: u64, now: Time) -> bool {
+    matches!(
+        entries.get(core),
+        Some(Some(e)) if e.epoch == epoch && e.computed_at <= now && now <= e.valid_until
+    )
 }
 
 /// The cache entry of `core`, which the caller has just refreshed via
@@ -424,9 +431,9 @@ fn compute_classes(
 ///   assumed, via fingerprint then [`Pmf::bit_eq`]) are evaluated once on
 ///   the lowest-index representative and the estimates replicated, while
 ///   candidates are still emitted in core-major / P-state-minor order
-///   (DESIGN.md §11, §13). With the engine's dirty-core mailbox on the view
-///   the index is maintained incrementally; without one, every call
-///   rebuilds it in full — same classes, estimates and counters.
+///   (DESIGN.md §11, §13). Each call re-examines only the cores whose
+///   cache entries went stale, found by one scan of the freshness
+///   predicate, so the index is maintained incrementally on any view.
 ///
 /// * *Shared kernel calls*: a decision's class representatives are packed
 ///   into one job whose items the calling thread and any idle threads of
@@ -562,11 +569,7 @@ impl CandidateEvaluator {
         if entries.len() <= core {
             entries.resize(view.cluster().total_cores().max(core + 1), None);
         }
-        let fresh = matches!(
-            &entries[core],
-            Some(e) if e.epoch == epoch && e.computed_at <= now && now <= e.valid_until
-        );
-        if fresh {
+        if is_fresh(entries, core, epoch, now) {
             self.hits += 1;
             return;
         }
@@ -653,66 +656,33 @@ impl CandidateEvaluator {
     }
 
     /// Brings the shard index exactly up to date with `view` (DESIGN.md
-    /// §13): determines which cores' memberships could have drifted since
-    /// the last sweep — epoch bumps via the engine's dirty-core mailbox,
-    /// validity-window expiries via the expiry heap — detaches exactly
-    /// those, then refreshes and re-joins them in ascending core order.
-    /// Falls back to a full rebuild whenever incremental correctness can't
-    /// be proven (no mailbox, dropped marks, size change, backward time
-    /// step); a mailbox-less sweep also schedules a rebuild for the next
-    /// one.
+    /// §13): one in-order scan picks every core whose cache entry fails
+    /// the freshness predicate [`CandidateEvaluator::refresh_entry`]
+    /// applies (epoch bumped, or view time outside the exact-validity
+    /// window), detaches exactly those, then refreshes and re-joins them
+    /// in ascending core order. The index is rebuilt in full only when its
+    /// size does not match the cluster: first use, a cache reset, a
+    /// restore or a cluster-size change.
     ///
     /// Every candidate core is refreshed through
     /// [`CandidateEvaluator::refresh_entry`] (one hit or miss each), and
-    /// every untouched core is a guaranteed hit, booked in bulk — so the
-    /// cache counters equal one lookup per core per event whichever way
-    /// the sweep went.
+    /// every other core is a hit, booked in bulk — so the cache counters
+    /// equal one lookup per core per event whichever way the sweep went.
     fn shard_sweep(&mut self, view: &SystemView<'_>) {
         let n = view.cluster().total_cores();
         let now = view.time();
         let shard = &mut self.shard;
-        if shard.class_of.len() != n || now < shard.last_now {
-            shard.needs_rebuild = true;
+        let rebuild = shard.class_of.len() != n;
+        if rebuild {
+            shard.begin_rebuild(n);
         }
         let mut candidates = std::mem::take(&mut shard.candidates);
         candidates.clear();
-        let mut full = shard.needs_rebuild;
-        if !full {
-            match view.dirty_cores() {
-                // `cursor > head` means this is a different mailbox than
-                // the one the cursor was read from: marks may be hidden.
-                Some(dirty) if shard.cursor <= dirty.head() => {
-                    match dirty.marks_since(shard.cursor) {
-                        Some(marks) => {
-                            candidates.extend_from_slice(marks);
-                            shard.cursor = dirty.head();
-                        }
-                        // The mailbox overflowed and dropped marks.
-                        None => full = true,
-                    }
-                }
-                _ => full = true,
-            }
-        }
-        if full {
-            shard.begin_rebuild(n);
-            candidates.extend(0..n as u32);
-            shard.cursor = view.dirty_cores().map_or(0, DirtyCores::head);
-        } else {
-            // Entries whose exact-validity window has closed may now be
-            // stale even at an unchanged epoch. The heap is lazy: a popped
-            // core's entry may have been recomputed since the push, so it
-            // is re-checked by `refresh_entry` like any other candidate.
-            while let Some(&Reverse(top)) = shard.expiry.peek() {
-                if now <= top.valid_until {
-                    break;
-                }
-                shard.expiry.pop();
-                candidates.push(top.core);
-            }
-            candidates.sort_unstable();
-            candidates.dedup();
-        }
+        let cache = &self.cache;
+        candidates.extend((0..n as u32).filter(|&core| {
+            let core = core as usize;
+            rebuild || !is_fresh(cache, core, view.core_epoch(core), now)
+        }));
         // Two-phase: detach every candidate first, so phase 2's bit-identity
         // checks only ever compare against representatives that are either
         // untouched (still fresh) or already refreshed this sweep.
@@ -724,12 +694,6 @@ impl CandidateEvaluator {
             self.refresh_entry(view, core);
             let cache = &self.cache;
             let e = entry_of(cache, core);
-            if e.valid_until.is_finite() {
-                self.shard.expiry.push(Reverse(Expiry {
-                    valid_until: e.valid_until,
-                    core: core as u32,
-                }));
-            }
             let node = view.cluster().core(core).node;
             let key = ClassKey {
                 template: view.cluster().template_of(node) as u32,
@@ -741,15 +705,8 @@ impl CandidateEvaluator {
                 prefix_bit_eq(prefix, entry_of(cache, rep as usize).prefix.as_ref())
             });
         }
-        // Every non-candidate core's entry is provably fresh (epoch
-        // unmarked, validity window still open): book one hit for each.
         self.hits += (n - candidates.len()) as u64;
-        let shard = &mut self.shard;
-        shard.candidates = candidates;
-        shard.last_now = now;
-        // Without a mailbox nothing reports the epoch bumps that happen
-        // before the next sweep.
-        shard.needs_rebuild = view.dirty_cores().is_none();
+        self.shard.candidates = candidates;
     }
 
     /// Evaluates every candidate assignment for `task` as one
@@ -758,11 +715,12 @@ impl CandidateEvaluator {
     /// materializing the `cores × P-states` candidate stream. `out` is
     /// cleared and refilled (capacity retained) in deterministic key order.
     ///
-    /// Returns `false`, leaving `out` empty, when the view carries no
-    /// dirty-core mailbox (incrementality depends on the engine reporting
-    /// epoch bumps); callers fall back to
-    /// [`CandidateEvaluator::evaluate_all_into`]. Cache and dedup counters
-    /// advance exactly as a full-scan `evaluate_all` would.
+    /// Cache and dedup counters advance exactly as a full-scan
+    /// `evaluate_all` would.
+    ///
+    /// Always returns `true`: every view takes the indexed path. The
+    /// `bool` exists only for `perfbench`'s `TracedScheduler` until
+    /// ROADMAP item 1(0) moves it onto [`Scheduler`](crate::Scheduler).
     // lint: alloc-free
     pub fn evaluate_indexed_into(
         &mut self,
@@ -771,9 +729,6 @@ impl CandidateEvaluator {
         out: &mut Vec<ClassCandidate>,
     ) -> bool {
         out.clear();
-        if view.dirty_cores().is_none() {
-            return false;
-        }
         let num_cores = view.cluster().total_cores();
         self.shard_sweep(view);
         let Self {
@@ -858,7 +813,7 @@ mod tests {
         }
     }
 
-    /// A hand-built view with no dirty-core mailbox.
+    /// A hand-built view.
     fn view_at<'a>(
         s: &'a Scenario,
         cores: &'a [CoreState],
@@ -1325,10 +1280,9 @@ mod tests {
     }
 
     /// Asserts every observable counter of the two evaluators agrees —
-    /// the incremental (mailbox) sweep must be *arithmetically* exact
-    /// against the mailbox-less full rebuild, not just bit-identical in its
-    /// candidate stream, because the committed artifacts embed these
-    /// counters.
+    /// the incremental sweep must be *arithmetically* exact against a full
+    /// rebuild, not just bit-identical in its candidate stream, because
+    /// the committed artifacts embed these counters.
     fn assert_counters_eq(a: &CandidateEvaluator, b: &CandidateEvaluator) {
         assert_eq!(a.prefix_cache_stats(), b.prefix_cache_stats());
         assert_eq!(a.dedup_stats(), b.dedup_stats());
@@ -1340,28 +1294,28 @@ mod tests {
     fn shard_indexed_evaluate_all_stays_exact_across_mutations() {
         let s = scenario();
         let mut cores = idle_cores(&s);
-        let mut dirty = ecds_sim::DirtyCores::default();
         let mut shard = CandidateEvaluator::default();
-        // Mailbox-less views make the reference rebuild on every call.
+        // Its shard index is emptied before every call, so it rebuilds in
+        // full from the same warm cache.
         let mut reference = CandidateEvaluator::default();
         let n = s.cluster().total_cores();
         let mut now = 0.0;
         for step in 0..8 {
             let task = mk_task(&s, now);
             {
-                let bare = view_at(&s, &cores, now, 1 + step);
-                let view = view_at(&s, &cores, now, 1 + step).with_dirty(&dirty);
+                let view = view_at(&s, &cores, now, 1 + step);
                 let stream = shard.evaluate_all(&view, &task);
+                reference.shard.reset();
                 assert!(candidates_bit_eq(
                     &stream,
-                    &reference.evaluate_all(&bare, &task)
+                    &reference.evaluate_all(&view, &task)
                 ));
-                assert!(candidates_bit_eq(&stream, &oracle(&bare, &task)));
+                assert!(candidates_bit_eq(&stream, &oracle(&view, &task)));
                 assert_counters_eq(&shard, &reference);
             }
-            // Mutate a handful of cores — epoch bumps the engine would
-            // report through the mailbox — and advance time unevenly so
-            // some steps cross validity windows.
+            // Mutate a handful of cores — epoch bumps nothing reports to
+            // the evaluator — and advance time unevenly so some steps cross
+            // validity windows.
             for k in 0..=(step % 3) {
                 let c = (step * 5 + k * 7) % n;
                 if cores[c].executing().is_some() {
@@ -1380,41 +1334,39 @@ mod tests {
                         deadline: now + 5000.0,
                     });
                 }
-                dirty.mark(c);
             }
             now += 0.5 + 150.0 * (step % 4) as f64;
         }
     }
 
     #[test]
-    fn shard_expiry_recomputes_stale_windows_without_marks() {
+    fn shard_recomputes_closed_validity_windows_at_unchanged_epochs() {
         let s = scenario();
         let cores = busy_cores(&s);
-        let dirty = ecds_sim::DirtyCores::default();
         let mut shard = CandidateEvaluator::default();
         let mut reference = CandidateEvaluator::default();
         let task = mk_task(&s, 1.0);
-        let bare = view_at(&s, &cores, 1.0, 1);
+        let view = view_at(&s, &cores, 1.0, 1);
         assert!(candidates_bit_eq(
-            &shard.evaluate_all(&view_at(&s, &cores, 1.0, 1).with_dirty(&dirty), &task),
-            &reference.evaluate_all(&bare, &task)
+            &shard.evaluate_all(&view, &task),
+            &reference.evaluate_all(&view, &task)
         ));
-        // Jump far past every executing pmf's first impulse with NO dirty
-        // marks: every prefix's truncation changes, so both evaluators
-        // must recompute every busy core — the shard finds them through
-        // its expiry heap alone.
+        // Jump far past every executing pmf's first impulse with no epoch
+        // bump: every prefix's truncation changes, so both evaluators must
+        // recompute every busy core — the shard finds them through the
+        // validity windows alone.
         let node = s.cluster().core(0).node;
         let raw = s.table().pmf(TaskTypeId(0), node, PState::P1);
         let late_t = raw.min_value() + raw.expectation() * 3.0;
         let late_task = mk_task(&s, late_t);
-        let late_bare = view_at(&s, &cores, late_t, 2);
-        let late = view_at(&s, &cores, late_t, 2).with_dirty(&dirty);
+        let late = view_at(&s, &cores, late_t, 2);
         let stream = shard.evaluate_all(&late, &late_task);
+        reference.shard.reset();
         assert!(candidates_bit_eq(
             &stream,
-            &reference.evaluate_all(&late_bare, &late_task)
+            &reference.evaluate_all(&late, &late_task)
         ));
-        assert!(candidates_bit_eq(&stream, &oracle(&late_bare, &late_task)));
+        assert!(candidates_bit_eq(&stream, &oracle(&late, &late_task)));
         assert_counters_eq(&shard, &reference);
         let (_, misses) = shard.prefix_cache_stats().unwrap();
         let n = s.cluster().total_cores() as u64;
@@ -1425,17 +1377,15 @@ mod tests {
     fn shard_rebuilds_after_reset() {
         let s = scenario();
         let cores = busy_cores(&s);
-        let dirty = ecds_sim::DirtyCores::default();
         let mut shard = CandidateEvaluator::default();
         let task = mk_task(&s, 1.0);
-        let bare = view_at(&s, &cores, 1.0, 1);
-        let view = view_at(&s, &cores, 1.0, 1).with_dirty(&dirty);
+        let view = view_at(&s, &cores, 1.0, 1);
         let before = shard.evaluate_all(&view, &task);
         shard.reset_cache();
         let mut fresh = CandidateEvaluator::default();
         assert!(candidates_bit_eq(
             &shard.evaluate_all(&view, &task),
-            &fresh.evaluate_all(&bare, &task)
+            &fresh.evaluate_all(&view, &task)
         ));
         assert_counters_eq(&shard, &fresh);
         assert!(candidates_bit_eq(
@@ -1448,10 +1398,9 @@ mod tests {
     fn indexed_classes_cover_every_core_with_identical_estimates() {
         let s = scenario();
         let cores = busy_cores(&s);
-        let dirty = ecds_sim::DirtyCores::default();
         let mut ev = CandidateEvaluator::default();
         let task = mk_task(&s, 1.0);
-        let view = SystemView::new(s.cluster(), s.table(), &cores, 1.0, 1, 60).with_dirty(&dirty);
+        let view = view_at(&s, &cores, 1.0, 1);
         let mut classes = Vec::new();
         assert!(ev.evaluate_indexed_into(&view, &task, &mut classes));
         let n = s.cluster().total_cores();
@@ -1470,21 +1419,40 @@ mod tests {
     }
 
     #[test]
-    fn indexed_path_requires_shard_and_mailbox() {
+    fn hand_built_views_group_classes_like_per_core_selection() {
+        use crate::heuristics::{
+            ll::LightestLoad, mect::MinimumExpectedCompletionTime, met::MinimumExecutionTime,
+            olb::OpportunisticLoadBalancing, sq::ShortestQueue, Heuristic,
+        };
         let s = scenario();
-        let cores = idle_cores(&s);
-        let task = mk_task(&s, 0.0);
+        let n = s.cluster().total_cores();
+        let mut cores = idle_cores(&s);
+        for c in (0..n).step_by(3) {
+            mutate(&mut cores[c], 0, c % 3, c, 0.0);
+            mutate(&mut cores[c], 1, (c + 1) % 3, n + c, 0.0);
+        }
+        let view = view_at(&s, &cores, 1.0, 1);
+        let task = mk_task(&s, 1.0);
         let mut classes = Vec::new();
-        let mut ev = CandidateEvaluator::default();
-        let dirty = ecds_sim::DirtyCores::default();
-        let bare = view_at(&s, &cores, 0.0, 1);
-        let view = view_at(&s, &cores, 0.0, 1).with_dirty(&dirty);
-        assert!(ev.evaluate_indexed_into(&view, &task, &mut classes));
-        assert!(!classes.is_empty());
-        // Without a dirty-core mailbox the indexed path is unavailable and
-        // the buffer is left empty.
-        assert!(!ev.evaluate_indexed_into(&bare, &task, &mut classes));
-        assert!(classes.is_empty());
+        assert!(CandidateEvaluator::default().evaluate_indexed_into(&view, &task, &mut classes));
+        assert!(classes.len() < n, "idle cores must share classes");
+        let stream = oracle(&view, &task);
+        let mut heuristics: [Box<dyn Heuristic>; 5] = [
+            Box::new(ShortestQueue),
+            Box::new(MinimumExpectedCompletionTime),
+            Box::new(LightestLoad),
+            Box::new(MinimumExecutionTime),
+            Box::new(OpportunisticLoadBalancing),
+        ];
+        for h in &mut heuristics {
+            let want = h
+                .choose(&task, &view, &stream)
+                .map(|i| (stream[i].core, stream[i].pstate));
+            let got = h
+                .choose_indexed(&task, &view, &classes)
+                .map(|(ci, pstate)| (classes[ci].min_core, pstate));
+            assert_eq!(got, want, "{}", h.name());
+        }
     }
 
     /// One mutation in the style of `tests/shard_properties.rs`: `op` 0
@@ -1546,7 +1514,7 @@ mod tests {
         /// runs on the caller alone emit bit-identical class lists and
         /// candidate streams, count the same kernel calls, classes and
         /// cache lookups, and checkpoint to the same bytes — on the
-        /// indexed path (mailbox view) and the per-core one (bare view).
+        /// indexed path and the per-core one.
         #[test]
         fn helpers_never_change_a_bit(
             steps in proptest::collection::vec(
@@ -1561,7 +1529,6 @@ mod tests {
             let s = scenario();
             let n = s.cluster().total_cores();
             let mut cores = busy_cores(&s);
-            let mut dirty = ecds_sim::DirtyCores::default();
             let mut shared = CandidateEvaluator::default();
             let mut alone = CandidateEvaluator::default();
             let (mut shared_classes, mut alone_classes) = (Vec::new(), Vec::new());
@@ -1571,11 +1538,9 @@ mod tests {
                 now += dt;
                 for &(pick, op, type_id) in ops {
                     mutate(&mut cores[pick % n], op, type_id, id, now);
-                    dirty.mark(pick % n);
                     id += 1;
                 }
-                let view = view_at(&s, &cores, now, 1 + step).with_dirty(&dirty);
-                let bare = view_at(&s, &cores, now, 1 + step);
+                let view = view_at(&s, &cores, now, 1 + step);
                 let task = Task {
                     id: TaskId(step),
                     type_id: TaskTypeId(step % 10),
@@ -1589,9 +1554,9 @@ mod tests {
                 });
                 proptest::prop_assert!(indexed);
                 proptest::prop_assert!(classes_bit_eq(&shared_classes, &alone_classes));
-                shared.evaluate_all_into(&bare, &task, &mut shared_stream);
+                shared.evaluate_all_into(&view, &task, &mut shared_stream);
                 crate::pool::without_helpers(|| {
-                    alone.evaluate_all_into(&bare, &task, &mut alone_stream)
+                    alone.evaluate_all_into(&view, &task, &mut alone_stream)
                 });
                 proptest::prop_assert!(candidates_bit_eq(&shared_stream, &alone_stream));
                 assert_counters_eq(&shared, &alone);

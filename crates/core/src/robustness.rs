@@ -7,9 +7,12 @@
 //! immediate-mode corollary the heuristics exploit: assigning an arriving
 //! task where its own on-time probability is highest maximizes ρ(t_l).
 //!
-//! This module exists to *validate* the robustness model (the paper's
-//! contribution (a)): integration tests check that ρ(t_l) computed mid-run
-//! predicts the realized on-time completions.
+//! No scheduling path calls these functions: heuristics and filters read
+//! the per-assignment ρ from the candidate evaluator. They are public API
+//! (re-exported by the `ecds` facade) for callers that want the system-wide
+//! metric; the unit tests below pin Eqs. 3–4, and `benches/micro.rs` times
+//! `system_robustness`. The calibration of the per-assignment ρ against
+//! realized on-time completions lives in the `validate` binary.
 
 use ecds_pmf::{Prob, ReductionPolicy};
 use ecds_sim::SystemView;

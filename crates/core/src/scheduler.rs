@@ -157,13 +157,12 @@ impl Mapper for Scheduler {
             budget: self.budget,
         };
         // One selection path over classes (DESIGN.md §13): the shard
-        // index's grouped classes when the heuristic may decide from them
-        // and the engine reports epoch bumps, else one class per core.
-        let grouped = self.heuristic.supports_indexed()
-            && self
-                .evaluator
+        // index's grouped classes when the heuristic may decide from them,
+        // else one class per core.
+        if self.heuristic.supports_indexed() {
+            self.evaluator
                 .evaluate_indexed_into(view, task, &mut self.classes);
-        if !grouped {
+        } else {
             self.evaluator
                 .evaluate_all_into(view, task, &mut self.candidates);
             per_core_classes(view, &self.candidates, &mut self.classes);

@@ -2,13 +2,13 @@
 //! (DESIGN.md §13).
 //!
 //! Rebuilding the class partition of DESIGN.md §11 on every mapping event
-//! is O(cores) work per arrival even when nothing changed. The shard index
-//! makes the partition *persistent*: the classes live across events, and an
-//! epoch bump on a core invalidates only that core's membership (reported
-//! through the engine's [`DirtyCores`](ecds_sim::DirtyCores) mailbox), while
-//! cached prefixes that outlive their exact-validity window surface through
-//! an expiry heap. One arrival then costs O(active classes + marks since the
-//! last arrival + log cores) instead of O(cores × P-states).
+//! costs a prefix refresh and a class join per core even when nothing
+//! changed. The shard index makes the partition *persistent*: the classes
+//! live across events, and each event detaches and re-joins only the cores
+//! whose cached prefix went stale — an epoch bump or a closed validity
+//! window, found by one scan of the cache's freshness predicate. One
+//! arrival then costs O(cores) cheap predicate checks plus O(active classes
+//! + stale cores) index work instead of O(cores × P-states) estimates.
 //!
 //! Class *identity* is bit-exact, never hashed: a core joins an existing
 //! class only when its `(template, fingerprint, depth)` key matches **and**
@@ -19,15 +19,13 @@
 //! counter the committed artifacts embed stays arithmetically exact.
 //!
 //! The index is derived state: it is never checkpointed. Restores, cache
-//! resets, and cluster-size changes schedule a full rebuild, which is the
-//! always-correct fallback the incremental path degrades to whenever the
-//! mark mailbox is absent or has dropped marks.
+//! resets, and cluster-size changes empty it, and the next sweep rebuilds
+//! it in full.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use ecds_cluster::NUM_PSTATES;
-use ecds_pmf::Time;
 
 use crate::estimate::AssignmentEstimate;
 
@@ -85,39 +83,6 @@ impl ShardClass {
     }
 }
 
-/// Expiry-heap entry: the inclusive end of a cached prefix's
-/// exact-validity window, ordered by `total_cmp` (floats carry no `Ord`;
-/// the total order is explicit rather than `==`-based — lint R3).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Expiry {
-    /// `valid_until` of the cache entry at push time.
-    pub valid_until: Time,
-    /// The core whose entry expires.
-    pub core: u32,
-}
-
-impl PartialEq for Expiry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for Expiry {}
-
-impl PartialOrd for Expiry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Expiry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.valid_until
-            .total_cmp(&other.valid_until)
-            .then(self.core.cmp(&other.core))
-    }
-}
-
 /// One equivalence class of (core, P-state) candidates as the indexed
 /// selection path sees it: the five per-P-state estimates evaluated once on
 /// the class representative, plus everything a heuristic or filter needs to
@@ -161,18 +126,11 @@ pub(crate) const ZERO_ESTS: [AssignmentEstimate; NUM_PSTATES] = [AssignmentEstim
 
 /// The persistent index state. Structure-only: freshness predicates,
 /// prefix recomputation, and counter accounting stay in the evaluator,
-/// which drives the two-phase sweep (leave every invalidated core first,
-/// then refresh and re-join in ascending core order).
-#[derive(Debug)]
+/// which drives the two-phase sweep (leave every stale core first, then
+/// refresh and re-join in ascending core order). An empty `class_of` means
+/// the next sweep rebuilds the whole structure.
+#[derive(Debug, Default)]
 pub(crate) struct ShardIndex {
-    /// Set by restores, resets, and size changes: the next sweep discards
-    /// the whole structure and re-joins every core.
-    pub needs_rebuild: bool,
-    /// View time of the last sweep; a backward step forces a rebuild (the
-    /// expiry heap only ever reasons forward).
-    pub last_now: Time,
-    /// Absolute read position in the engine's dirty-core mailbox.
-    pub cursor: u64,
     /// Chain heads by class key.
     pub by_key: BTreeMap<ClassKey, u32>,
     /// Class slots (free-listed).
@@ -183,48 +141,18 @@ pub(crate) struct ShardIndex {
     pub class_of: Vec<u32>,
     /// Number of live (non-freed) classes.
     pub active: usize,
-    /// Min-heap of pending validity-window expiries (lazy: entries whose
-    /// core was since recomputed are re-checked, not trusted).
-    pub expiry: BinaryHeap<Reverse<Expiry>>,
     /// Per-sweep scratch: the cores whose membership must be revalidated.
     pub candidates: Vec<u32>,
     /// Per-class estimates, computed once per mapping event.
     pub ests: Vec<[AssignmentEstimate; NUM_PSTATES]>,
 }
 
-impl Default for ShardIndex {
-    fn default() -> Self {
-        Self {
-            needs_rebuild: true,
-            last_now: f64::NEG_INFINITY,
-            cursor: 0,
-            by_key: BTreeMap::new(),
-            classes: Vec::new(),
-            free: Vec::new(),
-            class_of: Vec::new(),
-            active: 0,
-            expiry: BinaryHeap::new(),
-            candidates: Vec::new(),
-            ests: Vec::new(),
-        }
-    }
-}
-
 impl ShardIndex {
-    /// Discards every class and schedules a full rebuild at the next
-    /// sweep. Called on cache resets and restores (the index is derived
-    /// from the prefix cache, never checkpointed).
+    /// Discards every class, so the next sweep rebuilds in full. Called on
+    /// cache resets and restores (the index is derived from the prefix
+    /// cache, never checkpointed).
     pub fn reset(&mut self) {
-        self.needs_rebuild = true;
-        self.last_now = f64::NEG_INFINITY;
-        self.cursor = 0;
-        self.by_key.clear();
-        self.classes.clear();
-        self.free.clear();
-        self.class_of.clear();
-        self.active = 0;
-        self.expiry.clear();
-        self.candidates.clear();
+        self.begin_rebuild(0);
     }
 
     /// Clears the class structure in place (capacities retained) ahead of
@@ -236,7 +164,6 @@ impl ShardIndex {
         self.class_of.clear();
         self.class_of.resize(n, CLASS_NONE);
         self.active = 0;
-        self.expiry.clear();
         self.candidates.clear();
     }
 
@@ -429,26 +356,10 @@ mod tests {
     }
 
     #[test]
-    fn expiry_orders_by_time_then_core() {
-        let mut heap = BinaryHeap::new();
-        for (t, c) in [(5.0, 1), (1.0, 9), (1.0, 2), (3.0, 0)] {
-            heap.push(Reverse(Expiry {
-                valid_until: t,
-                core: c,
-            }));
-        }
-        let order: Vec<(f64, u32)> =
-            std::iter::from_fn(|| heap.pop().map(|Reverse(e)| (e.valid_until, e.core))).collect();
-        assert_eq!(order, vec![(1.0, 2), (1.0, 9), (3.0, 0), (5.0, 1)]);
-    }
-
-    #[test]
     fn reset_schedules_rebuild() {
         let mut idx = index_with(2);
         idx.join(0, key(0, None, 0), |_| true);
-        idx.needs_rebuild = false;
         idx.reset();
-        assert!(idx.needs_rebuild);
         assert!(idx.by_key.is_empty());
         assert!(idx.class_of.is_empty());
         assert_eq!(idx.active, 0);

@@ -1,9 +1,9 @@
 //! Proof that the evaluator's engine path is allocation-free in steady
-//! state: with the engine's dirty-core mailbox on the view, once the
-//! scratch buffers have grown to the workload's high-water mark and the
-//! prefix cache and shard index are warm, `evaluate_all_into` (into a
-//! caller-owned buffer) and `evaluate_indexed_into` touch the allocator
-//! zero times, no matter how many (core, P-state) convolutions they run.
+//! state: once the scratch buffers have grown to the workload's high-water
+//! mark and the prefix cache and shard index are warm, `evaluate_all_into`
+//! (into a caller-owned buffer) and `evaluate_indexed_into` touch the
+//! allocator zero times, no matter how many (core, P-state) convolutions
+//! they run.
 //!
 //! The whole file is a single `#[test]` in its own integration binary so no
 //! concurrent test pollutes the global allocation counter.
@@ -16,7 +16,7 @@ use ecds_core::{
     candidates_bit_eq, reference, CandidateEvaluator, ClassCandidate, EvaluatedCandidate,
 };
 use ecds_pmf::ReductionPolicy;
-use ecds_sim::{CoreState, DirtyCores, ExecutingTask, QueuedTask, Scenario, SystemView};
+use ecds_sim::{CoreState, ExecutingTask, QueuedTask, Scenario, SystemView};
 use ecds_workload::{Task, TaskId, TaskTypeId};
 
 /// System allocator wrapper that counts every allocation call.
@@ -70,7 +70,7 @@ fn warm_engine_path_is_allocation_free() {
             });
         }
     }
-    let bare = SystemView::new(scenario.cluster(), scenario.table(), &cores, 50.0, 1, 60);
+    let view = SystemView::new(scenario.cluster(), scenario.table(), &cores, 50.0, 1, 60);
     let task = Task {
         id: TaskId(50),
         type_id: TaskTypeId(0),
@@ -82,9 +82,9 @@ fn warm_engine_path_is_allocation_free() {
     // The oracle evaluates per core through the allocating `Pmf`
     // operations, so it allocates at least once per candidate; the
     // contrast proves the counter actually observes the evaluation.
-    let reference = reference::evaluate_all(&bare, &task, ReductionPolicy::default());
+    let reference = reference::evaluate_all(&view, &task, ReductionPolicy::default());
     let before = allocations();
-    let oracle_measured = reference::evaluate_all(&bare, &task, ReductionPolicy::default());
+    let oracle_measured = reference::evaluate_all(&view, &task, ReductionPolicy::default());
     let oracle_during = allocations() - before;
     assert!(candidates_bit_eq(&oracle_measured, &reference));
     let candidates = reference.len() as u64;
@@ -94,13 +94,10 @@ fn warm_engine_path_is_allocation_free() {
          ({candidates}), counted {oracle_during}"
     );
 
-    // With an epoch-bump mailbox on the view, the evaluator maintains its
-    // shard index incrementally, and a caller-owned output buffer removes
-    // the result allocation: a warm `evaluate_all_into` and a warm
-    // `evaluate_indexed_into` must both touch the allocator zero times.
-    let dirty = DirtyCores::default();
-    let view = SystemView::new(scenario.cluster(), scenario.table(), &cores, 50.0, 1, 60)
-        .with_dirty(&dirty);
+    // The evaluator maintains its shard index incrementally, and a
+    // caller-owned output buffer removes the result allocation: a warm
+    // `evaluate_all_into` and a warm `evaluate_indexed_into` must both
+    // touch the allocator zero times.
     let mut evaluator = CandidateEvaluator::default();
 
     let mut out: Vec<EvaluatedCandidate> = Vec::new();
@@ -117,7 +114,7 @@ fn warm_engine_path_is_allocation_free() {
     assert_eq!(
         during, 0,
         "warm evaluate_all_into with a caller-owned buffer must not \
-         allocate: the sweep walks the mailbox/expiry heap in place, every \
+         allocate: the freshness scan fills the retained candidate buffer, every \
          candidate convolution runs in the scratch, and estimates land in \
          the reused class storage"
     );

@@ -1,12 +1,12 @@
 //! Property tests of the persistent shard index: over *arbitrary mutation
-//! sequences* (starts, completions, queue pushes/pops, uneven time
-//! advances) driven through an epoch-bump mailbox, the incrementally
-//! maintained index must stay bit-identical to the oracle
-//! ([`ecds_core::reference`]) and exact in its counters against an
-//! evaluator that rebuilds the index on every call — both the materialized
-//! candidate stream (`candidates_bit_eq`) and the index-selected top choice
-//! for every heuristic that decides from grouped classes (SQ, MECT, LL,
-//! MET, OLB) under every filter variant.
+//! sequences* (starts, completions, queue pushes/pops, uneven time steps,
+//! backward ones included) that nothing reports to the evaluator, one
+//! reused evaluator must stay bit-identical to the oracle
+//! ([`ecds_core::reference`]) and exact against fresh evaluators, which
+//! build the index in full — in the materialized candidate stream
+//! (`candidates_bit_eq`), every counter, the class partition, and the
+//! index-selected top choice for every heuristic that decides from grouped
+//! classes (SQ, MECT, LL, MET, OLB) under every filter variant.
 
 use ecds_cluster::{PState, NUM_PSTATES};
 use ecds_core::{
@@ -14,8 +14,9 @@ use ecds_core::{
     EvaluatedCandidate, Filter, FilterCtx, Heuristic, LightestLoad, MinimumExecutionTime,
     MinimumExpectedCompletionTime, OpportunisticLoadBalancing, RobustnessFilter, ShortestQueue,
 };
+use ecds_persist::{Decoder, Encoder};
 use ecds_pmf::ReductionPolicy;
-use ecds_sim::{CoreState, DirtyCores, ExecutingTask, QueuedTask, Scenario, SystemView};
+use ecds_sim::{CoreState, ExecutingTask, QueuedTask, Scenario, SystemView};
 use ecds_workload::{Task, TaskId, TaskTypeId};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -38,7 +39,7 @@ enum Op {
     Complete,
 }
 
-fn arb_step() -> impl Strategy<Value = (Vec<(usize, Op)>, f64, usize)> {
+fn arb_step() -> impl Strategy<Value = (Vec<(usize, Op)>, f64)> {
     let op =
         (0usize..3, 0usize..10, 0usize..NUM_PSTATES).prop_map(
             |(which, type_id, pstate)| match which {
@@ -49,9 +50,8 @@ fn arb_step() -> impl Strategy<Value = (Vec<(usize, Op)>, f64, usize)> {
         );
     (
         prop::collection::vec((0usize..64, op), 0..6),
-        0.1f64..300.0,
-        // Extra unmutated core to over-mark (always legal).
-        0usize..64,
+        // Time steps back as well as forward.
+        -150.0f64..300.0,
     )
 }
 
@@ -151,14 +151,47 @@ fn indexed_choice(
         .map(|(ci, ps)| (classes[ci].min_core, ps))
 }
 
+/// Every observable counter: prefix-cache hits and misses, classes and
+/// events, skipped evaluations, kernel calls.
+fn counters(ev: &CandidateEvaluator) -> [u64; 6] {
+    let (hits, misses) = ev.prefix_cache_stats().expect("cache on");
+    let (classes, events) = ev.dedup_stats().expect("dedup on");
+    [
+        hits,
+        misses,
+        classes,
+        events,
+        ev.dedup_skipped_evaluations(),
+        ev.fused_kernel_calls(),
+    ]
+}
+
+/// The class list sorted by representative, for comparing partitions
+/// whose key-chain order may differ.
+fn by_min_core(classes: &[ClassCandidate]) -> Vec<ClassCandidate> {
+    let mut sorted = classes.to_vec();
+    sorted.sort_by_key(|c| c.min_core);
+    sorted
+}
+
+fn classes_bit_eq(a: &[ClassCandidate], b: &[ClassCandidate]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            x.min_core == y.min_core
+                && x.depth == y.depth
+                && x.members == y.members
+                && x.ests.iter().zip(&y.ests).all(|(p, q)| p.bit_eq(q))
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Arbitrary mutation sequences ⇒ at every step the incrementally
-    /// maintained shard index reproduces the oracle's stream bit-for-bit,
-    /// the exact dedup counters of a per-call rebuild, and the full-scan
-    /// top-k selection of every indexed heuristic under every filter
-    /// variant.
+    /// Arbitrary unreported mutation sequences ⇒ at every step the reused
+    /// evaluator's incrementally maintained shard index reproduces the
+    /// oracle's stream bit-for-bit, the counters and classes of a full
+    /// rebuild, and the full-scan top-k selection of every indexed
+    /// heuristic under every filter variant.
     #[test]
     fn indexed_top_k_matches_full_scan_over_arbitrary_mutations(
         steps in prop::collection::vec(arb_step(), 1..8),
@@ -168,70 +201,66 @@ proptest! {
         let s = scenario();
         let n = s.cluster().total_cores();
         let mut cores = vec![CoreState::new(); n];
-        let mut dirty = DirtyCores::default();
         let mut now = 0.0f64;
         let mut next_id = 0usize;
 
         let mut sharded = CandidateEvaluator::default();
-        // Evaluated on mailbox-less views, so it rebuilds on every call.
-        let mut full = CandidateEvaluator::default();
 
         let mut out: Vec<EvaluatedCandidate> = Vec::new();
         let mut classes: Vec<ClassCandidate> = Vec::new();
+        let mut rebuilt_classes: Vec<ClassCandidate> = Vec::new();
 
-        for (step, (ops, dt, extra_mark)) in steps.iter().enumerate() {
+        for (step, (ops, dt)) in steps.iter().enumerate() {
             now += dt;
             for (pick, op) in ops {
                 let core = pick % n;
                 apply(&mut cores[core], op, next_id, now);
                 next_id += 1;
-                dirty.mark(core);
             }
-            // Over-marking an untouched core must be harmless.
-            dirty.mark(extra_mark % n);
 
-            let view = SystemView::new(s.cluster(), s.table(), &cores, now, 1, 60)
-                .with_dirty(&dirty);
-            let bare = SystemView::new(s.cluster(), s.table(), &cores, now, 1, 60);
+            let view = SystemView::new(s.cluster(), s.table(), &cores, now, 1, 60);
             let task = probe_task(step, deadline_slack, now);
 
+            // A fresh evaluator restored from the reused one's checkpoint
+            // holds the same cache and counters but no index, so it
+            // rebuilds the index in full.
+            let mut enc = Encoder::new();
+            sharded.save_state(&mut enc);
+            let bytes = enc.into_bytes();
+            let mut rebuilt = CandidateEvaluator::default();
+            rebuilt.restore_state(&mut Decoder::new(&bytes)).expect("own checkpoint");
+
             // Materialized stream: bit-identical to the oracle and to the
-            // rebuild, and the per-call dedup counter deltas arithmetically
-            // exact (cumulative totals differ only because the sharded
-            // evaluator answers two queries per step here — the class/skip
-            // arithmetic per `evaluate_all` must match the rebuild exactly).
-            let s0 = sharded.dedup_stats().expect("dedup on");
-            let sk0 = sharded.dedup_skipped_evaluations();
+            // rebuild, with every counter arithmetically exact against it.
             sharded.evaluate_all_into(&view, &task, &mut out);
-            let s1 = sharded.dedup_stats().expect("dedup on");
-            let f0 = full.dedup_stats().expect("dedup on");
-            let fk0 = full.dedup_skipped_evaluations();
-            let rebuilt = full.evaluate_all(&bare, &task);
-            let f1 = full.dedup_stats().expect("dedup on");
-            let reference = reference::evaluate_all(&bare, &task, ReductionPolicy::default());
+            let full = rebuilt.evaluate_all(&view, &task);
+            let reference = reference::evaluate_all(&view, &task, ReductionPolicy::default());
             prop_assert_eq!(out.len(), n * NUM_PSTATES);
             prop_assert!(
                 candidates_bit_eq(&out, &reference),
                 "stream diverged from the oracle at step {}", step
             );
             prop_assert!(
-                candidates_bit_eq(&rebuilt, &reference),
+                candidates_bit_eq(&full, &reference),
                 "rebuild diverged from the oracle at step {}", step
             );
             prop_assert_eq!(
-                (s1.0 - s0.0, s1.1 - s0.1),
-                (f1.0 - f0.0, f1.1 - f0.1),
-                "class counters diverged at step {}", step
+                counters(&sharded), counters(&rebuilt),
+                "counters diverged at step {}", step
             );
-            prop_assert_eq!(
-                sharded.dedup_skipped_evaluations() - sk0,
-                full.dedup_skipped_evaluations() - fk0,
-                "skip counters diverged at step {}", step
+
+            // Class form: the same partition as a fresh evaluator's.
+            prop_assert!(sharded.evaluate_indexed_into(&view, &task, &mut classes));
+            prop_assert!(CandidateEvaluator::default().evaluate_indexed_into(
+                &view, &task, &mut rebuilt_classes,
+            ));
+            prop_assert!(
+                classes_bit_eq(&by_min_core(&classes), &by_min_core(&rebuilt_classes)),
+                "classes diverged from the rebuild at step {}", step
             );
 
             // Indexed top-k: same choice as the full scan for every
             // indexed heuristic × filter variant.
-            prop_assert!(sharded.evaluate_indexed_into(&view, &task, &mut classes));
             let ctx = FilterCtx { remaining_energy, budget: 2_000.0 };
             let en = EnergyFilter::paper();
             let rob = RobustnessFilter::paper();

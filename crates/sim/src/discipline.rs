@@ -29,7 +29,6 @@ use ecds_pmf::Time;
 use ecds_workload::{ExecTable, Task, TaskId};
 
 use crate::config::SimConfig;
-use crate::dirty::DirtyCores;
 use crate::energy::EnergyAccountant;
 use crate::event::{EventKind, EventQueue};
 use crate::result::TaskOutcome;
@@ -112,10 +111,6 @@ pub struct EngineCtx<'a> {
     pub(crate) telemetry: Telemetry,
     pub(crate) arrived: usize,
     pub(crate) now: Time,
-    /// Mailbox of recently mutated cores, consumed by shard-indexed
-    /// evaluators through [`SystemView::dirty_cores`]. Transient runtime
-    /// state — never checkpointed; a restored engine starts empty.
-    pub(crate) dirty: DirtyCores,
     /// Running Σ `CoreState::depth()` over all cores — maintained by the
     /// mutators below so [`EngineCtx::avg_queue_depth`] is O(1).
     pub(crate) depth_total: usize,
@@ -146,7 +141,6 @@ impl<'a> EngineCtx<'a> {
             telemetry: Telemetry::new(),
             arrived: 0,
             now: 0.0,
-            dirty: DirtyCores::default(),
             depth_total: 0,
             busy: 0,
             fold: None,
@@ -231,9 +225,8 @@ impl<'a> EngineCtx<'a> {
     }
 
     /// A read-only [`SystemView`] of the current state, as handed to a
-    /// [`Mapper`] at a mapping event. Carries the dirty-core mailbox and
-    /// the running depth aggregate so shard-indexed consumers stay
-    /// incremental.
+    /// [`Mapper`] at a mapping event. Carries the running depth aggregate
+    /// so [`SystemView::avg_queue_depth`] is O(1).
     pub fn system_view(&self) -> SystemView<'_> {
         SystemView::new(
             self.cluster,
@@ -243,7 +236,6 @@ impl<'a> EngineCtx<'a> {
             self.arrived,
             self.window,
         )
-        .with_dirty(&self.dirty)
         .with_depth_total(self.depth_total)
     }
 
@@ -284,7 +276,6 @@ impl<'a> EngineCtx<'a> {
     pub fn start_task(&mut self, core: usize, task: TaskId, pstate: ecds_cluster::PState) {
         let task_data = *self.store.task(task);
         self.accountant.record(core, self.now, pstate);
-        self.dirty.mark(core);
         self.depth_total += 1;
         self.busy += 1;
         self.cores[core].start(ExecutingTask {
@@ -307,7 +298,6 @@ impl<'a> EngineCtx<'a> {
     /// commit-at-arrival for busy cores).
     pub fn enqueue_task(&mut self, core: usize, task: TaskId, pstate: ecds_cluster::PState) {
         let task_data = *self.store.task(task);
-        self.dirty.mark(core);
         self.depth_total += 1;
         self.cores[core].enqueue(QueuedTask {
             task,
@@ -325,7 +315,6 @@ impl<'a> EngineCtx<'a> {
     /// Panics when nothing is executing on the core.
     pub fn complete_core(&mut self, core: usize) -> Option<QueuedTask> {
         let (_done, next) = self.cores[core].complete();
-        self.dirty.mark(core);
         self.busy -= 1;
         // The finished executing task leaves the depth count, and so does
         // the queued task `complete` popped out of the FIFO, if any (the
@@ -339,7 +328,6 @@ impl<'a> EngineCtx<'a> {
     pub fn pop_queued(&mut self, core: usize) -> Option<QueuedTask> {
         let popped = self.cores[core].pop_queued();
         if popped.is_some() {
-            self.dirty.mark(core);
             self.depth_total -= 1;
         }
         popped

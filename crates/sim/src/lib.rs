@@ -55,7 +55,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod config;
-pub mod dirty;
 pub mod discipline;
 pub mod energy;
 pub mod engine;
@@ -70,7 +69,6 @@ pub mod telemetry;
 pub mod view;
 
 pub use config::SimConfig;
-pub use dirty::{DirtyCores, DEFAULT_DIRTY_LIMIT};
 pub use discipline::{Discipline, EngineCtx, ImmediateDiscipline};
 pub use energy::{exhaustion_time, EnergyAccountant, TransitionLog};
 pub use engine::Simulation;

@@ -38,7 +38,6 @@ use ecds_pmf::Time;
 use ecds_workload::{ArrivalSource, ExecTable};
 
 use crate::config::SimConfig;
-use crate::dirty::DirtyCores;
 use crate::discipline::{Discipline, EngineCtx};
 use crate::energy::{exhaustion_time, EnergyAccountant, TransitionLog};
 use crate::event::{EventKind, EventQueue};
@@ -557,8 +556,7 @@ impl<'a> ServeSession<'a> {
         dec.finish()?;
 
         // Derived engine state is rebuilt, not decoded: the load
-        // aggregates come from one scan of the restored cores, and the
-        // dirty-core mailbox restarts empty (consumers full-scan once).
+        // aggregates come from one scan of the restored cores.
         let depth_total = cores.iter().map(CoreState::depth).sum();
         let busy = cores.iter().filter(|c| !c.is_idle()).count();
         let ctx = EngineCtx {
@@ -577,7 +575,6 @@ impl<'a> ServeSession<'a> {
             },
             arrived,
             now,
-            dirty: DirtyCores::default(),
             depth_total,
             busy,
             fold: match serve_cfg.retention {

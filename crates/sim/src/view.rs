@@ -6,7 +6,6 @@ use ecds_persist::{DecodeError, Decoder, Encoder};
 use ecds_pmf::Time;
 use ecds_workload::{ExecTable, Task};
 
-use crate::dirty::DirtyCores;
 use crate::state::CoreState;
 use crate::telemetry::MapperStats;
 
@@ -73,10 +72,6 @@ pub struct SystemView<'a> {
     time: Time,
     arrived: usize,
     window: usize,
-    /// Incremental-invalidation feed for shard-indexed evaluators; absent
-    /// on hand-built views, which forces consumers onto the full-scan
-    /// (always-correct) path.
-    dirty: Option<&'a DirtyCores>,
     /// Engine-maintained Σ queue depth over all cores; absent on
     /// hand-built views, where [`SystemView::avg_queue_depth`] sums
     /// directly.
@@ -107,16 +102,8 @@ impl<'a> SystemView<'a> {
             time,
             arrived,
             window,
-            dirty: None,
             depth_total: None,
         }
-    }
-
-    /// Attaches the engine's dirty-core mailbox, enabling incremental
-    /// shard-index maintenance in consumers.
-    pub fn with_dirty(mut self, dirty: &'a DirtyCores) -> Self {
-        self.dirty = Some(dirty);
-        self
     }
 
     /// Attaches the engine's running Σ queue depth, making
@@ -126,13 +113,6 @@ impl<'a> SystemView<'a> {
     pub fn with_depth_total(mut self, depth_total: usize) -> Self {
         self.depth_total = Some(depth_total);
         self
-    }
-
-    /// The engine's dirty-core mailbox, when this view was built by an
-    /// engine that maintains one.
-    #[inline]
-    pub fn dirty_cores(&self) -> Option<&'a DirtyCores> {
-        self.dirty
     }
 
     /// The cluster model.
@@ -323,17 +303,6 @@ mod tests {
             .with_depth_total(3)
             .avg_queue_depth();
         assert_eq!(summed.to_bits(), aggregated.to_bits());
-    }
-
-    #[test]
-    fn dirty_mailbox_is_absent_unless_attached() {
-        let (cluster, table) = fixtures();
-        let cores = vec![CoreState::new(); cluster.total_cores()];
-        let view = SystemView::new(&cluster, &table, &cores, 0.0, 1, 10);
-        assert!(view.dirty_cores().is_none());
-        let dirty = DirtyCores::default();
-        let view = SystemView::new(&cluster, &table, &cores, 0.0, 1, 10).with_dirty(&dirty);
-        assert!(view.dirty_cores().is_some());
     }
 
     #[test]

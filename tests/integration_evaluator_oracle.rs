@@ -59,10 +59,11 @@ fn cache_does_not_leak_across_trials() {
     }
 }
 
-/// Direct evaluator-level sweep on hand-built (mailbox-less) views: every
-/// candidate estimate over a busy view must be bit-identical to the
-/// oracle's, including on a repeat of the same view (all hits), after time
-/// advances, and after queue mutations.
+/// Direct evaluator-level sweep on hand-built views with one reused
+/// evaluator, whose shard index stays incremental: every candidate
+/// estimate over a busy view must be bit-identical to the oracle's,
+/// including on a repeat of the same view (all hits), after time advances,
+/// and after queue mutations.
 #[test]
 fn estimates_match_oracle_through_mutation_and_time() {
     use ecds::sim::{CoreState, ExecutingTask, QueuedTask};

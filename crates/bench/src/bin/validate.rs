@@ -8,20 +8,22 @@
 //! succeed with probability ≈ p, the realized on-time fraction must be
 //! ≈ p. This binary records every chosen assignment's predicted ρ across
 //! many trials, bins predictions by decile, and prints a reliability
-//! table (predicted vs realized), the Brier score, and the same table for
-//! the *deterministic* completion-time model (det-MCT's binary
-//! prediction) as the contrast.
+//! table (predicted vs realized) and the Brier score.
+//!
+//! The predictions are recorded by a [`DecisionObserver`] passed to
+//! [`Scheduler::assign_observed`].
 //!
 //! ```text
 //! validate [--trials N] [--seed S] [--small]
 //! ```
 
 use ecds_bench::cli::Cli;
-use ecds_core::{RandomChoice, RobustnessFilter, Scheduler};
+use ecds_core::{AssignmentEstimate, DecisionObserver, RandomChoice, RobustnessFilter, Scheduler};
 use ecds_pmf::ReductionPolicy;
 use ecds_pmf::Stream;
-use ecds_sim::{Scenario, SimConfig, Simulation};
+use ecds_sim::{Assignment, Mapper, Scenario, SimConfig, Simulation, SystemView};
 use ecds_stats::MarkdownTable;
+use ecds_workload::{Task, TaskId};
 
 struct Args {
     trials: u64,
@@ -46,6 +48,35 @@ fn parse_args() -> Args {
         }
     }
     args
+}
+
+/// The `(task, predicted ρ)` of every chosen assignment, in decision
+/// order.
+#[derive(Default)]
+struct Predictions(Vec<(TaskId, f64)>);
+
+impl DecisionObserver for Predictions {
+    fn chosen(&mut self, task: &Task, _assignment: &Assignment, est: &AssignmentEstimate) {
+        self.0.push((task.id, est.rho));
+    }
+}
+
+/// A scheduler that records its predictions as it decides.
+struct Recording {
+    scheduler: Scheduler,
+    predictions: Predictions,
+}
+
+impl Mapper for Recording {
+    fn on_trial_start(&mut self) {
+        self.scheduler.on_trial_start();
+        self.predictions.0.clear();
+    }
+
+    fn assign(&mut self, task: &Task, view: &SystemView<'_>) -> Option<Assignment> {
+        self.scheduler
+            .assign_observed(task, view, &mut self.predictions)
+    }
 }
 
 /// Calibration bins: bin `b` holds the ρ in `[b/10, (b+1)/10)`, and the
@@ -90,21 +121,23 @@ fn main() {
     let mut pairs: Vec<(f64, bool)> = Vec::new();
     for trial in 0..args.trials {
         let trace = scenario.trace(trial);
-        let mut sched = Scheduler::new(
-            Box::new(RandomChoice::new(scenario.seeds().seed(
-                Stream::Heuristic,
-                trial,
-                1,
-            ))),
-            // A zero-threshold robustness filter keeps the pipeline
-            // identical to the paper's while filtering nothing.
-            vec![Box::new(RobustnessFilter::with_threshold(0.0))],
-            f64::INFINITY,
-            ReductionPolicy::default(),
-        )
-        .with_prediction_recording();
-        let result = Simulation::new(&scenario, &trace).run(&mut sched);
-        for &(task, rho) in sched.predictions() {
+        let mut recording = Recording {
+            scheduler: Scheduler::new(
+                Box::new(RandomChoice::new(scenario.seeds().seed(
+                    Stream::Heuristic,
+                    trial,
+                    1,
+                ))),
+                // A zero-threshold robustness filter keeps the pipeline
+                // identical to the paper's while filtering nothing.
+                vec![Box::new(RobustnessFilter::with_threshold(0.0))],
+                f64::INFINITY,
+                ReductionPolicy::default(),
+            ),
+            predictions: Predictions::default(),
+        };
+        let result = Simulation::new(&scenario, &trace).run(&mut recording);
+        for &(task, rho) in &recording.predictions.0 {
             let outcome = &result.outcomes()[task.0];
             pairs.push((rho, outcome.on_time()));
         }

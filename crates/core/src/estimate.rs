@@ -720,7 +720,8 @@ impl CandidateEvaluator {
     ///
     /// Always returns `true`: every view takes the indexed path. The
     /// `bool` exists only for `perfbench`'s `TracedScheduler` until
-    /// ROADMAP item 1(0) moves it onto [`Scheduler`](crate::Scheduler).
+    /// ROADMAP item 1(0b) times it through
+    /// [`Scheduler::assign_observed`](crate::Scheduler::assign_observed).
     // lint: alloc-free
     pub fn evaluate_indexed_into(
         &mut self,

@@ -48,8 +48,8 @@ pub trait Filter: Send {
     );
 
     /// Always `true`: every filter decides on classes. Exists only for
-    /// `perfbench`'s `TracedScheduler` until ROADMAP item 1(0) moves it
-    /// onto [`Scheduler`](crate::Scheduler).
+    /// `perfbench`'s `TracedScheduler` until ROADMAP item 1(0b) times it
+    /// through [`Scheduler::assign_observed`](crate::Scheduler::assign_observed).
     fn supports_indexed(&self) -> bool {
         true
     }
@@ -57,8 +57,8 @@ pub trait Filter: Send {
     /// [`Filter::retain_indexed`] on a candidate stream: converts it to
     /// per-core classes, narrows them, and keeps the candidates whose
     /// (class, P-state) pair survived. Exists only for `perfbench`'s
-    /// `TracedScheduler` until ROADMAP item 1(0) moves it onto
-    /// [`Scheduler`](crate::Scheduler).
+    /// `TracedScheduler` until ROADMAP item 1(0b) times it through
+    /// [`Scheduler::assign_observed`](crate::Scheduler::assign_observed).
     fn retain(
         &self,
         task: &Task,

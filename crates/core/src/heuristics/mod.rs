@@ -54,7 +54,8 @@ pub trait Heuristic: Send {
     /// [`Heuristic::choose_indexed`] on a candidate stream: converts it to
     /// per-core classes, chooses, and returns the chosen candidate's
     /// index. Exists only for `perfbench`'s `TracedScheduler` until
-    /// ROADMAP item 1(0) moves it onto [`Scheduler`](crate::Scheduler).
+    /// ROADMAP item 1(0b) times it through
+    /// [`Scheduler::assign_observed`](crate::Scheduler::assign_observed).
     fn choose(
         &mut self,
         task: &Task,

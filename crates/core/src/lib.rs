@@ -34,6 +34,10 @@
 //! The 4 heuristics × 4 filter variants of the paper's Figures 2–5 are all
 //! expressible through [`build_scheduler`].
 //!
+//! [`Scheduler::assign_observed`] runs the same pipeline and reports each
+//! stage, and the decision, to a read-only [`DecisionObserver`]; the
+//! `validate` binary records every chosen assignment's ρ this way.
+//!
 //! # Example
 //!
 //! ```
@@ -60,6 +64,7 @@ pub mod estimate;
 pub mod factory;
 pub mod filters;
 pub mod heuristics;
+pub mod observer;
 mod pool;
 pub mod reference;
 pub mod robustness;
@@ -81,6 +86,7 @@ pub use heuristics::olb::OpportunisticLoadBalancing;
 pub use heuristics::random::RandomChoice;
 pub use heuristics::sq::ShortestQueue;
 pub use heuristics::Heuristic;
+pub use observer::DecisionObserver;
 pub use robustness::{core_robustness, system_robustness};
 pub use scheduler::Scheduler;
 pub use shard::ClassCandidate;

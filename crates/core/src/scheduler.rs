@@ -1,6 +1,6 @@
 //! The scheduler: evaluate → filter → choose, plus the energy ledger.
 
-use ecds_persist::{DecodeError, Decoder, Encoder, Persist};
+use ecds_persist::{DecodeError, Decoder, Encoder};
 use ecds_pmf::ReductionPolicy;
 use ecds_sim::{Assignment, Mapper, MapperStats, SystemView};
 use ecds_workload::Task;
@@ -9,6 +9,7 @@ use crate::candidate::{per_core_classes, EvaluatedCandidate};
 use crate::estimate::CandidateEvaluator;
 use crate::filters::{Filter, FilterCtx};
 use crate::heuristics::Heuristic;
+use crate::observer::DecisionObserver;
 use crate::shard::ClassCandidate;
 
 /// An immediate-mode resource-allocation scheduler: a heuristic wrapped in
@@ -45,8 +46,6 @@ pub struct Scheduler {
     evaluator: CandidateEvaluator,
     budget: f64,
     remaining: f64,
-    record_predictions: bool,
-    predictions: Vec<(ecds_workload::TaskId, f64)>,
     /// Reused per-core candidate stream, converted into `classes` when the
     /// decision runs on per-core classes.
     candidates: Vec<EvaluatedCandidate>,
@@ -88,26 +87,9 @@ impl Scheduler {
             evaluator: CandidateEvaluator::new(policy),
             budget,
             remaining: budget,
-            record_predictions: false,
-            predictions: Vec::new(),
             candidates: Vec::new(),
             classes: Vec::new(),
         }
-    }
-
-    /// Enables recording of `(task, ρ)` pairs — the robustness value of
-    /// every chosen assignment — for the model-validation harness (the
-    /// `validate` binary compares these predictions against realized
-    /// on-time completions, a calibration check of contribution (a)).
-    pub fn with_prediction_recording(mut self) -> Self {
-        self.record_predictions = true;
-        self
-    }
-
-    /// The `(task, predicted ρ)` pairs recorded during the last trial
-    /// (empty unless [`Scheduler::with_prediction_recording`] was used).
-    pub fn predictions(&self) -> &[(ecds_workload::TaskId, f64)] {
-        &self.predictions
     }
 
     /// Human-readable label: heuristic name plus filter names, e.g.
@@ -130,12 +112,66 @@ impl Scheduler {
     pub fn budget(&self) -> f64 {
         self.budget
     }
+
+    /// [`Mapper::assign`], reporting each stage of the decision to
+    /// `observer` (see [`DecisionObserver`] for the order). The evaluator,
+    /// filter and heuristic calls are the same, in the same order, whatever
+    /// the observer: it sees shared references only, so it cannot change
+    /// the decision. `Mapper::assign` passes `&mut ()`.
+    pub fn assign_observed<O: DecisionObserver + ?Sized>(
+        &mut self,
+        task: &Task,
+        view: &SystemView<'_>,
+        observer: &mut O,
+    ) -> Option<Assignment> {
+        let ctx = FilterCtx {
+            remaining_energy: self.remaining,
+            budget: self.budget,
+        };
+        // One selection path over classes (DESIGN.md §13): the shard
+        // index's grouped classes when the heuristic may decide from them,
+        // else one class per core.
+        observer.evaluate_start(task);
+        if self.heuristic.supports_indexed() {
+            self.evaluator
+                .evaluate_indexed_into(view, task, &mut self.classes);
+        } else {
+            self.evaluator
+                .evaluate_all_into(view, task, &mut self.candidates);
+            per_core_classes(view, &self.candidates, &mut self.classes);
+        }
+        observer.evaluate_end(&self.classes);
+        for filter in &self.filters {
+            observer.filter_start(filter.as_ref());
+            filter.retain_indexed(task, view, &ctx, &mut self.classes);
+            observer.filter_end(filter.as_ref(), &self.classes);
+            if self.classes.is_empty() {
+                observer.discarded(task);
+                return None;
+            }
+        }
+        observer.choose_start();
+        let choice = self.heuristic.choose_indexed(task, view, &self.classes);
+        observer.choose_end();
+        let Some((ci, pstate)) = choice else {
+            observer.discarded(task);
+            return None;
+        };
+        let class = self.classes[ci];
+        let est = class.ests[pstate.index()];
+        self.remaining -= est.eec;
+        let assignment = Assignment {
+            core: class.min_core,
+            pstate,
+        };
+        observer.chosen(task, &assignment, &est);
+        Some(assignment)
+    }
 }
 
 impl Mapper for Scheduler {
     fn on_trial_start(&mut self) {
         self.remaining = self.budget;
-        self.predictions.clear();
         self.heuristic.reset();
         // A fresh trial rebuilds every core at epoch 0, so stale entries
         // from the previous trial would collide with the new epoch stream.
@@ -152,50 +188,17 @@ impl Mapper for Scheduler {
     }
 
     fn assign(&mut self, task: &Task, view: &SystemView<'_>) -> Option<Assignment> {
-        let ctx = FilterCtx {
-            remaining_energy: self.remaining,
-            budget: self.budget,
-        };
-        // One selection path over classes (DESIGN.md §13): the shard
-        // index's grouped classes when the heuristic may decide from them,
-        // else one class per core.
-        if self.heuristic.supports_indexed() {
-            self.evaluator
-                .evaluate_indexed_into(view, task, &mut self.classes);
-        } else {
-            self.evaluator
-                .evaluate_all_into(view, task, &mut self.candidates);
-            per_core_classes(view, &self.candidates, &mut self.classes);
-        }
-        for filter in &self.filters {
-            filter.retain_indexed(task, view, &ctx, &mut self.classes);
-            if self.classes.is_empty() {
-                return None; // the task is discarded
-            }
-        }
-        let (ci, pstate) = self.heuristic.choose_indexed(task, view, &self.classes)?;
-        let class = self.classes[ci];
-        let est = class.ests[pstate.index()];
-        self.remaining -= est.eec;
-        if self.record_predictions {
-            self.predictions.push((task.id, est.rho));
-        }
-        Some(Assignment {
-            core: class.min_core,
-            pstate,
-        })
+        self.assign_observed(task, view, &mut ())
     }
 
     fn save_state(&self, enc: &mut Encoder) {
         enc.put_f64(self.remaining);
-        self.predictions.encode(enc);
         self.heuristic.save_state(enc);
         self.evaluator.save_state(enc);
     }
 
     fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), DecodeError> {
         self.remaining = dec.f64()?;
-        self.predictions = Vec::decode(dec)?;
         self.heuristic.restore_state(dec)?;
         self.evaluator.restore_state(dec)
     }
@@ -302,43 +305,6 @@ mod tests {
         assert_eq!(sched.label(), "MECT/en+rob");
         let bare = unconstrained(Box::new(ShortestQueue));
         assert_eq!(bare.label(), "SQ/none");
-    }
-
-    #[test]
-    fn prediction_recording_captures_every_assignment() {
-        let s = Scenario::small_for_tests(12);
-        let trace = s.trace(0);
-        let mut sched = Scheduler::new(
-            Box::new(MinimumExpectedCompletionTime),
-            vec![],
-            f64::INFINITY,
-            ReductionPolicy::default(),
-        )
-        .with_prediction_recording();
-        let result = Simulation::new(&s, &trace).run(&mut sched);
-        assert_eq!(
-            sched.predictions().len(),
-            result.window() - result.discarded()
-        );
-        for &(task, rho) in sched.predictions() {
-            assert!(task.0 < result.window());
-            assert!((0.0..=1.0).contains(&rho), "rho {rho} out of range");
-        }
-        // Recording resets per trial.
-        let _ = Simulation::new(&s, &trace).run(&mut sched);
-        assert_eq!(
-            sched.predictions().len(),
-            result.window() - result.discarded()
-        );
-    }
-
-    #[test]
-    fn predictions_empty_without_opt_in() {
-        let s = Scenario::small_for_tests(12);
-        let trace = s.trace(0);
-        let mut sched = unconstrained(Box::new(ShortestQueue));
-        let _ = Simulation::new(&s, &trace).run(&mut sched);
-        assert!(sched.predictions().is_empty());
     }
 
     /// A heuristic pinned to per-core classes: the wrapped rule, with

@@ -3,7 +3,10 @@
 //! mark and the prefix cache and shard index are warm, `evaluate_all_into`
 //! (into a caller-owned buffer) and `evaluate_indexed_into` touch the
 //! allocator zero times, no matter how many (core, P-state) convolutions
-//! they run.
+//! they run. The whole decision is too: a warm `Scheduler::assign`, and
+//! `Scheduler::assign_observed` with an observer that does not allocate,
+//! for LL/en+rob and MECT/rob (grouped classes; KPB, which decides on
+//! per-core classes, allocates twice per decision).
 //!
 //! The whole file is a single `#[test]` in its own integration binary so no
 //! concurrent test pollutes the global allocation counter.
@@ -13,10 +16,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use ecds_cluster::PState;
 use ecds_core::{
-    candidates_bit_eq, reference, CandidateEvaluator, ClassCandidate, EvaluatedCandidate,
+    candidates_bit_eq, reference, AssignmentEstimate, CandidateEvaluator, ClassCandidate,
+    DecisionObserver, EnergyFilter, EvaluatedCandidate, Filter, LightestLoad,
+    MinimumExpectedCompletionTime, RobustnessFilter, Scheduler,
 };
 use ecds_pmf::ReductionPolicy;
-use ecds_sim::{CoreState, ExecutingTask, QueuedTask, Scenario, SystemView};
+use ecds_sim::{Assignment, CoreState, ExecutingTask, Mapper, QueuedTask, Scenario, SystemView};
 use ecds_workload::{Task, TaskId, TaskTypeId};
 
 /// System allocator wrapper that counts every allocation call.
@@ -45,6 +50,90 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Counts the stages it is told about, in fixed-size fields.
+#[derive(Default)]
+struct StageCounter {
+    stages: u64,
+    decisions: u64,
+}
+
+impl DecisionObserver for StageCounter {
+    fn evaluate_start(&mut self, _task: &Task) {
+        self.stages += 1;
+    }
+
+    fn evaluate_end(&mut self, _classes: &[ClassCandidate]) {
+        self.stages += 1;
+    }
+
+    fn filter_start(&mut self, _filter: &dyn Filter) {
+        self.stages += 1;
+    }
+
+    fn filter_end(&mut self, _filter: &dyn Filter, _classes: &[ClassCandidate]) {
+        self.stages += 1;
+    }
+
+    fn choose_start(&mut self) {
+        self.stages += 1;
+    }
+
+    fn choose_end(&mut self) {
+        self.stages += 1;
+    }
+
+    fn chosen(&mut self, _task: &Task, _assignment: &Assignment, _est: &AssignmentEstimate) {
+        self.decisions += 1;
+    }
+
+    fn discarded(&mut self, _task: &Task) {
+        self.decisions += 1;
+    }
+}
+
+/// A warm `assign` and a warm `assign_observed` (with a [`StageCounter`])
+/// on `view` allocate nothing, and decide alike.
+fn assert_warm_decision_is_allocation_free(
+    label: &str,
+    build: impl Fn() -> Scheduler,
+    view: &SystemView<'_>,
+    task: &Task,
+) {
+    let mut plain = build();
+    let mut observed = build();
+    let mut counter = StageCounter::default();
+    // Warm-up: the first decision rebuilds the shard index and grows every
+    // buffer, the second runs the incremental sweep.
+    for _ in 0..2 {
+        let a = plain.assign(task, view);
+        let b = observed.assign_observed(task, view, &mut counter);
+        assert_eq!(a, b, "{label}");
+    }
+
+    let before = allocations();
+    let a = plain.assign(task, view);
+    let during = allocations() - before;
+    assert_eq!(
+        during, 0,
+        "{label}: a warm Scheduler::assign must not allocate: the class \
+         buffer is reused and the filters narrow it in place"
+    );
+
+    let counted = counter.decisions;
+    let before = allocations();
+    let b = observed.assign_observed(task, view, &mut counter);
+    let during = allocations() - before;
+    assert_eq!(
+        during, 0,
+        "{label}: a warm assign_observed with a non-allocating observer \
+         must not allocate"
+    );
+    assert!(a.is_some(), "{label}: the measured decision assigns");
+    assert_eq!(a, b, "{label}");
+    assert_eq!(counter.decisions, counted + 1, "{label}");
+    assert!(counter.stages > 0, "{label}");
 }
 
 #[test]
@@ -140,4 +229,41 @@ fn warm_engine_path_is_allocation_free() {
             assert!(est.bit_eq(&reference[class.min_core * 5 + pi].est));
         }
     }
+
+    // A decision that assigns: the same arrival with a deadline every
+    // queue can meet, so the robustness filter keeps a non-empty set.
+    let task = Task {
+        deadline: 20_000.0,
+        ..task
+    };
+    let budget = scenario.energy_budget().unwrap();
+    assert_warm_decision_is_allocation_free(
+        "LL/en+rob",
+        || {
+            Scheduler::new(
+                Box::new(LightestLoad),
+                vec![
+                    Box::new(EnergyFilter::paper()),
+                    Box::new(RobustnessFilter::paper()),
+                ],
+                budget,
+                ReductionPolicy::default(),
+            )
+        },
+        &view,
+        &task,
+    );
+    assert_warm_decision_is_allocation_free(
+        "MECT/rob",
+        || {
+            Scheduler::new(
+                Box::new(MinimumExpectedCompletionTime),
+                vec![Box::new(RobustnessFilter::paper())],
+                budget,
+                ReductionPolicy::default(),
+            )
+        },
+        &view,
+        &task,
+    );
 }

@@ -50,7 +50,7 @@ pub use crate::store::RetiredTally;
 
 /// Wire-format version of serving checkpoints (bumped on any layout
 /// change; old versions are rejected, never reinterpreted).
-pub const CHECKPOINT_VERSION: u32 = 3;
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// How the mapper-visible window is derived for a stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -307,8 +307,10 @@ fn restore_rejects_config_mismatch() {
 
 /// A checkpoint written under an earlier wire-format version is rejected
 /// with the typed version error, never reinterpreted: version 1 carried
-/// evaluator-configuration flags that version 2 dropped, and version 2
-/// carried a per-prefix stamp epoch that version 3 dropped.
+/// evaluator-configuration flags that version 2 dropped, version 2
+/// carried a per-prefix stamp epoch that version 3 dropped, and version 3
+/// carried the scheduler's recorded `(task, ρ)` predictions that version 4
+/// dropped.
 #[test]
 fn restore_rejects_a_version_1_checkpoint() {
     let scenario = Scenario::small_for_tests(3);
@@ -338,7 +340,7 @@ fn restore_rejects_a_version_1_checkpoint() {
     };
     let body = ecds::persist::open(&bytes, ecds::sim::CHECKPOINT_VERSION)
         .expect("a live checkpoint opens under the current version");
-    for version in [1, 2] {
+    for version in [1, 2, 3] {
         let sealed = ecds::persist::seal(version, body);
         let mut scheduler = build();
         let mut discipline = ImmediateDiscipline::new(scheduler.as_mut());
@@ -415,7 +417,7 @@ fn checkpoint_a() -> Vec<u8> {
 fn checkpoint_wire_format_is_pinned() {
     let digest = |bytes: &[u8]| (bytes.len(), ecds::persist::fnv1a_64(bytes));
 
-    assert_eq!(digest(&checkpoint_a()), (3_919, 0x680274cc178e09ac), "(a)");
+    assert_eq!(digest(&checkpoint_a()), (3_911, 0x3ec0f5be99c38b44), "(a)");
 
     let b = immediate_checkpoint(
         &Scenario::small_for_tests(11),
@@ -424,7 +426,7 @@ fn checkpoint_wire_format_is_pinned() {
         FilterVariant::Energy,
         89,
     );
-    assert_eq!(digest(&b), (7_314, 0x28aab4f7c44ab012), "(b)");
+    assert_eq!(digest(&b), (7_306, 0xdaf2e756fcc486d5), "(b)");
 
     let base = Scenario::small_for_tests(29);
     let cancelling = base.with_sim_config({
@@ -433,7 +435,7 @@ fn checkpoint_wire_format_is_pinned() {
         c
     });
     let c = immediate_checkpoint(&cancelling, 0, HeuristicKind::Mect, FilterVariant::None, 61);
-    assert_eq!(digest(&c), (4_939, 0xf102a3839088977e), "(c)");
+    assert_eq!(digest(&c), (4_931, 0x898a012a779d609f), "(c)");
 
     let d = {
         let scenario = Scenario::small_for_tests(3);
@@ -452,7 +454,7 @@ fn checkpoint_wire_format_is_pinned() {
         session.run_events(37, &mut source, &mut discipline);
         session.checkpoint(&source, &discipline)
     };
-    assert_eq!(digest(&d), (3_053, 0xe1dbcbdee8d5759c), "(d)");
+    assert_eq!(digest(&d), (3_053, 0x96a3175f11467bd6), "(d)");
 
     let e = {
         let scenario = Scenario::small_for_tests(7).with_sim_config(SimConfig::unconstrained());
@@ -481,7 +483,7 @@ fn checkpoint_wire_format_is_pinned() {
         session.run_events(500, &mut source, &mut discipline);
         session.checkpoint(&source, &discipline)
     };
-    assert_eq!(digest(&e), (4_326, 0x2d3656f48e957ad2), "(e)");
+    assert_eq!(digest(&e), (4_318, 0xbae9b5ade7c8d89b), "(e)");
 }
 
 /// Every field check the restore makes, one corrupted field at a time:

@@ -4,7 +4,7 @@
 //! schema:
 //!
 //! ```text
-//! {"units": "...", "rows": [{"group", "name", <params>, "median_ns"}]}
+//! {"units": "...", "rows": [{"group", "name", <params>, "median_ns", "p25_ns", "p75_ns"}]}
 //! ```
 //!
 //! Without cargo's `--bench` flag (i.e. under `cargo test --benches`) the
@@ -34,21 +34,20 @@ pub fn probe_tasks() -> Vec<Task> {
 /// Timed batches per measurement.
 const SAMPLES: usize = 30;
 
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.total_cmp(b));
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        0.5 * (xs[n / 2 - 1] + xs[n / 2])
-    }
+/// The `q`-quantile of ascending `xs`, interpolated linearly between the
+/// two nearest samples (so `q = 0.5` is the usual median).
+fn quantile(xs: &[f64], q: f64) -> f64 {
+    let at = q * (xs.len() - 1) as f64;
+    let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+    xs[lo] + (at - lo as f64) * (xs[hi] - xs[lo])
 }
 
-/// Median ns/op over [`SAMPLES`] batches of `iters` calls, after one
-/// untimed warm-up batch (which also primes any cache `f` keeps).
+/// `[p25, median, p75]` ns/op over [`SAMPLES`] batches of `iters` calls,
+/// after one untimed warm-up batch (which also primes any cache `f`
+/// keeps).
 // Bench harness: timing is the point (clippy.toml / ecds-lint R2).
 #[allow(clippy::disallowed_methods)]
-fn time(mut f: impl FnMut(), iters: u32) -> f64 {
+fn time(mut f: impl FnMut(), iters: u32) -> [f64; 3] {
     for _ in 0..iters {
         f();
     }
@@ -60,7 +59,8 @@ fn time(mut f: impl FnMut(), iters: u32) -> f64 {
         }
         samples.push(start.elapsed().as_nanos() as f64 / iters as f64);
     }
-    median(samples)
+    samples.sort_by(|a, b| a.total_cmp(b));
+    [0.25, 0.5, 0.75].map(|q| quantile(&samples, q))
 }
 
 /// The rows one bench writes to `results/<file>`.
@@ -89,17 +89,19 @@ impl Report {
         iters: u32,
         mut f: impl FnMut(),
     ) {
-        let median_ns = if self.bench_mode {
+        let [p25_ns, median_ns, p75_ns] = if self.bench_mode {
             time(f, iters)
         } else {
             f();
-            0.0
+            [0.0; 3]
         };
         let mut row = format!("    {{\"group\": \"{group}\", \"name\": \"{name}\"");
         for (key, value) in fields {
             row.push_str(&format!(", \"{key}\": {value}"));
         }
-        row.push_str(&format!(", \"median_ns\": {median_ns:.1}}}"));
+        row.push_str(&format!(
+            ", \"median_ns\": {median_ns:.1}, \"p25_ns\": {p25_ns:.1}, \"p75_ns\": {p75_ns:.1}}}"
+        ));
         self.rows.push(row);
     }
 
@@ -111,7 +113,7 @@ impl Report {
             return;
         }
         let json = format!(
-            "{{\n  \"units\": \"median ns per op, {SAMPLES} samples\",\n  \"rows\": [\n{}\n  ]\n}}\n",
+            "{{\n  \"units\": \"median and quartile ns per op, {SAMPLES} samples\",\n  \"rows\": [\n{}\n  ]\n}}\n",
             self.rows.join(",\n")
         );
         let path = format!("{}/../../results/{}", env!("CARGO_MANIFEST_DIR"), self.file);

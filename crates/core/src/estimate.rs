@@ -11,7 +11,7 @@ use ecds_workload::Task;
 
 use crate::candidate::EvaluatedCandidate;
 use crate::pool::{Batch, Job};
-use crate::shard::{ClassCandidate, ClassKey, ShardClass, ShardIndex, CLASS_NONE, ZERO_ESTS};
+use crate::shard::{ClassCandidate, ClassKey, ShardClass, ShardIndex, ZERO_ESTS};
 
 /// The four quantities Sec. V-A defines per assignment of task `z` to core
 /// `k` (of processor `j`, node `i`) in P-state `π` at time `t_l`.
@@ -171,16 +171,6 @@ impl Persist for CachedPrefix {
             fingerprint: Option::decode(dec)?,
         })
     }
-}
-
-/// The prefix cache's one freshness predicate: `core`'s entry exists, was
-/// computed at the core's current `epoch`, and `now` lies inside its
-/// exact-validity window.
-fn is_fresh(entries: &[Option<CachedPrefix>], core: usize, epoch: u64, now: Time) -> bool {
-    matches!(
-        entries.get(core),
-        Some(Some(e)) if e.epoch == epoch && e.computed_at <= now && now <= e.valid_until
-    )
 }
 
 /// The cache entry of `core`, which the caller has just refreshed via
@@ -359,37 +349,26 @@ impl Batch for ClassBatch {
     }
 }
 
-/// Packs every live class of `shard` into `batch` for a decision on `task`,
-/// in class-key order (then chain order), which keeps each template's
-/// classes together. `slot_of(key, id, class, rep)` says where the
-/// estimates of class `id`, represented by its minimum member `rep`, are to
-/// be filed.
+/// Packs every class of `shard` into `batch` for a decision on `task`, in
+/// class-key order, which keeps each template's classes together.
+/// `slot_of(id, class)` says where the estimates of class `id` are to be
+/// filed.
 fn pack_classes(
     batch: &mut ClassBatch,
-    shard: &mut ShardIndex,
+    shard: &ShardIndex,
     cache: &[Option<CachedPrefix>],
     view: &SystemView<'_>,
     task: &Task,
     policy: ReductionPolicy,
-    mut slot_of: impl FnMut(&ClassKey, u32, &ShardClass, usize) -> usize,
+    mut slot_of: impl FnMut(u32, &ShardClass) -> usize,
 ) {
     batch.refill(view, task, policy);
-    let ShardIndex {
-        by_key,
-        classes,
-        class_of,
-        ..
-    } = shard;
-    for (key, &head) in by_key.iter() {
-        let mut id = head;
-        while id != CLASS_NONE {
-            let class = &mut classes[id as usize];
-            let rep = class.min_member(id, class_of) as usize;
-            let slot = slot_of(key, id, class, rep);
-            let prefix = entry_of(cache, rep).prefix.as_ref();
-            batch.pack_class(view, task, rep, slot, prefix);
-            id = class.next;
-        }
+    for &(_, id) in &shard.order {
+        let class = &shard.classes[id as usize];
+        let rep = class.min_core as usize;
+        let slot = slot_of(id, class);
+        let prefix = entry_of(cache, rep).prefix.as_ref();
+        batch.pack_class(view, task, rep, slot, prefix);
     }
 }
 
@@ -426,14 +405,13 @@ fn compute_classes(
 /// * The allocation-free *fused kernel*: every convolution runs in one
 ///   [`PmfScratch`] workspace reused across all (core, P-state) candidates
 ///   and across events (DESIGN.md §7.1).
-/// * The persistent *shard index* over candidate equivalence classes:
-///   cores whose queue prefixes are bit-identical (confirmed, never
-///   assumed, via fingerprint then [`Pmf::bit_eq`]) are evaluated once on
-///   the lowest-index representative and the estimates replicated, while
+/// * The *shard index* over candidate equivalence classes: cores whose
+///   queue prefixes are bit-identical (confirmed, never assumed, via
+///   fingerprint then [`Pmf::bit_eq`]) are evaluated once on the
+///   lowest-index representative and the estimates replicated, while
 ///   candidates are still emitted in core-major / P-state-minor order
-///   (DESIGN.md §11, §13). Each call re-examines only the cores whose
-///   cache entries went stale, found by one scan of the freshness
-///   predicate, so the index is maintained incrementally on any view.
+///   (DESIGN.md §11, §13). Each call regroups every core in the same pass
+///   that refreshes its cache entry, so the classes are exact on any view.
 ///
 /// * *Shared kernel calls*: a decision's class representatives are packed
 ///   into one job whose items the calling thread and any idle threads of
@@ -521,7 +499,6 @@ impl CandidateEvaluator {
     pub fn reset_cache(&mut self) {
         self.cache.clear();
         self.scratch.reset_kernel_calls();
-        self.shard.reset();
         self.hits = 0;
         self.misses = 0;
         self.dedup_classes = 0;
@@ -551,15 +528,13 @@ impl CandidateEvaluator {
         self.dedup_skipped = dec.u64()?;
         self.scratch.set_kernel_calls(dec.u64()?);
         self.cache = Vec::decode(dec)?;
-        // The shard index is derived from the cache entries and never
-        // checkpointed: a restore schedules a full rebuild instead.
-        self.shard.reset();
         Ok(())
     }
 
     /// Brings `core`'s cache entry up to date: a lookup counts as a hit
-    /// when the core's epoch and the view time both sit inside the cached
-    /// entry's exact-validity window, and recomputes the prefix and its
+    /// when the entry exists, was computed at the core's current epoch, and
+    /// the view time lies inside its exact-validity window — the prefix
+    /// cache's one freshness predicate — and recomputes the prefix and its
     /// fingerprint otherwise. Postcondition: `self.cache[core]` is `Some`
     /// and exact for the view.
     fn refresh_entry(&mut self, view: &SystemView<'_>, core: usize) {
@@ -569,7 +544,10 @@ impl CandidateEvaluator {
         if entries.len() <= core {
             entries.resize(view.cluster().total_cores().max(core + 1), None);
         }
-        if is_fresh(entries, core, epoch, now) {
+        if matches!(
+            &entries[core],
+            Some(e) if e.epoch == epoch && e.computed_at <= now && now <= e.valid_until
+        ) {
             self.hits += 1;
             return;
         }
@@ -622,7 +600,6 @@ impl CandidateEvaluator {
             job,
             ..
         } = self;
-        shard.ests.resize(shard.classes.len(), ZERO_ESTS);
         pack_classes(
             &mut job.batch_mut(),
             shard,
@@ -630,12 +607,12 @@ impl CandidateEvaluator {
             view,
             task,
             *policy,
-            |_, id, _, _| id as usize,
+            |id, _| id as usize,
         );
-        let ests = &mut shard.ests;
-        let touched = compute_classes(job, scratch, view, task, |id, e| ests[id] = e);
-        for core in 0..num_cores {
-            let ests = shard.ests[shard.class_of[core] as usize];
+        let classes = &mut shard.classes;
+        let touched = compute_classes(job, scratch, view, task, |id, e| classes[id].ests = e);
+        for (core, &id) in shard.class_of.iter().enumerate() {
+            let ests = shard.classes[id as usize].ests;
             for (idx, pstate) in PState::ALL.into_iter().enumerate() {
                 out.push(EvaluatedCandidate {
                     core,
@@ -655,42 +632,13 @@ impl CandidateEvaluator {
         self.dedup_skipped += (num_cores as u64 - classes) * NUM_PSTATES as u64;
     }
 
-    /// Brings the shard index exactly up to date with `view` (DESIGN.md
-    /// §13): one in-order scan picks every core whose cache entry fails
-    /// the freshness predicate [`CandidateEvaluator::refresh_entry`]
-    /// applies (epoch bumped, or view time outside the exact-validity
-    /// window), detaches exactly those, then refreshes and re-joins them
-    /// in ascending core order. The index is rebuilt in full only when its
-    /// size does not match the cluster: first use, a cache reset, a
-    /// restore or a cluster-size change.
-    ///
-    /// Every candidate core is refreshed through
-    /// [`CandidateEvaluator::refresh_entry`] (one hit or miss each), and
-    /// every other core is a hit, booked in bulk — so the cache counters
-    /// equal one lookup per core per event whichever way the sweep went.
+    /// Regroups every core into the shard index for `view` (DESIGN.md
+    /// §13), in one ascending pass: each core's cache entry is refreshed
+    /// through [`CandidateEvaluator::refresh_entry`] (one hit or miss
+    /// each), then the core joins its class or founds a new one.
     fn shard_sweep(&mut self, view: &SystemView<'_>) {
-        let n = view.cluster().total_cores();
-        let now = view.time();
-        let shard = &mut self.shard;
-        let rebuild = shard.class_of.len() != n;
-        if rebuild {
-            shard.begin_rebuild(n);
-        }
-        let mut candidates = std::mem::take(&mut shard.candidates);
-        candidates.clear();
-        let cache = &self.cache;
-        candidates.extend((0..n as u32).filter(|&core| {
-            let core = core as usize;
-            rebuild || !is_fresh(cache, core, view.core_epoch(core), now)
-        }));
-        // Two-phase: detach every candidate first, so phase 2's bit-identity
-        // checks only ever compare against representatives that are either
-        // untouched (still fresh) or already refreshed this sweep.
-        for &core in &candidates {
-            shard.leave(core);
-        }
-        for &core in &candidates {
-            let core = core as usize;
+        self.shard.clear();
+        for core in 0..view.cluster().total_cores() {
             self.refresh_entry(view, core);
             let cache = &self.cache;
             let e = entry_of(cache, core);
@@ -701,12 +649,10 @@ impl CandidateEvaluator {
                 depth: view.core_state(core).depth() as u32,
             };
             let prefix = e.prefix.as_ref();
-            self.shard.join(core as u32, key, |rep| {
+            self.shard.join(key, |rep| {
                 prefix_bit_eq(prefix, entry_of(cache, rep as usize).prefix.as_ref())
             });
         }
-        self.hits += (n - candidates.len()) as u64;
-        self.shard.candidates = candidates;
     }
 
     /// Evaluates every candidate assignment for `task` as one
@@ -740,10 +686,10 @@ impl CandidateEvaluator {
             job,
             ..
         } = self;
-        out.reserve(shard.active);
-        // Key order, then chain order, is deterministic — though selection
-        // never depends on it: indexed tie-breaks anchor on `min_core`,
-        // reproducing the full scan's first-wins argmin.
+        out.reserve(shard.classes.len());
+        // Key order, then founding order, is deterministic — though
+        // selection never depends on it: indexed tie-breaks anchor on
+        // `min_core`, reproducing the full scan's first-wins argmin.
         pack_classes(
             &mut job.batch_mut(),
             shard,
@@ -751,10 +697,10 @@ impl CandidateEvaluator {
             view,
             task,
             *policy,
-            |key, _, class, rep| {
+            |_, class| {
                 out.push(ClassCandidate {
-                    min_core: rep,
-                    depth: key.depth as usize,
+                    min_core: class.min_core as usize,
+                    depth: class.key.depth as usize,
                     members: class.count as usize,
                     ests: ZERO_ESTS,
                     retained: [true; NUM_PSTATES],
@@ -763,7 +709,7 @@ impl CandidateEvaluator {
             },
         );
         compute_classes(job, scratch, view, task, |at, ests| out[at].ests = ests);
-        debug_assert_eq!(out.len(), shard.active);
+        debug_assert_eq!(out.len(), shard.classes.len());
         self.note_dedup_event(num_cores, out.len() as u64);
         true
     }
@@ -1281,9 +1227,9 @@ mod tests {
     }
 
     /// Asserts every observable counter of the two evaluators agrees —
-    /// the incremental sweep must be *arithmetically* exact against a full
-    /// rebuild, not just bit-identical in its candidate stream, because
-    /// the committed artifacts embed these counters.
+    /// the committed artifacts embed these counters, so two evaluators fed
+    /// the same views must agree arithmetically, not just in their
+    /// candidate streams.
     fn assert_counters_eq(a: &CandidateEvaluator, b: &CandidateEvaluator) {
         assert_eq!(a.prefix_cache_stats(), b.prefix_cache_stats());
         assert_eq!(a.dedup_stats(), b.dedup_stats());
@@ -1296,9 +1242,6 @@ mod tests {
         let s = scenario();
         let mut cores = idle_cores(&s);
         let mut shard = CandidateEvaluator::default();
-        // Its shard index is emptied before every call, so it rebuilds in
-        // full from the same warm cache.
-        let mut reference = CandidateEvaluator::default();
         let n = s.cluster().total_cores();
         let mut now = 0.0;
         for step in 0..8 {
@@ -1306,13 +1249,10 @@ mod tests {
             {
                 let view = view_at(&s, &cores, now, 1 + step);
                 let stream = shard.evaluate_all(&view, &task);
-                reference.shard.reset();
-                assert!(candidates_bit_eq(
-                    &stream,
-                    &reference.evaluate_all(&view, &task)
-                ));
                 assert!(candidates_bit_eq(&stream, &oracle(&view, &task)));
-                assert_counters_eq(&shard, &reference);
+                // One cache lookup per core per event.
+                let (hits, misses) = shard.prefix_cache_stats().unwrap();
+                assert_eq!(hits + misses, (n * (step + 1)) as u64);
             }
             // Mutate a handful of cores — epoch bumps nothing reports to
             // the evaluator — and advance time unevenly so some steps cross
@@ -1345,30 +1285,23 @@ mod tests {
         let s = scenario();
         let cores = busy_cores(&s);
         let mut shard = CandidateEvaluator::default();
-        let mut reference = CandidateEvaluator::default();
         let task = mk_task(&s, 1.0);
         let view = view_at(&s, &cores, 1.0, 1);
         assert!(candidates_bit_eq(
             &shard.evaluate_all(&view, &task),
-            &reference.evaluate_all(&view, &task)
+            &oracle(&view, &task)
         ));
         // Jump far past every executing pmf's first impulse with no epoch
-        // bump: every prefix's truncation changes, so both evaluators must
-        // recompute every busy core — the shard finds them through the
-        // validity windows alone.
+        // bump: every prefix's truncation changes, so the evaluator must
+        // recompute every busy core, found through the validity windows
+        // alone.
         let node = s.cluster().core(0).node;
         let raw = s.table().pmf(TaskTypeId(0), node, PState::P1);
         let late_t = raw.min_value() + raw.expectation() * 3.0;
         let late_task = mk_task(&s, late_t);
         let late = view_at(&s, &cores, late_t, 2);
         let stream = shard.evaluate_all(&late, &late_task);
-        reference.shard.reset();
-        assert!(candidates_bit_eq(
-            &stream,
-            &reference.evaluate_all(&late, &late_task)
-        ));
         assert!(candidates_bit_eq(&stream, &oracle(&late, &late_task)));
-        assert_counters_eq(&shard, &reference);
         let (_, misses) = shard.prefix_cache_stats().unwrap();
         let n = s.cluster().total_cores() as u64;
         assert!(misses > n, "the second event must have recomputed");

@@ -1,36 +1,26 @@
-//! The persistent shard index over candidate equivalence classes
-//! (DESIGN.md §13).
+//! The candidate equivalence classes of one mapping event (DESIGN.md §13).
 //!
-//! Rebuilding the class partition of DESIGN.md §11 on every mapping event
-//! costs a prefix refresh and a class join per core even when nothing
-//! changed. The shard index makes the partition *persistent*: the classes
-//! live across events, and each event detaches and re-joins only the cores
-//! whose cached prefix went stale — an epoch bump or a closed validity
-//! window, found by one scan of the cache's freshness predicate. One
-//! arrival then costs O(cores) cheap predicate checks plus O(active classes
-//! + stale cores) index work instead of O(cores × P-states) estimates.
+//! Cores whose estimates must be bit-identical — same node template, same
+//! queue depth, bit-identical queue prefix — form one class, evaluated once
+//! on its lowest-index member (DESIGN.md §11). The evaluator regroups the
+//! cores on every sweep, in one ascending pass: each core joins its class
+//! or founds a new one. The pass already visits every core to refresh its
+//! prefix-cache entry, so a partition kept alive between sweeps would save
+//! no asymptotic work. The three buffers below are reused, so a
+//! steady-state sweep allocates nothing.
 //!
 //! Class *identity* is bit-exact, never hashed: a core joins an existing
 //! class only when its `(template, fingerprint, depth)` key matches **and**
 //! its queue prefix is impulse-for-impulse bit-identical
 //! ([`Pmf::bit_eq`](ecds_pmf::Pmf::bit_eq)) to the class representative's.
-//! Fingerprint collisions chain (`next` links), so the incremental index
-//! always holds the partition a full rebuild would produce, and every
-//! counter the committed artifacts embed stays arithmetically exact.
+//! Classes whose keys collide but whose bits differ sit side by side in the
+//! key order, in founding order.
 //!
-//! The index is derived state: it is never checkpointed. Restores, cache
-//! resets, and cluster-size changes empty it, and the next sweep rebuilds
-//! it in full.
-
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+//! The partition is derived state: it is never checkpointed.
 
 use ecds_cluster::NUM_PSTATES;
 
 use crate::estimate::AssignmentEstimate;
-
-/// Sentinel class id: "not a member of any class" / "end of chain".
-pub(crate) const CLASS_NONE: u32 = u32::MAX;
 
 /// Grouping key of one candidate equivalence class. Two cores can share a
 /// class only when their keys are equal; equal keys still require
@@ -49,38 +39,19 @@ pub(crate) struct ClassKey {
     pub depth: u32,
 }
 
-/// One persistent equivalence class.
+/// One equivalence class of the current sweep.
 #[derive(Debug)]
 pub(crate) struct ShardClass {
-    /// The grouping key (kept for chain unlinking).
+    /// The grouping key.
     pub key: ClassKey,
-    /// Live member count; the class is freed when it reaches zero.
+    /// Lowest-index member: the first core to join, since cores join in
+    /// ascending order. The representative and the tie-break anchor.
+    pub min_core: u32,
+    /// Member count.
     pub count: u32,
-    /// Lazy min-heap of member cores: stale entries (cores that left) are
-    /// skipped on peek, so the minimum live member — the deterministic
-    /// representative and tie-break anchor — is O(log members) amortized.
-    pub members: BinaryHeap<Reverse<u32>>,
-    /// Next class with the same key but different prefix bits
-    /// (fingerprint-collision chain), `CLASS_NONE`-terminated.
-    pub next: u32,
-}
-
-impl ShardClass {
-    /// The minimum live member of this class, whose id is `id` — the
-    /// deterministic representative. Pops stale heap entries (members
-    /// whose `class_of` entry no longer names `id`) lazily.
-    pub fn min_member(&mut self, id: u32, class_of: &[u32]) -> u32 {
-        loop {
-            let &Reverse(top) = self
-                .members
-                .peek()
-                .expect("a live class has at least one member");
-            if class_of[top as usize] == id {
-                return top;
-            }
-            self.members.pop();
-        }
-    }
+    /// Per-P-state estimates on the representative, filed by
+    /// [`CandidateEvaluator::evaluate_all_into`](crate::CandidateEvaluator::evaluate_all_into).
+    pub ests: [AssignmentEstimate; NUM_PSTATES],
 }
 
 /// One equivalence class of (core, P-state) candidates as the indexed
@@ -124,135 +95,62 @@ pub(crate) const ZERO_ESTS: [AssignmentEstimate; NUM_PSTATES] = [AssignmentEstim
     rho: 0.0,
 }; NUM_PSTATES];
 
-/// The persistent index state. Structure-only: freshness predicates,
-/// prefix recomputation, and counter accounting stay in the evaluator,
-/// which drives the two-phase sweep (leave every stale core first, then
-/// refresh and re-join in ascending core order). An empty `class_of` means
-/// the next sweep rebuilds the whole structure.
+/// The partition of one sweep. Structure only: freshness, prefix
+/// recomputation and counter accounting stay in the evaluator, which
+/// clears the index and joins every core in ascending order.
 #[derive(Debug, Default)]
 pub(crate) struct ShardIndex {
-    /// Chain heads by class key.
-    pub by_key: BTreeMap<ClassKey, u32>,
-    /// Class slots (free-listed).
+    /// `(key, class id)` of every class, sorted by key; classes sharing a
+    /// key sit side by side in founding order. Classes are packed for
+    /// evaluation in this order, which keeps each template's together.
+    pub order: Vec<(ClassKey, u32)>,
+    /// Class records by id, in founding order.
     pub classes: Vec<ShardClass>,
-    /// Free class slots available for reuse.
-    pub free: Vec<u32>,
-    /// Per-core class membership (`CLASS_NONE` while detached mid-sweep).
+    /// Class id of every core joined so far.
     pub class_of: Vec<u32>,
-    /// Number of live (non-freed) classes.
-    pub active: usize,
-    /// Per-sweep scratch: the cores whose membership must be revalidated.
-    pub candidates: Vec<u32>,
-    /// Per-class estimates, computed once per mapping event.
-    pub ests: Vec<[AssignmentEstimate; NUM_PSTATES]>,
 }
 
 impl ShardIndex {
-    /// Discards every class, so the next sweep rebuilds in full. Called on
-    /// cache resets and restores (the index is derived from the prefix
-    /// cache, never checkpointed).
-    pub fn reset(&mut self) {
-        self.begin_rebuild(0);
-    }
-
-    /// Clears the class structure in place (capacities retained) ahead of
-    /// a full re-join of all `n` cores.
-    pub fn begin_rebuild(&mut self, n: usize) {
-        self.by_key.clear();
+    /// Empties the partition, keeping every buffer's capacity.
+    pub fn clear(&mut self) {
+        self.order.clear();
         self.classes.clear();
-        self.free.clear();
         self.class_of.clear();
-        self.class_of.resize(n, CLASS_NONE);
-        self.active = 0;
-        self.candidates.clear();
     }
 
-    /// Detaches `core` from its class, freeing the class when it empties.
-    /// Idempotent for already-detached cores.
-    pub fn leave(&mut self, core: u32) {
-        let id = self.class_of[core as usize];
-        if id == CLASS_NONE {
-            return;
-        }
-        self.class_of[core as usize] = CLASS_NONE;
-        let class = &mut self.classes[id as usize];
-        class.count -= 1;
-        if class.count > 0 {
-            return;
-        }
-        // Unlink the emptied class from its key chain and free the slot.
-        let key = class.key;
-        let next = class.next;
-        class.members.clear();
-        let head = self
-            .by_key
-            .get_mut(&key)
-            .expect("a live class's key is indexed");
-        if *head == id {
-            if next == CLASS_NONE {
-                self.by_key.remove(&key);
-            } else {
-                *head = next;
-            }
-        } else {
-            let mut prev = *head;
-            loop {
-                let after = self.classes[prev as usize].next;
-                if after == id {
-                    self.classes[prev as usize].next = next;
-                    break;
-                }
-                prev = after;
-            }
-        }
-        self.free.push(id);
-        self.active -= 1;
-    }
-
-    /// Attaches `core` (currently detached) to the class matching `key`
-    /// whose representative's prefix satisfies `bits_eq`, creating a new
-    /// class at the chain head when none matches. `bits_eq` receives the
-    /// candidate representative core; it must confirm *bit identity* of the
-    /// queue prefixes — fingerprint equality (already folded into `key`) is
-    /// never sufficient on its own.
-    pub fn join(&mut self, core: u32, key: ClassKey, bits_eq: impl Fn(u32) -> bool) {
-        debug_assert_eq!(self.class_of[core as usize], CLASS_NONE);
-        let mut id = self.by_key.get(&key).copied().unwrap_or(CLASS_NONE);
-        while id != CLASS_NONE {
-            let rep = self.classes[id as usize].min_member(id, &self.class_of);
-            if bits_eq(rep) {
-                break;
-            }
-            id = self.classes[id as usize].next;
-        }
-        if id == CLASS_NONE {
-            id = match self.free.pop() {
-                Some(slot) => {
-                    let class = &mut self.classes[slot as usize];
-                    class.key = key;
-                    class.count = 0;
-                    class.members.clear();
-                    class.next = CLASS_NONE;
-                    slot
-                }
-                None => {
+    /// Joins the next core, `class_of.len()`, to the class matching `key`
+    /// whose representative satisfies `bits_eq`, founding a new class when
+    /// none does. `bits_eq` receives a representative core; it must confirm
+    /// *bit identity* of the queue prefixes — fingerprint equality (already
+    /// folded into `key`) is never sufficient on its own. The previous
+    /// core's class is tried first: neighbouring cores often share one.
+    pub fn join(&mut self, key: ClassKey, bits_eq: impl Fn(u32) -> bool) {
+        let core = self.class_of.len() as u32;
+        let fits = |class: &ShardClass| class.key == key && bits_eq(class.min_core);
+        let id = match self.class_of.last() {
+            Some(&prev) if fits(&self.classes[prev as usize]) => prev,
+            _ => {
+                let lo = self.order.partition_point(|(k, _)| *k < key);
+                let hi = self.order.partition_point(|(k, _)| *k <= key);
+                let found = self.order[lo..hi]
+                    .iter()
+                    .map(|&(_, id)| id)
+                    .find(|&id| fits(&self.classes[id as usize]));
+                found.unwrap_or_else(|| {
+                    let id = self.classes.len() as u32;
                     self.classes.push(ShardClass {
                         key,
+                        min_core: core,
                         count: 0,
-                        members: BinaryHeap::new(),
-                        next: CLASS_NONE,
+                        ests: ZERO_ESTS,
                     });
-                    (self.classes.len() - 1) as u32
-                }
-            };
-            let prior_head = self.by_key.insert(key, id).unwrap_or(CLASS_NONE);
-            self.classes[id as usize].next = prior_head;
-            self.active += 1;
-        }
-        let class = &mut self.classes[id as usize];
-        class.count += 1;
-        class.members.push(Reverse(core));
-        self.class_of[core as usize] = id;
+                    self.order.insert(hi, (key, id));
+                    id
+                })
+            }
+        };
+        self.classes[id as usize].count += 1;
+        self.class_of.push(id);
     }
 }
 
@@ -268,100 +166,41 @@ mod tests {
         }
     }
 
-    fn min_member(idx: &mut ShardIndex, id: u32) -> u32 {
-        idx.classes[id as usize].min_member(id, &idx.class_of)
-    }
-
-    fn index_with(n: usize) -> ShardIndex {
-        let mut idx = ShardIndex::default();
-        idx.begin_rebuild(n);
-        idx
-    }
-
     #[test]
     fn join_groups_equal_keys_and_bits() {
-        let mut idx = index_with(4);
-        for core in 0..4 {
-            idx.join(core, key(0, Some(7), 1), |_| true);
+        let mut idx = ShardIndex::default();
+        for _ in 0..4 {
+            idx.join(key(0, Some(7), 1), |_| true);
         }
-        assert_eq!(idx.active, 1);
-        let id = idx.class_of[0];
-        assert!((1..4).all(|c| idx.class_of[c] == id));
-        assert_eq!(idx.classes[id as usize].count, 4);
-        assert_eq!(min_member(&mut idx, id), 0);
+        assert_eq!(idx.classes.len(), 1);
+        assert_eq!(idx.class_of, [0; 4]);
+        assert_eq!(idx.classes[0].count, 4);
+        assert_eq!(idx.classes[0].min_core, 0);
+        // A cleared index starts a new partition from core 0.
+        idx.clear();
+        idx.join(key(2, None, 0), |_| true);
+        assert_eq!(idx.class_of, [0]);
+        assert_eq!(idx.order, [(key(2, None, 0), 0)]);
     }
 
     #[test]
     fn bit_mismatch_chains_under_one_key() {
-        let mut idx = index_with(3);
-        // Core 0 founds a class; cores 1 and 2 share its key but only core
-        // 2's bits match core 1's (never core 0's): two chained classes.
-        idx.join(0, key(0, Some(9), 1), |_| true);
-        idx.join(1, key(0, Some(9), 1), |rep| rep != 0);
-        idx.join(2, key(0, Some(9), 1), |rep| rep != 0);
-        assert_eq!(idx.active, 2);
-        assert_ne!(idx.class_of[0], idx.class_of[1]);
-        assert_eq!(idx.class_of[1], idx.class_of[2]);
-    }
-
-    #[test]
-    fn leave_frees_empty_classes_and_unlinks_chains() {
-        let mut idx = index_with(3);
-        idx.join(0, key(0, Some(9), 1), |_| true);
-        idx.join(1, key(0, Some(9), 1), |rep| rep != 0);
-        idx.join(2, key(0, Some(9), 1), |rep| rep != 0);
-        // Drop the chained class's members: the head class must survive.
-        idx.leave(1);
-        idx.leave(2);
-        assert_eq!(idx.active, 1);
-        assert_eq!(
-            idx.class_of[0],
-            *idx.by_key.get(&key(0, Some(9), 1)).unwrap()
-        );
-        assert_eq!(idx.classes[idx.class_of[0] as usize].next, CLASS_NONE);
-        // Dropping the last member removes the key entirely.
-        idx.leave(0);
-        assert_eq!(idx.active, 0);
-        assert!(idx.by_key.is_empty());
-        assert_eq!(idx.free.len(), 2);
-        // Leave is idempotent on detached cores.
-        idx.leave(0);
-        assert_eq!(idx.active, 0);
-    }
-
-    #[test]
-    fn min_member_tracks_departures_lazily() {
-        let mut idx = index_with(4);
-        for core in 0..4 {
-            idx.join(core, key(1, None, 0), |_| true);
-        }
-        let id = idx.class_of[3];
-        assert_eq!(min_member(&mut idx, id), 0);
-        idx.leave(0);
-        assert_eq!(min_member(&mut idx, id), 1);
-        // Re-joining pushes a fresh heap entry; the minimum recovers.
-        idx.join(0, key(1, None, 0), |_| true);
-        assert_eq!(min_member(&mut idx, id), 0);
-    }
-
-    #[test]
-    fn freed_slots_are_reused() {
-        let mut idx = index_with(2);
-        idx.join(0, key(0, None, 0), |_| true);
-        let first = idx.class_of[0];
-        idx.leave(0);
-        idx.join(1, key(5, Some(1), 2), |_| true);
-        assert_eq!(idx.class_of[1], first, "freed slot must be recycled");
-        assert_eq!(idx.classes.len(), 1);
-    }
-
-    #[test]
-    fn reset_schedules_rebuild() {
-        let mut idx = index_with(2);
-        idx.join(0, key(0, None, 0), |_| true);
-        idx.reset();
-        assert!(idx.by_key.is_empty());
-        assert!(idx.class_of.is_empty());
-        assert_eq!(idx.active, 0);
+        let mut idx = ShardIndex::default();
+        let k = key(1, Some(9), 1);
+        // Core 0 founds class 0. Core 1 shares its key but not its bits
+        // and founds class 1; core 2 matches only core 0's bits, so it
+        // skips the previous core's class. Core 3 founds class 2 under a
+        // smaller key.
+        idx.join(k, |_| true);
+        idx.join(k, |rep| rep != 0);
+        idx.join(k, |rep| rep == 0);
+        idx.join(key(0, Some(9), 1), |_| true);
+        assert_eq!(idx.class_of, [0, 1, 0, 2]);
+        let min_cores: Vec<u32> = idx.classes.iter().map(|c| c.min_core).collect();
+        assert_eq!(min_cores, [0, 1, 3]);
+        let counts: Vec<u32> = idx.classes.iter().map(|c| c.count).collect();
+        assert_eq!(counts, [2, 1, 1]);
+        // Key order first; within one key, founding order.
+        assert_eq!(idx.order, [(key(0, Some(9), 1), 2), (k, 0), (k, 1)]);
     }
 }

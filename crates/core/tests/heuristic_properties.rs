@@ -1,13 +1,14 @@
 //! Property tests of the heuristic/filter/scheduler pipeline: for
 //! arbitrary candidate sets, every heuristic must choose a valid index and
-//! every filter must only ever shrink the set.
+//! every filter must only ever shrink the set; for arbitrary grouped class
+//! lists, the order of the classes must never change a choice.
 
-use ecds_cluster::PState;
+use ecds_cluster::{PState, NUM_PSTATES};
 use ecds_core::AssignmentEstimate;
 use ecds_core::{
-    DeterministicMct, EnergyFilter, EvaluatedCandidate, Filter, FilterCtx, Heuristic, KPercentBest,
-    LightestLoad, MinimumExecutionTime, MinimumExpectedCompletionTime, OpportunisticLoadBalancing,
-    RandomChoice, RobustnessFilter, ShortestQueue,
+    ClassCandidate, DeterministicMct, EnergyFilter, EvaluatedCandidate, Filter, FilterCtx,
+    Heuristic, KPercentBest, LightestLoad, MinimumExecutionTime, MinimumExpectedCompletionTime,
+    OpportunisticLoadBalancing, RandomChoice, RobustnessFilter, ShortestQueue,
 };
 use ecds_sim::{CoreState, Scenario, SystemView};
 use ecds_workload::{Task, TaskId, TaskTypeId};
@@ -63,6 +64,68 @@ fn arb_candidates() -> impl Strategy<Value = Vec<EvaluatedCandidate>> {
             })
             .collect()
     })
+}
+
+/// Arbitrary grouped class list with distinct `min_core`s. Estimates are
+/// drawn from a few values each, so keys tie across classes and P-states
+/// and the `min_core` tie-break decides.
+fn arb_classes() -> impl Strategy<Value = Vec<ClassCandidate>> {
+    let cores = scenario().cluster().total_cores();
+    let pstate = (
+        0u32..3,
+        0u32..3,
+        0u32..3,
+        0u32..3,
+        prop::bool::weighted(0.8),
+    );
+    prop::collection::vec(
+        (
+            0..cores,
+            0usize..3,
+            1usize..5,
+            prop::collection::vec(pstate, NUM_PSTATES),
+        ),
+        1..12,
+    )
+    .prop_map(|raw| {
+        let mut classes: Vec<ClassCandidate> = Vec::new();
+        for (min_core, depth, members, per_pstate) in raw {
+            if classes.iter().any(|c| c.min_core == min_core) {
+                continue;
+            }
+            let mut class = ClassCandidate {
+                min_core,
+                depth,
+                members,
+                ests: [AssignmentEstimate {
+                    eet: 0.0,
+                    ect: 0.0,
+                    eec: 0.0,
+                    rho: 0.0,
+                }; NUM_PSTATES],
+                retained: [true; NUM_PSTATES],
+            };
+            for (p, (eet, delay, eec, rho, keep)) in per_pstate.into_iter().enumerate() {
+                let eet = 100.0 * f64::from(eet + 1);
+                class.ests[p] = AssignmentEstimate {
+                    eet,
+                    ect: eet + 50.0 * f64::from(delay),
+                    eec: 1_000.0 * f64::from(eec + 1),
+                    rho: 0.25 * f64::from(rho),
+                };
+                class.retained[p] = keep;
+            }
+            classes.push(class);
+        }
+        classes
+    })
+}
+
+/// The `(min_core, retained)` pairs of a class list, in core order.
+fn kept(classes: &[ClassCandidate]) -> Vec<(usize, [bool; NUM_PSTATES])> {
+    let mut kept: Vec<_> = classes.iter().map(|c| (c.min_core, c.retained)).collect();
+    kept.sort_unstable();
+    kept
 }
 
 fn all_heuristics() -> Vec<Box<dyn Heuristic>> {
@@ -191,5 +254,62 @@ proptest! {
         let strictly_better = cands.iter().filter(|c| c.est.eet < chosen_eet).count();
         prop_assert!(strictly_better < keep,
             "choice ranked {strictly_better} by EET but shortlist is {keep}");
+    }
+
+    /// The evaluator emits classes in key order, founding order within a
+    /// key; selection must not depend on that order. Every indexed
+    /// heuristic picks the same `(min_core, P-state)`, and both filters
+    /// keep the same `(min_core, retained)` set, on a reversed and on a
+    /// rotated copy of the list.
+    #[test]
+    fn class_order_never_changes_a_choice(
+        classes in arb_classes(),
+        rotate in 0usize..12,
+        remaining in 0.0f64..20_000.0,
+        thresh in 0.0f64..1.0,
+    ) {
+        let s = scenario();
+        let view = SystemView::new(s.cluster(), s.table(), idle_cores(), 0.0, 1, 60);
+        let mut reversed = classes.clone();
+        reversed.reverse();
+        let mut rotated = classes.clone();
+        rotated.rotate_left(rotate % classes.len());
+        let orders = [&classes, &reversed, &rotated];
+        let mut heuristics: [Box<dyn Heuristic>; 6] = [
+            Box::new(ShortestQueue),
+            Box::new(MinimumExpectedCompletionTime),
+            Box::new(LightestLoad),
+            Box::new(MinimumExecutionTime),
+            Box::new(OpportunisticLoadBalancing),
+            Box::new(DeterministicMct),
+        ];
+        for h in heuristics.iter_mut() {
+            let picks: Vec<_> = orders
+                .iter()
+                .map(|list| {
+                    h.choose_indexed(&task(), &view, list)
+                        .map(|(ci, pstate)| (list[ci].min_core, pstate))
+                })
+                .collect();
+            prop_assert_eq!(picks[0], picks[1], "{} on the reversed list", h.name());
+            prop_assert_eq!(picks[0], picks[2], "{} on the rotated list", h.name());
+        }
+        let ctx = FilterCtx { remaining_energy: remaining, budget: 20_000.0 };
+        let filters: [Box<dyn Filter>; 2] = [
+            Box::new(EnergyFilter::paper()),
+            Box::new(RobustnessFilter::with_threshold(thresh)),
+        ];
+        for f in &filters {
+            let sets: Vec<_> = orders
+                .iter()
+                .map(|list| {
+                    let mut list = list.to_vec();
+                    f.retain_indexed(&task(), &view, &ctx, &mut list);
+                    kept(&list)
+                })
+                .collect();
+            prop_assert_eq!(&sets[0], &sets[1], "{} on the reversed list", f.name());
+            prop_assert_eq!(&sets[0], &sets[2], "{} on the rotated list", f.name());
+        }
     }
 }

@@ -1,12 +1,13 @@
-//! Property tests of the persistent shard index: over *arbitrary mutation
-//! sequences* (starts, completions, queue pushes/pops, uneven time steps,
-//! backward ones included) that nothing reports to the evaluator, one
-//! reused evaluator must stay bit-identical to the oracle
-//! ([`ecds_core::reference`]) and exact against fresh evaluators, which
-//! build the index in full — in the materialized candidate stream
-//! (`candidates_bit_eq`), every counter, the class partition, and the
-//! index-selected top choice for every heuristic that decides from grouped
-//! classes (SQ, MECT, LL, MET, OLB) under every filter variant.
+//! Property tests of the shard index: over *arbitrary mutation sequences*
+//! (starts, completions, queue pushes/pops, uneven time steps, backward
+//! ones included) that nothing reports to the evaluator, one reused
+//! evaluator — its prefix cache carried across events, its classes
+//! regrouped on every sweep — must stay bit-identical to the oracle
+//! ([`ecds_core::reference`]) and exact against fresh evaluators — in the
+//! materialized candidate stream (`candidates_bit_eq`), every counter, the
+//! class list, and the index-selected top choice for every heuristic that
+//! decides from grouped classes (SQ, MECT, LL, MET, OLB) under every
+//! filter variant.
 
 use ecds_cluster::{PState, NUM_PSTATES};
 use ecds_core::{
@@ -166,14 +167,6 @@ fn counters(ev: &CandidateEvaluator) -> [u64; 6] {
     ]
 }
 
-/// The class list sorted by representative, for comparing partitions
-/// whose key-chain order may differ.
-fn by_min_core(classes: &[ClassCandidate]) -> Vec<ClassCandidate> {
-    let mut sorted = classes.to_vec();
-    sorted.sort_by_key(|c| c.min_core);
-    sorted
-}
-
 fn classes_bit_eq(a: &[ClassCandidate], b: &[ClassCandidate]) -> bool {
     a.len() == b.len()
         && a.iter().zip(b).all(|(x, y)| {
@@ -188,10 +181,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Arbitrary unreported mutation sequences ⇒ at every step the reused
-    /// evaluator's incrementally maintained shard index reproduces the
-    /// oracle's stream bit-for-bit, the counters and classes of a full
-    /// rebuild, and the full-scan top-k selection of every indexed
-    /// heuristic under every filter variant.
+    /// evaluator, regrouping its warm cache's cores, reproduces the
+    /// oracle's stream bit-for-bit, the counters of an evaluator restored
+    /// from its checkpoint, the class list of a fresh one, and the
+    /// full-scan top-k selection of every indexed heuristic under every
+    /// filter variant.
     #[test]
     fn indexed_top_k_matches_full_scan_over_arbitrary_mutations(
         steps in prop::collection::vec(arb_step(), 1..8),
@@ -222,8 +216,7 @@ proptest! {
             let task = probe_task(step, deadline_slack, now);
 
             // A fresh evaluator restored from the reused one's checkpoint
-            // holds the same cache and counters but no index, so it
-            // rebuilds the index in full.
+            // holds the same cache and counters.
             let mut enc = Encoder::new();
             sharded.save_state(&mut enc);
             let bytes = enc.into_bytes();
@@ -231,7 +224,8 @@ proptest! {
             rebuilt.restore_state(&mut Decoder::new(&bytes)).expect("own checkpoint");
 
             // Materialized stream: bit-identical to the oracle and to the
-            // rebuild, with every counter arithmetically exact against it.
+            // restored evaluator's, with every counter arithmetically exact
+            // against it.
             sharded.evaluate_all_into(&view, &task, &mut out);
             let full = rebuilt.evaluate_all(&view, &task);
             let reference = reference::evaluate_all(&view, &task, ReductionPolicy::default());
@@ -242,21 +236,22 @@ proptest! {
             );
             prop_assert!(
                 candidates_bit_eq(&full, &reference),
-                "rebuild diverged from the oracle at step {}", step
+                "restored evaluator diverged from the oracle at step {}", step
             );
             prop_assert_eq!(
                 counters(&sharded), counters(&rebuilt),
                 "counters diverged at step {}", step
             );
 
-            // Class form: the same partition as a fresh evaluator's.
+            // Class form: the same class list, in the same order, as a
+            // fresh evaluator's.
             prop_assert!(sharded.evaluate_indexed_into(&view, &task, &mut classes));
             prop_assert!(CandidateEvaluator::default().evaluate_indexed_into(
                 &view, &task, &mut rebuilt_classes,
             ));
             prop_assert!(
-                classes_bit_eq(&by_min_core(&classes), &by_min_core(&rebuilt_classes)),
-                "classes diverged from the rebuild at step {}", step
+                classes_bit_eq(&classes, &rebuilt_classes),
+                "classes diverged from a fresh evaluator's at step {}", step
             );
 
             // Indexed top-k: same choice as the full scan for every

@@ -60,7 +60,7 @@ fn cache_does_not_leak_across_trials() {
 }
 
 /// Direct evaluator-level sweep on hand-built views with one reused
-/// evaluator, whose shard index stays incremental: every candidate
+/// evaluator, whose prefix cache stays warm across views: every candidate
 /// estimate over a busy view must be bit-identical to the oracle's,
 /// including on a repeat of the same view (all hits), after time advances,
 /// and after queue mutations.
